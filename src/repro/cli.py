@@ -1,31 +1,22 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Gives operators the control-plane workflow without writing Python:
-
-* ``repro run``            — deploy a tester, run a traffic pattern,
-  print measurements, optionally export CSV/JSON artifacts;
-* ``repro sweep``          — CC parameter sweep over a grid, sharded
-  across a process pool (``--workers N``) with live per-task heartbeat
-  lines, ``--metrics-out`` (Prometheus/JSON), and ``--manifest``;
-* ``repro fluid``          — fluid FCT campaign over a CC x load grid
-  (Figure 10), on the exact closed-form backend or the columnar
-  million-flow solver (``--backend columnar``);
-* ``repro report``         — run a demo congestion scenario with the
-  sim-time profiler and full metrics instrumentation enabled, then
-  print the per-component wall-clock profile and key counters
-  (``--backend columnar`` profiles the columnar fluid solver instead);
-* ``repro trace``          — merge a campaign results directory
-  (``campaign.json`` journal + flight-recorder dumps) into one
+* ``run``            — deploy a tester, run a traffic pattern, print and
+  optionally export its measurements;
+* ``sweep`` / ``fluid`` — a CC parameter sweep / a fluid FCT grid: the
+  flags are translated into a campaign spec (the field table in
+  ``docs/SERVING.md``) and run by :meth:`CampaignSpec.run`, the
+  executor ``repro serve`` uses;
+* ``serve`` / ``submit`` — the campaign daemon, and its client, which
+  prints a finished job the way ``sweep`` / ``fluid`` print theirs;
+* ``report``         — profile a demo scenario (or a columnar fluid
+  run) and print per-component wall time and key counters;
+* ``trace``          — merge a campaign results directory into one
   Chrome/Perfetto trace-event JSON timeline;
-* ``repro serve``          — the persistent campaign daemon: an
-  HTTP/JSON job queue over one warm worker pool with a config-hash
-  result cache and a Prometheus ``/metrics`` endpoint;
-* ``repro submit``         — send a campaign spec (JSON file) to a
-  running ``repro serve``, optionally waiting with live ``[hb]`` lines;
-* ``repro amplification``  — the Section 3.3 arithmetic for an MTU;
-* ``repro capabilities``   — the Table 1 / Table 2 matrices;
-* ``repro resources``      — Table 4 estimates for a CC algorithm;
-* ``repro algorithms``     — registered CC algorithms.
+* ``amplification``, ``capabilities``, ``resources``, ``algorithms`` —
+  the paper's Section 3.3 arithmetic and Tables 1, 2 and 4.
+
+Any :class:`~repro.errors.ReproError` — a bad flag value, a rejected
+spec, a failed campaign — is one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import repro.cc as cc
 from repro.core import (
@@ -43,6 +34,7 @@ from repro.core import (
     device_characteristics_table,
     tester_requirements_table,
 )
+from repro.errors import ConfigError, ReproError
 from repro.fpga.hls import algorithm_cycles
 from repro.fpga.resources import estimate_resources
 from repro.fpga.timers import FrequencyControl
@@ -58,6 +50,9 @@ from repro.obs.heartbeat import Heartbeat
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.backend import backend_names
 from repro.units import MS, US, format_rate
+
+if TYPE_CHECKING:
+    from repro.serve.spec import CampaignSpec
 
 
 def _yesno(flag: bool) -> str:
@@ -183,7 +178,7 @@ def _parse_grid_axes(specs: Sequence[str]) -> list[dict]:
     for spec in specs:
         name, _, values = spec.partition("=")
         if not name or not values:
-            raise SystemExit(f"--param must look like name=v1,v2 (got {spec!r})")
+            raise ConfigError(f"--param must look like name=v1,v2 (got {spec!r})")
         axes.append((name, [parse(token) for token in values.split(",")]))
     if not axes:
         return [{}]
@@ -194,15 +189,89 @@ def _parse_grid_axes(specs: Sequence[str]) -> list[dict]:
     ]
 
 
-def _render_heartbeat(beat: Heartbeat) -> None:
-    """One live progress line per heartbeat (the ``[hb]`` stream)."""
-    state = "done" if beat.final else f"{beat.progress * 100:3.0f}%"
+def _render_heartbeat(row: dict[str, Any]) -> None:
+    """One live progress line per heartbeat row (the ``[hb]`` stream),
+    local or served."""
+    state = "done" if row["final"] else f"{row['progress'] * 100:3.0f}%"
     print(
-        f"[hb] task {beat.task_id} {state}  "
-        f"sim {beat.sim_now_ps / MS:.2f}/{beat.sim_until_ps / MS:.2f} ms  "
-        f"{beat.events_executed:,} events  pid {beat.pid}",
+        f"[hb] task {row['task_id']} {state}  "
+        f"sim {row['sim_now_ps'] / MS:.2f}/{row['sim_until_ps'] / MS:.2f} ms  "
+        f"{row['events_executed']:,} events  pid {row['pid']}",
         flush=True,
     )
+
+
+def _print_campaign(spec: CampaignSpec, result: dict[str, Any]) -> None:
+    """Summary line and result table of one finished campaign, from the
+    payload :meth:`CampaignSpec.run` returns and the daemon serves."""
+    config, stats, points = spec.config, result["stats"], result["points"]
+    if spec.kind == "sweep":
+        print(
+            f"swept {len(points)} {config['algorithm']} configuration(s) "
+            f"({stats['tasks']} simulation(s), {stats['workers']} worker(s), "
+            f"{stats['campaign_wall_s']:.1f} s wall, "
+            f"{stats['tasks_per_sec']:.2f} sims/s, "
+            f"{stats['events_total']:,} events)"
+        )
+        print(f"{'params':40s} {'throughput':>12s} {'fairness':>9s} "
+              f"{'peak queue':>11s} {'flows':>6s}")
+        for point in points:
+            label = ", ".join(f"{k}={v}" for k, v in point["params"].items())
+            print(f"{label or '(defaults)':40s} "
+                  f"{format_rate(point['throughput_bps']):>12s} "
+                  f"{point['fairness']:>9.3f} "
+                  f"{point['peak_queue_bytes'] // 1000:>9d}kB "
+                  f"{point['flows_completed']:>6d}")
+        return
+    print(
+        f"fluid campaign ({config['backend']} backend): {len(points)} cell(s), "
+        f"{stats['workers']} worker(s), {stats['campaign_wall_s']:.1f} s wall, "
+        f"{stats['events_total']:,} flow(-step)s"
+    )
+    print(f"{'algorithm':10s} {'flows/port':>10s} {'mean':>10s} {'p50':>10s} "
+          f"{'p99':>10s} {'per-slot':>12s} {'aggregate':>12s}")
+    for point in points:
+        aggregate = (
+            point["throughput_bps"] * point["flows_per_port"] * config["n_ports"]
+        )
+        print(f"{point['algorithm']:10s} {point['flows_per_port']:>10d} "
+              f"{point['mean_fct_us']:>8.1f}us {point['p50_fct_us']:>8.1f}us "
+              f"{point['p99_fct_us']:>8.1f}us "
+              f"{format_rate(point['throughput_bps']):>12s} "
+              f"{format_rate(aggregate):>12s}")
+
+
+def _write_json(path: str, document: dict[str, Any]) -> None:
+    import json
+
+    Path(path).write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
+def _run_campaign(
+    args: argparse.Namespace,
+    payload: dict[str, Any],
+    on_heartbeat: Optional[Callable[[Heartbeat], None]] = None,
+    **run_options: Any,
+) -> tuple[CampaignSpec, dict[str, Any]]:
+    """What ``repro sweep`` and ``repro fluid`` share: validate the spec
+    payload their flags spell, run it on a private runner through the
+    daemon's executor, print the table, honour ``--json``."""
+    from repro.parallel import CampaignRunner
+    from repro.serve.spec import parse_spec
+
+    spec = parse_spec(payload)  # rejects bad input before any worker exists
+    # --results-dir arms the campaign journal + per-task flight
+    # recorders (post-mortem dumps, `repro trace` input).
+    with CampaignRunner(workers=args.workers, results_dir=args.results_dir) as runner:
+        result = spec.run(runner, on_heartbeat, **run_options)
+    _print_campaign(spec, result)
+    if args.results_dir is not None:
+        print(f"campaign journal in {args.results_dir} "
+              f"(render with: repro trace {args.results_dir})")
+    if args.json is not None:
+        _write_json(args.json, result)
+    return spec, result
 
 
 def _campaign_metrics_registry(
@@ -235,89 +304,41 @@ def _campaign_metrics_registry(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core.sweep import sweep_campaign
-    from repro.parallel import CampaignRunner
+    from repro.serve.jobs import beat_row
 
-    grid = _parse_grid_axes(args.param)
     final_beats: dict[int, Heartbeat] = {}
 
     def on_heartbeat(beat: Heartbeat) -> None:
         if beat.final:
             final_beats[beat.task_id] = beat
         if not args.no_progress:
-            _render_heartbeat(beat)
+            _render_heartbeat(beat_row(beat))
 
-    # --results-dir arms the campaign journal + per-task flight
-    # recorders (post-mortem dumps, `repro trace` input).
-    runner = None
-    if args.results_dir is not None:
-        runner = CampaignRunner(workers=args.workers, results_dir=args.results_dir)
-    try:
-        points, campaign = sweep_campaign(
-            args.algorithm,
-            grid,
-            n_senders=args.senders,
-            duration_ps=int(args.duration_ms * MS),
-            ecn_threshold_bytes=args.ecn_threshold,
-            workers=args.workers,
-            seeds=args.seeds,
-            seed=args.seed,
-            sim_backend=args.sim_backend,
-            runner=runner,
-            on_heartbeat=on_heartbeat,
-        )
-    finally:
-        if runner is not None:
-            runner.close()
-    stats = campaign.stats()
-    print(
-        f"swept {len(points)} {args.algorithm} configuration(s) "
-        f"({stats['tasks']} simulation(s), {stats['workers']} worker(s), "
-        f"{stats['campaign_wall_s']:.1f} s wall, "
-        f"{stats['tasks_per_sec']:.2f} sims/s, "
-        f"{stats['events_total']:,} events)"
-    )
-    if args.results_dir is not None:
-        print(f"campaign journal in {args.results_dir} "
-              f"(render with: repro trace {args.results_dir})")
-    print(f"{'params':40s} {'throughput':>12s} {'fairness':>9s} "
-          f"{'peak queue':>11s} {'flows':>6s}")
-    for point in points:
-        label = ", ".join(f"{k}={v}" for k, v in point.params.items()) or "(defaults)"
-        print(f"{label:40s} {format_rate(point.throughput_bps):>12s} "
-              f"{point.fairness:>9.3f} {point.peak_queue_bytes // 1000:>9d}kB "
-              f"{point.flows_completed:>6d}")
-    if args.json is not None:
-        import dataclasses
-        import json
-
-        payload = {
+    spec, result = _run_campaign(
+        args,
+        {
+            "kind": "sweep",
             "algorithm": args.algorithm,
-            "stats": stats,
-            "points": [dataclasses.asdict(point) for point in points],
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
+            "grid": _parse_grid_axes(args.param),
+            "n_senders": args.senders,
+            "duration_ms": args.duration_ms,
+            "ecn_threshold_bytes": args.ecn_threshold,
+            "seeds": args.seeds,
+            "seed": args.seed,
+            "sim_backend": args.sim_backend,
+        },
+        on_heartbeat,
+    )
     if args.metrics_out is not None or args.manifest is not None:
-        registry = _campaign_metrics_registry(final_beats, stats)
+        registry = _campaign_metrics_registry(final_beats, result["stats"])
         if args.metrics_out is not None:
             print(f"wrote {write_metrics(registry, args.metrics_out)}")
         if args.manifest is not None:
-            config = {
-                "algorithm": args.algorithm,
-                "grid": grid,
-                "senders": args.senders,
-                "duration_ms": args.duration_ms,
-                "ecn_threshold": args.ecn_threshold,
-                "workers": args.workers,
-                "seeds": args.seeds,
-                "sim_backend": args.sim_backend or "auto",
-            }
             manifest = build_manifest(
-                config,
-                seed=args.seed,
+                spec.config,
+                seed=spec.config["seed"],
                 metrics=registry.snapshot(),
-                extra={"campaign": stats},
+                extra={"campaign": result["stats"]},
             )
             print(f"wrote {write_manifest(manifest, args.manifest)}")
     return 0
@@ -325,87 +346,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_fluid(args: argparse.Namespace) -> int:
     """Fluid FCT campaign (Figure 10 grid) on either fluid backend."""
-    from repro.fluid import (
-        dcqcn_profile,
-        dctcp_profile,
-        fluid_fct_campaign,
-        ideal_profile,
-    )
-    from repro.workload import hadoop, websearch
-
-    factories = {
-        "dctcp": dctcp_profile,
-        "dcqcn": dcqcn_profile,
-        "ideal": ideal_profile,
-    }
-    names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    unknown = sorted(set(names) - set(factories))
-    if unknown:
-        raise SystemExit(
-            f"unknown fluid profile(s) {unknown}; choose from {sorted(factories)}"
-        )
     try:
         levels = [int(token) for token in args.flows_per_port.split(",")]
     except ValueError:
-        raise SystemExit("--flows-per-port must be a comma-separated int list")
-    if args.timeseries_out is not None and args.backend != "columnar":
-        raise SystemExit("--timeseries-out requires --backend columnar")
-    distribution = websearch() if args.workload == "websearch" else hadoop()
-    from repro.parallel import CampaignRunner
-
-    runner = None
-    if args.results_dir is not None:
-        runner = CampaignRunner(workers=args.workers, results_dir=args.results_dir)
-    try:
-        points, campaign = fluid_fct_campaign(
-            [factories[name]() for name in names],
-            distribution,
-            workload=args.workload,
-            flows_per_port_levels=levels,
-            flows_total=args.flows_total,
-            n_ports=args.ports,
-            workers=args.workers,
-            seed=args.seed,
-            backend=args.backend,
-            runner=runner,
-            timeseries_dir=args.timeseries_out,
-            timeseries_sample_every=args.timeseries_every,
-        )
-    finally:
-        if runner is not None:
-            runner.close()
-    stats = campaign.stats()
-    print(
-        f"fluid campaign ({args.backend} backend): {len(points)} cell(s), "
-        f"{stats['workers']} worker(s), {stats['campaign_wall_s']:.1f} s wall, "
-        f"{stats['events_total']:,} flow(-step)s"
+        raise ConfigError(
+            "--flows-per-port must be a comma-separated int list, "
+            f"got {args.flows_per_port!r}"
+        ) from None
+    _run_campaign(
+        args,
+        {
+            "kind": "fluid",
+            "algorithms": args.algorithms,
+            "workload": args.workload,
+            "flows_per_port_levels": levels,
+            "flows_total": args.flows_total,
+            "n_ports": args.ports,
+            "backend": args.backend,
+            "seed": args.seed,
+        },
+        timeseries_dir=args.timeseries_out,
+        timeseries_sample_every=args.timeseries_every,
     )
     if args.timeseries_out is not None:
         print(f"per-bottleneck timeseries (.npz per cell) in {args.timeseries_out}")
-    if args.results_dir is not None:
-        print(f"campaign journal in {args.results_dir} "
-              f"(render with: repro trace {args.results_dir})")
-    print(f"{'algorithm':10s} {'flows/port':>10s} {'mean':>10s} {'p50':>10s} "
-          f"{'p99':>10s} {'per-slot':>12s} {'aggregate':>12s}")
-    for point in points:
-        aggregate = point.throughput_bps * point.flows_per_port * args.ports
-        print(f"{point.algorithm:10s} {point.flows_per_port:>10d} "
-              f"{point.mean_fct_us:>8.1f}us {point.p50_fct_us:>8.1f}us "
-              f"{point.p99_fct_us:>8.1f}us "
-              f"{format_rate(point.throughput_bps):>12s} "
-              f"{format_rate(aggregate):>12s}")
-    if args.json is not None:
-        import dataclasses
-        import json
-
-        payload = {
-            "backend": args.backend,
-            "workload": args.workload,
-            "stats": stats,
-            "points": [dataclasses.asdict(point) for point in points],
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
     return 0
 
 
@@ -415,23 +379,18 @@ def _report_columnar(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.fluid import dcqcn_profile, dctcp_profile, ideal_profile
+    from repro.fluid import PROFILES
     from repro.fluid.solver import ColumnarFluidSolver, kernel_for_profile
     from repro.obs import instrument_fluid_solver
-    from repro.workload import hadoop, websearch
+    from repro.workload import DISTRIBUTIONS
 
-    factories = {
-        "dctcp": dctcp_profile,
-        "dcqcn": dcqcn_profile,
-        "ideal": ideal_profile,
-    }
-    if args.algorithm not in factories:
-        raise SystemExit(
-            f"columnar report supports fluid profiles {sorted(factories)}, "
+    if args.algorithm not in PROFILES:
+        raise ConfigError(
+            f"columnar report supports fluid profiles {sorted(PROFILES)}, "
             f"got {args.algorithm!r}"
         )
-    profile = factories[args.algorithm]()
-    distribution = websearch() if args.workload == "websearch" else hadoop()
+    profile = PROFILES[args.algorithm]()
+    distribution = DISTRIBUTIONS[args.workload]()
     n_ports = args.senders
     solver = ColumnarFluidSolver(
         n_bottlenecks=n_ports,
@@ -616,49 +575,26 @@ def cmd_submit(args: argparse.Namespace) -> int:
     """Send one campaign spec to a running daemon."""
     import json
 
-    from repro.serve import ServeClient, ServeError
+    from repro.serve import ServeClient, parse_spec
 
-    spec = json.loads(Path(args.spec).read_text())
+    payload = json.loads(Path(args.spec).read_text())
+    # The daemon's own validator, run here first: a bad spec costs no
+    # round trip, and the normalized config labels the result table.
+    spec = parse_spec(payload)
     client = ServeClient(args.host, args.port)
-
-    def render(row: dict) -> None:
-        state = "done" if row["final"] else f"{row['progress'] * 100:3.0f}%"
-        print(
-            f"[hb] task {row['task_id']} {state}  "
-            f"sim {row['sim_now_ps'] / MS:.2f}/{row['sim_until_ps'] / MS:.2f} ms  "
-            f"{row['events_executed']:,} events  pid {row['pid']}",
-            flush=True,
-        )
-
-    try:
-        job = client.submit(spec)
-    except ServeError as exc:
-        raise SystemExit(f"submit failed: {exc}")
+    job = client.submit(payload)
     cached = " (cached)" if job.get("cached") else ""
     print(f"{job['job_id']} {job['state']}{cached}: {job['description']}")
-    if not args.wait or job["state"] in ("done", "failed"):
-        document = job
-    else:
-        try:
-            document = client.wait(
-                job["job_id"],
-                timeout_s=args.timeout,
-                on_heartbeat=None if args.no_progress else render,
-            )
-        except ServeError as exc:
-            raise SystemExit(f"job failed: {exc}")
-    if document["state"] == "done":
-        result = document.get("result") or {}
-        stats = result.get("stats", {})
-        print(
-            f"{document['job_id']} done: {len(result.get('points', []))} point(s), "
-            f"{stats.get('campaign_wall_s', 0.0):.2f} s wall, "
-            f"{stats.get('events_total', 0):,} events"
-            + (" [served from cache]" if document.get("cached") else "")
+    if args.wait and job["state"] not in ("done", "failed"):
+        job = client.wait(
+            job["job_id"],
+            timeout_s=args.timeout,
+            on_heartbeat=None if args.no_progress else _render_heartbeat,
         )
+    if job["state"] == "done":
+        _print_campaign(spec, job["result"])
         if args.json is not None:
-            Path(args.json).write_text(json.dumps(document, indent=2) + "\n")
-            print(f"wrote {args.json}")
+            _write_json(args.json, job)
     return 0
 
 
@@ -666,10 +602,10 @@ def _start_closed_loop(args: argparse.Namespace, tester) -> None:
     """Closed-loop generation from a named traffic model (Section 7.5)."""
     import numpy as np
 
-    from repro.workload import ClosedLoopGenerator, FlowSlot, hadoop, websearch
+    from repro.workload import DISTRIBUTIONS, ClosedLoopGenerator, FlowSlot
     from repro.workload.distributions import EmpiricalCdf
 
-    base = websearch() if args.workload == "websearch" else hadoop()
+    base = DISTRIBUTIONS[args.workload]()
     if args.size_scale != 1:
         base = EmpiricalCdf(
             tuple(
@@ -980,7 +916,11 @@ HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return HANDLERS[args.command](args)
+    try:
+        return HANDLERS[args.command](args)
+    except ReproError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -230,7 +230,8 @@ def sweep_campaign(
     runner: Optional[CampaignRunner] = None,
     on_heartbeat: Optional[Callable[[Heartbeat], None]] = None,
 ) -> tuple[list[SweepPoint], CampaignResult]:
-    """:func:`cc_parameter_sweep` plus the underlying campaign statistics.
+    """One fan-in congestion scenario per parameter setting, plus the
+    underlying campaign statistics.
 
     Tasks are one simulation per ``(grid point, seed replicate)`` pair,
     sharded across ``workers`` processes; replicate seeds are spawned
@@ -284,42 +285,13 @@ def _sweep_task(
 
 
 def cc_parameter_sweep(
-    algorithm: str,
-    param_grid: list[dict[str, Any]],
-    *,
-    n_senders: int = 3,
-    size_packets: int = 10**9,
-    duration_ps: int = 6 * MS,
-    ecn_threshold_bytes: int = 84_000,
-    base_params: Optional[dict[str, Any]] = None,
-    workers: int = 1,
-    seeds: Union[int, Sequence[int], None] = None,
-    seed: int = 0,
-    sim_backend: Optional[str] = None,
-    runner: Optional[CampaignRunner] = None,
-    on_heartbeat: Optional[Callable[[Heartbeat], None]] = None,
+    algorithm: str, param_grid: list[dict[str, Any]], **options: Any
 ) -> list[SweepPoint]:
     """Run a fan-in congestion scenario for each parameter setting.
 
     Each grid entry is merged over ``base_params`` and passed to the
-    algorithm constructor; results come back in grid order.  With
-    ``workers > 1`` the grid points (and ``seeds`` replicates) are
-    sharded across a process pool; results are bit-identical to the
-    serial run.
+    algorithm constructor; results come back in grid order.  Takes
+    every keyword of :func:`sweep_campaign` and returns its points
+    without the campaign statistics.
     """
-    points, _ = sweep_campaign(
-        algorithm,
-        param_grid,
-        n_senders=n_senders,
-        size_packets=size_packets,
-        duration_ps=duration_ps,
-        ecn_threshold_bytes=ecn_threshold_bytes,
-        base_params=base_params,
-        workers=workers,
-        seeds=seeds,
-        seed=seed,
-        sim_backend=sim_backend,
-        runner=runner,
-        on_heartbeat=on_heartbeat,
-    )
-    return points
+    return sweep_campaign(algorithm, param_grid, **options)[0]

@@ -17,6 +17,7 @@ from repro.fluid.campaign import (
 )
 from repro.fluid.ideal import ideal_fct_ps, ideal_fct_series_us
 from repro.fluid.model import (
+    PROFILES,
     FluidCcProfile,
     FluidResult,
     FluidSimulator,
@@ -33,6 +34,7 @@ from repro.fluid.solver import (
 
 __all__ = [
     "FLUID_BACKENDS",
+    "PROFILES",
     "FluidCampaignPoint",
     "fluid_fct_campaign",
     "run_fluid_point",

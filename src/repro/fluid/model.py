@@ -87,6 +87,15 @@ def ideal_profile() -> FluidCcProfile:
     return FluidCcProfile(name="ideal", utilization=1.0, startup="constant")
 
 
+#: Profile factories by name: what a campaign spec's ``algorithms``
+#: field, ``repro fluid`` and ``repro report`` may ask for.
+PROFILES = {
+    "dctcp": dctcp_profile,
+    "dcqcn": dcqcn_profile,
+    "ideal": ideal_profile,
+}
+
+
 @dataclass
 class FluidResult:
     """Outcome of one fluid run."""

@@ -23,13 +23,11 @@ from typing import Any, Optional, Union
 from repro.errors import ConfigError
 
 #: Digest version stamped into manifests and used by the ``repro serve``
-#: result cache.  Version 2 is the strict type-tagged canonicalizer;
-#: version 1 is the legacy ``json.dumps(..., default=str)`` digest kept
-#: for verifying pre-existing manifests and BENCH provenance.
+#: result cache: the strict type-tagged canonicalizer.
 CONFIG_HASH_VERSION = 2
 
-#: Domain-separation prefix for the v2 digest, so a v2 hash can never
-#: collide with a v1 hash of some crafted string.
+#: Domain-separation prefix, so the digest can never collide with a
+#: plain hash of some crafted string.
 _V2_PREFIX = b"repro-config-v2\x00"
 
 
@@ -97,25 +95,15 @@ def canonical_config_bytes(config: dict[str, Any]) -> bytes:
     return b"".join(out)
 
 
-def config_hash(config: dict[str, Any], *, version: int = CONFIG_HASH_VERSION) -> str:
+def config_hash(config: dict[str, Any]) -> str:
     """SHA-256 of the canonical form of ``config``.
 
-    ``version=2`` (the default) uses a strict type-tagged canonicalizer:
-    key order never matters, tuples and lists hash differently, and
-    non-finite floats / non-string keys / arbitrary objects raise
-    :class:`ConfigError` rather than producing an unstable digest.
-    ``version=1`` reproduces the legacy ``json.dumps(..., default=str)``
-    digest so manifests and BENCH provenance written before the change
-    still verify.
+    The canonicalizer is strict and type-tagged: key order never
+    matters, tuples and lists hash differently, and non-finite floats /
+    non-string keys / arbitrary objects raise :class:`ConfigError`
+    rather than producing an unstable digest.
     """
-    if version == 1:
-        canonical = json.dumps(
-            config, sort_keys=True, separators=(",", ":"), default=str
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
-    if version == 2:
-        return hashlib.sha256(canonical_config_bytes(config)).hexdigest()
-    raise ConfigError(f"unknown config_hash version {version!r} (know 1 and 2)")
+    return hashlib.sha256(canonical_config_bytes(config)).hexdigest()
 
 
 def git_sha(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:

@@ -274,34 +274,37 @@ def bench_parallel_speedup(
     """
     import os
 
-    from repro.core.sweep import sweep_campaign
     from repro.parallel import CampaignRunner
+    from repro.serve.spec import parse_spec
     from repro.units import GBPS
 
     if workers is None:
         workers = max(2, min(4, os.cpu_count() or 1))
-    grid = [{"rate_ai_bps": (index + 1) * GBPS} for index in range(n_points)]
-    common = dict(n_senders=2, duration_ps=duration_us * US)
+    spec = parse_spec(
+        {
+            "kind": "sweep",
+            "algorithm": "dcqcn",
+            "grid": [{"rate_ai_bps": (index + 1) * GBPS} for index in range(n_points)],
+            "n_senders": 2,
+            "duration_ms": duration_us / 1000,
+        }
+    )
 
-    serial_points, serial_campaign = sweep_campaign(
-        "dcqcn", grid, workers=1, **common
-    )
-    parallel_points, parallel_campaign = sweep_campaign(
-        "dcqcn", grid, workers=workers, **common
-    )
-    if serial_points != parallel_points:  # determinism is part of the contract
+    def campaign(runner: CampaignRunner) -> dict[str, Any]:
+        with runner:
+            return spec.run(runner)
+
+    serial = campaign(CampaignRunner(workers=1))
+    parallel = campaign(CampaignRunner(workers=workers))
+    if serial["points"] != parallel["points"]:  # determinism is part of the contract
         raise AssertionError("parallel sweep diverged from the serial run")
-
-    with CampaignRunner(workers=workers).start() as warm_runner:
-        warm_points, warm_campaign = sweep_campaign(
-            "dcqcn", grid, runner=warm_runner, **common
-        )
-    if warm_points != serial_points:
+    warm = campaign(CampaignRunner(workers=workers).start())
+    if warm["points"] != serial["points"]:
         raise AssertionError("warm-pool sweep diverged from the serial run")
 
-    serial_s = serial_campaign.wall_s
-    parallel_s = parallel_campaign.wall_s
-    warm_s = warm_campaign.wall_s
+    serial_s = serial["stats"]["campaign_wall_s"]
+    parallel_s = parallel["stats"]["campaign_wall_s"]
+    warm_s = warm["stats"]["campaign_wall_s"]
     return {
         "points_per_sec": n_points / parallel_s if parallel_s > 0 else 0.0,
         "points_per_sec_serial": n_points / serial_s if serial_s > 0 else 0.0,
@@ -314,7 +317,7 @@ def bench_parallel_speedup(
         "serial_s": serial_s,
         "parallel_s": parallel_s,
         "warm_s": warm_s,
-        "events_total": parallel_campaign.stats()["events_total"],
+        "events_total": parallel["stats"]["events_total"],
     }
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -37,8 +38,13 @@ from repro.serve.spec import CampaignSpec
 #: Job lifecycle states, in order.
 STATES = ("queued", "running", "done", "failed")
 
+#: Finished jobs the daemon keeps answering for; older ones are dropped
+#: (their ids then read as unknown), so a long-lived daemon's job table
+#: stays bounded.  Queued and running jobs are never dropped.
+MAX_FINISHED_JOBS = 1024
 
-def _beat_row(beat: Heartbeat) -> dict[str, Any]:
+
+def beat_row(beat: Heartbeat) -> dict[str, Any]:
     """One heartbeat as the JSON-safe row the API streams (the same
     vocabulary as the campaign journal, plus derived progress)."""
     return {
@@ -130,8 +136,11 @@ class JobQueue:
         #: Optional observer for metrics: called with ("accepted" |
         #: "started" | "finished" | "cache_hit" | "coalesced", job).
         self.on_event = on_event
+        #: Live jobs plus the last :data:`MAX_FINISHED_JOBS` finished
+        #: ones, in submission order (dict order backs the listing).
         self.jobs: dict[str, Job] = {}
-        self._order: list[str] = []  # submission order, for listings
+        self._finished: deque[str] = deque()  # finish order, oldest first
+        self._running = 0
         self._pending: list[str] = []
         self._active_by_hash: dict[str, str] = {}
         self._cond = threading.Condition()
@@ -173,25 +182,22 @@ class JobQueue:
                 self._notify("coalesced", job)
                 return job
             entry = self.cache.get(key)
+            if entry is None and len(self._pending) >= self.max_queued:
+                raise ReproError(
+                    f"job queue is full ({self.max_queued} campaign(s) queued)"
+                )
             self._counter += 1
             job = Job(id=f"job-{self._counter:06d}", spec=spec, config_hash=key)
             self.jobs[job.id] = job
-            self._order.append(job.id)
             if entry is not None:
                 job.cached = True
                 job.state = "done"
                 job.started_unix = job.finished_unix = time.time()
                 job.result = entry["result"]
+                self._retire(job)
                 self._notify("cache_hit", job)
                 self._cond.notify_all()
                 return job
-            if len(self._pending) >= self.max_queued:
-                # Roll the bookkeeping back; the request was rejected.
-                del self.jobs[job.id]
-                self._order.pop()
-                raise ReproError(
-                    f"job queue is full ({self.max_queued} campaign(s) queued)"
-                )
             self._pending.append(job.id)
             self._active_by_hash[key] = job.id
             self._notify("accepted", job)
@@ -206,7 +212,7 @@ class JobQueue:
 
     def list_jobs(self) -> list[dict[str, Any]]:
         with self._cond:
-            return [self.jobs[job_id].summary() for job_id in self._order]
+            return [job.summary() for job in self.jobs.values()]
 
     def queue_depth(self) -> int:
         with self._cond:
@@ -214,7 +220,7 @@ class JobQueue:
 
     def running_count(self) -> int:
         with self._cond:
-            return sum(1 for job in self.jobs.values() if job.state == "running")
+            return self._running
 
     def wait(
         self,
@@ -241,6 +247,15 @@ class JobQueue:
 
     # -- dispatch --------------------------------------------------------------
 
+    def _retire(self, job: Job) -> None:
+        """Book a job that just finished (lock held): it stops counting
+        as active and pushes the oldest finished job out of the table
+        once more than :data:`MAX_FINISHED_JOBS` are retained."""
+        self._active_by_hash.pop(job.config_hash, None)
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self.jobs[self._finished.popleft()]
+
     def _notify(self, event: str, job: Job) -> None:
         if self.on_event is not None:
             try:
@@ -258,13 +273,14 @@ class JobQueue:
                 job = self.jobs[self._pending.pop(0)]
                 job.state = "running"
                 job.started_unix = time.time()
+                self._running += 1
                 self._notify("started", job)
                 self._cond.notify_all()
             self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
         def on_heartbeat(beat: Heartbeat) -> None:
-            row = _beat_row(beat)
+            row = beat_row(beat)
             with self._cond:
                 job.beats.append(row)
                 if beat.final and beat.task_id >= 0:
@@ -274,28 +290,22 @@ class JobQueue:
         try:
             result = job.spec.run(self.runner, on_heartbeat=on_heartbeat)
         except Exception as exc:
-            message = "".join(
-                traceback.format_exception_only(exc)
-            ).strip()
-            with self._cond:
-                job.state = "failed"
-                job.error = message
-                job.finished_unix = time.time()
-                self._active_by_hash.pop(job.config_hash, None)
-                self._notify("finished", job)
-                self._cond.notify_all()
-            return
-        # Cache outside the lock (disk write), then publish.
-        self.cache.put(
-            job.config_hash,
-            job.spec.config,
-            result,
-            seed=job.spec.config.get("seed"),
-        )
+            state, result = "failed", None
+            error = "".join(traceback.format_exception_only(exc)).strip()
+        else:
+            state, error = "done", None
+            # Cache outside the lock (disk write), then publish; a
+            # failed run is never cached.
+            self.cache.put(
+                job.config_hash,
+                job.spec.config,
+                result,
+                seed=job.spec.config.get("seed"),
+            )
         with self._cond:
-            job.state = "done"
-            job.result = result
+            job.state, job.result, job.error = state, result, error
             job.finished_unix = time.time()
-            self._active_by_hash.pop(job.config_hash, None)
+            self._running -= 1
+            self._retire(job)
             self._notify("finished", job)
             self._cond.notify_all()

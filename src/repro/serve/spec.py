@@ -8,20 +8,11 @@ dict feeds :func:`repro.obs.manifest.config_hash`; two requests that
 mean the same campaign therefore hash — and cache — identically,
 regardless of key order or which defaults the client spelled out.
 
-Spec kinds:
-
-``sweep``
-    ``{"kind": "sweep", "algorithm": "dcqcn", "grid": [{...}, ...],
-    "n_senders": 3, "duration_ms": 6.0, "ecn_threshold_bytes": 84000,
-    "seeds": null, "seed": 0, "sim_backend": "auto"}``
-
-``fluid``
-    ``{"kind": "fluid", "algorithms": ["dctcp"], "workload":
-    "websearch", "flows_per_port_levels": [8], "flows_total": 50000,
-    "n_ports": 12, "backend": "closed_form", "seed": 0}``
-
-Everything except ``kind`` (and ``algorithm``/``algorithms``) is
-optional and defaulted server-side.
+The two kinds (``sweep``, ``fluid``), their fields and defaults are
+tabulated once, in ``docs/SERVING.md``; ``repro sweep`` / ``repro
+fluid`` build the same payload from their flags, so the CLI, the daemon
+and ``repro submit`` share this validator, :meth:`CampaignSpec.run` and
+one config hash per campaign.
 """
 
 from __future__ import annotations
@@ -29,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+import repro.cc as cc
 from repro.errors import ConfigError
 from repro.obs.manifest import config_hash
 from repro.units import MS
-
-#: Fluid profiles the serve layer can instantiate by name.
-FLUID_PROFILES = ("dctcp", "dcqcn", "ideal")
 
 _SWEEP_DEFAULTS: dict[str, Any] = {
     "grid": [{}],
@@ -116,16 +105,30 @@ class CampaignSpec:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, runner: Any, on_heartbeat: Optional[Callable] = None) -> dict[str, Any]:
-        """Execute this campaign on ``runner`` (a started
+    def run(
+        self,
+        runner: Any,
+        on_heartbeat: Optional[Callable] = None,
+        *,
+        timeseries_dir: Optional[str] = None,
+        timeseries_sample_every: int = 1,
+    ) -> dict[str, Any]:
+        """Execute this campaign on ``runner`` (a
         :class:`~repro.parallel.CampaignRunner`) and return the
-        JSON-safe result payload the daemon caches and serves."""
+        JSON-safe result payload the daemon caches and serves and the
+        CLI prints.  Where it runs and what it leaves behind — the
+        runner's workers and results dir, the columnar solver's
+        per-cell ``timeseries_dir`` — never enter the hashed config."""
         import dataclasses
 
+        c = self.config
+        if timeseries_dir is not None and c.get("backend") != "columnar":
+            raise ConfigError(
+                "timeseries output needs a fluid campaign with 'backend': 'columnar'"
+            )
         if self.kind == "sweep":
             from repro.core.sweep import sweep_campaign
 
-            c = self.config
             points, campaign = sweep_campaign(
                 c["algorithm"],
                 [dict(params) for params in c["grid"]],
@@ -139,24 +142,12 @@ class CampaignSpec:
                 on_heartbeat=on_heartbeat,
             )
         else:
-            from repro.fluid import (
-                dcqcn_profile,
-                dctcp_profile,
-                fluid_fct_campaign,
-                ideal_profile,
-            )
-            from repro.workload import hadoop, websearch
+            from repro.fluid import PROFILES, fluid_fct_campaign
+            from repro.workload import DISTRIBUTIONS
 
-            factories = {
-                "dctcp": dctcp_profile,
-                "dcqcn": dcqcn_profile,
-                "ideal": ideal_profile,
-            }
-            c = self.config
-            distribution = websearch() if c["workload"] == "websearch" else hadoop()
             points, campaign = fluid_fct_campaign(
-                [factories[name]() for name in c["algorithms"]],
-                distribution,
+                [PROFILES[name]() for name in c["algorithms"]],
+                DISTRIBUTIONS[c["workload"]](),
                 workload=c["workload"],
                 flows_per_port_levels=c["flows_per_port_levels"],
                 flows_total=c["flows_total"],
@@ -164,6 +155,8 @@ class CampaignSpec:
                 seed=c["seed"],
                 backend=c["backend"],
                 runner=runner,
+                timeseries_dir=timeseries_dir,
+                timeseries_sample_every=timeseries_sample_every,
                 on_heartbeat=on_heartbeat,
             )
         return {
@@ -199,6 +192,16 @@ def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
                 f"grid parameter {key!r} must be int/float/str, got {value!r}",
             )
     config["grid"] = [dict(sorted(entry.items())) for entry in grid]
+    for index, entry in enumerate(config["grid"]):
+        # Build the module once here so an unknown algorithm, parameter
+        # name or value is a 400 / exit 2, not a failed pool task.
+        try:
+            cc.create(algorithm, **entry)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"'grid' entry {index} ({entry!r}) is not a valid "
+                f"{algorithm!r} parameter set: {exc}"
+            ) from None
     config["n_senders"] = _as_int(merged["n_senders"], "n_senders", minimum=2)
     duration_ms = _as_number(merged["duration_ms"], "duration_ms")
     _require(duration_ms > 0, "'duration_ms' must be positive")
@@ -236,16 +239,20 @@ def _parse_fluid(payload: dict[str, Any]) -> CampaignSpec:
         isinstance(algorithms, list) and len(algorithms) >= 1,
         "'algorithms' must be a non-empty list of fluid profile names",
     )
-    unknown = sorted(set(algorithms) - set(FLUID_PROFILES))
+    from repro.fluid import FLUID_BACKENDS, PROFILES
+    from repro.workload import DISTRIBUTIONS
+
+    unknown = sorted(set(algorithms) - set(PROFILES))
     _require(not unknown, f"unknown fluid profile(s) {unknown}; "
-                          f"choose from {sorted(FLUID_PROFILES)}")
+                          f"choose from {sorted(PROFILES)}")
     config["algorithms"] = list(algorithms)
 
     merged = {**_FLUID_DEFAULTS, **{k: v for k, v in payload.items()
                                     if k not in ("kind", "algorithms")}}
     _require(
-        merged["workload"] in ("websearch", "hadoop"),
-        f"'workload' must be websearch or hadoop, got {merged['workload']!r}",
+        merged["workload"] in DISTRIBUTIONS,
+        f"'workload' must be one of {sorted(DISTRIBUTIONS)}, "
+        f"got {merged['workload']!r}",
     )
     config["workload"] = merged["workload"]
     levels = merged["flows_per_port_levels"]
@@ -259,8 +266,9 @@ def _parse_fluid(payload: dict[str, Any]) -> CampaignSpec:
     config["flows_total"] = _as_int(merged["flows_total"], "flows_total", minimum=1)
     config["n_ports"] = _as_int(merged["n_ports"], "n_ports", minimum=1)
     _require(
-        merged["backend"] in ("closed_form", "columnar"),
-        f"'backend' must be closed_form or columnar, got {merged['backend']!r}",
+        merged["backend"] in FLUID_BACKENDS,
+        f"'backend' must be one of {list(FLUID_BACKENDS)}, "
+        f"got {merged['backend']!r}",
     )
     config["backend"] = merged["backend"]
     config["seed"] = _as_int(merged["seed"], "seed", minimum=0)

@@ -5,13 +5,12 @@ The engine is deliberately small: a binary-heap event queue keyed by
 were scheduled, which makes every simulation in the library deterministic.
 """
 
-from repro.sim.engine import Event, EventHandle, Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.timers import PeriodicTimer, Timeout
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder, TraceRecord
 
 __all__ = [
-    "Event",
     "EventHandle",
     "Simulator",
     "PeriodicTimer",

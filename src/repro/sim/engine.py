@@ -40,17 +40,15 @@ COMPACT_MIN_DEAD = 64
 _HANDLE = object()
 
 _heappush = heapq.heappush
-_heappop = heapq.heappop
 
 
 class EventHandle:
     """A cancellable, re-armable scheduled callback.
 
     Created through :meth:`Simulator.schedule_handle` /
-    :meth:`Simulator.after_handle`.  The handle is the old-style
-    scheduling API (the seed's ``Event`` class is an alias); the
-    fast-path :meth:`Simulator.schedule` family returns ``None`` and
-    cannot be cancelled.
+    :meth:`Simulator.after_handle`.  The fast-path
+    :meth:`Simulator.schedule` family returns ``None`` and cannot be
+    cancelled.
 
     ``time_ps`` is the time of the live heap entry; ``target_ps`` is the
     logical fire time.  When a handle is re-armed to a later deadline the
@@ -108,10 +106,6 @@ class EventHandle:
             state = "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<EventHandle t={self.target_ps}ps seq={self.seq} {name} {state}>"
-
-
-#: Back-compat alias for the seed's handle-returning API.
-Event = EventHandle
 
 
 class Simulator:
@@ -177,14 +171,8 @@ class Simulator:
         _heappush(self._heap, (time_ps, self._seq, fn, args))
         self._seq += 1
 
-    def at(self, time_ps: int, fn: Callable[..., None], *args: Any) -> None:
-        """Alias of :meth:`schedule` reading naturally at call sites."""
-        if time_ps < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time_ps} ps; current time is {self.now} ps"
-            )
-        _heappush(self._heap, (time_ps, self._seq, fn, args))
-        self._seq += 1
+    #: Alias of :meth:`schedule` reading naturally at call sites.
+    at = schedule
 
     def after(self, delay_ps: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay_ps`` from now."""
@@ -281,49 +269,14 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
-    def _pop_runnable(self) -> Optional[tuple]:
-        """Pop entries until one is live, handling stale skips and lazy
-        re-arms.  Returns ``(time_ps, fn, args)`` or None when drained."""
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            if entry[3] is not _HANDLE:
-                return (entry[0], entry[2], entry[3])
-            handle = entry[2]
-            if handle.seq != entry[1]:
-                self._dead -= 1
-                continue
-            if handle.target_ps > entry[0]:
-                seq = self._seq
-                self._seq = seq + 1
-                handle.seq = seq
-                handle.time_ps = handle.target_ps
-                _heappush(heap, (handle.target_ps, seq, handle, _HANDLE))
-                continue
-            handle.seq = -1
-            return (entry[0], handle.fn, handle.args)
-        return None
-
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when none remain.
 
-        Mirrors :meth:`run` semantics: reentrant use raises, and a
-        leftover :meth:`stop` request from an earlier run is cleared.
+        One event of the selected backend's run loop, so :meth:`run`
+        semantics apply: reentrant use raises, and a leftover
+        :meth:`stop` request from an earlier run is cleared.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (reentrant step())")
-        self._stopped = False
-        self._running = True
-        try:
-            item = self._pop_runnable()
-            if item is None:
-                return False
-            self.now = item[0]
-            item[1](*item[2])
-            self._events_executed += 1
-            return True
-        finally:
-            self._running = False
+        return self.run(max_events=1) == 1
 
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until_ps`` is reached, or

@@ -1,6 +1,7 @@
 """Workloads: flow-size distributions and closed-loop flow generation."""
 
 from repro.workload.distributions import (
+    DISTRIBUTIONS,
     EmpiricalCdf,
     FixedSize,
     HADOOP_CDF_POINTS,
@@ -12,6 +13,7 @@ from repro.workload.distributions import (
 from repro.workload.flowgen import ClosedLoopGenerator, FlowSlot
 
 __all__ = [
+    "DISTRIBUTIONS",
     "EmpiricalCdf",
     "FixedSize",
     "HADOOP_CDF_POINTS",

@@ -132,3 +132,8 @@ def websearch() -> EmpiricalCdf:
 def hadoop() -> EmpiricalCdf:
     """The (approximate) Facebook Hadoop flow-size distribution."""
     return EmpiricalCdf(HADOOP_CDF_POINTS)
+
+
+#: Traffic-model factories by name: what a campaign spec's ``workload``
+#: field and the CLI's ``--workload`` flags may ask for.
+DISTRIBUTIONS = {"websearch": websearch, "hadoop": hadoop}

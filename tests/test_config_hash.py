@@ -4,8 +4,7 @@ The v1 digest (``json.dumps(..., default=str)``) had three cache-key
 bugs: tuples and lists collided, ``NaN`` serialized as non-RFC JSON,
 and arbitrary objects were hashed through ``str()`` — reprs with memory
 addresses, so the "same" config hashed differently run to run.  v2 is a
-strict type-tagged canonicalizer; these tests pin its invariants and
-the v1 compatibility escape hatch.
+strict type-tagged canonicalizer; these tests pin its invariants.
 """
 
 import json
@@ -40,11 +39,8 @@ class TestKeyOrderInvariance:
 
 class TestTypeTagging:
     def test_tuple_differs_from_list(self):
-        # The v1 collision: json.dumps serializes both as [1, 2].
+        # A plain json.dumps digest collides here: both print as [1, 2].
         assert config_hash({"k": (1, 2)}) != config_hash({"k": [1, 2]})
-        assert config_hash({"k": (1, 2)}, version=1) == config_hash(
-            {"k": [1, 2]}, version=1
-        )
 
     def test_bool_differs_from_int(self):
         assert config_hash({"k": True}) != config_hash({"k": 1})
@@ -86,36 +82,13 @@ class TestRejection:
         with pytest.raises(ConfigError, match="string keys"):
             config_hash({"k": {1: "a"}})
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ConfigError, match="version"):
-            config_hash({"a": 1}, version=3)
-
-    def test_v1_still_accepts_objects(self):
-        # The legacy digest hashed anything str()-able; keep that so old
-        # manifests verify — even though it is exactly the bug v2 fixes.
-        class Opaque:
-            def __str__(self):
-                return "stable"
-
-        assert config_hash({"k": Opaque()}, version=1) == config_hash(
-            {"k": Opaque()}, version=1
-        )
-
 
 class TestV1Compatibility:
-    def test_v1_matches_legacy_digest(self):
-        config = {"algorithm": "dcqcn", "grid": [{"g": 0.0625}], "seed": 0}
-        legacy = hashlib.sha256(
-            json.dumps(
-                config, sort_keys=True, separators=(",", ":"), default=str
-            ).encode()
-        ).hexdigest()
-        assert config_hash(config, version=1) == legacy
-        assert config_hash(config, version=2) != legacy
-
     def test_default_is_v2(self):
         config = {"a": [1, 2.5, "x"], "b": {"c": None}}
-        assert config_hash(config) == config_hash(config, version=2)
+        canonical = canonical_config_bytes(config)
+        assert canonical.startswith(b"repro-config-v2\x00")
+        assert config_hash(config) == hashlib.sha256(canonical).hexdigest()
 
     def test_manifest_stamps_hash_version(self):
         manifest = build_manifest({"algorithm": "dctcp"})

@@ -1,5 +1,6 @@
 """The campaign daemon: spec parsing, result cache, job queue, HTTP API."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from repro.errors import ConfigError, ReproError
 from repro.obs.export import parse_prometheus_text
 from repro.obs.manifest import CONFIG_HASH_VERSION
 from repro.parallel import CampaignRunner
+from repro.serve import jobs as serve_jobs
 from repro.serve import (
     JobQueue,
     ReproServer,
@@ -91,10 +93,12 @@ class TestParseSpec:
 
     def test_grid_entry_key_order_invariant(self):
         left = parse_spec(
-            {"kind": "sweep", "algorithm": "dcqcn", "grid": [{"a": 1, "b": 2}]}
+            {"kind": "sweep", "algorithm": "dcqcn",
+             "grid": [{"g": 0.0625, "rate_ai_bps": 1e9}]}
         )
         right = parse_spec(
-            {"kind": "sweep", "algorithm": "dcqcn", "grid": [{"b": 2, "a": 1}]}
+            {"kind": "sweep", "algorithm": "dcqcn",
+             "grid": [{"rate_ai_bps": 1e9, "g": 0.0625}]}
         )
         assert left.config_hash == right.config_hash
 
@@ -282,8 +286,13 @@ class TestJobQueue:
         queue = JobQueue(CampaignRunner(workers=1), ResultCache(tmp_path / "c"))
         queue.start()
         try:
+            # parse_spec would reject this name; a hand-built spec stands
+            # in for a campaign that validates and then dies in a worker.
+            valid = parse_spec(TINY_SWEEP)
             job = queue.submit(
-                parse_spec({**TINY_SWEEP, "algorithm": "no-such-algorithm"})
+                dataclasses.replace(
+                    valid, config={**valid.config, "algorithm": "no-such-algorithm"}
+                )
             )
             job = self._wait_done(queue, job.id)
             assert job.state == "failed"
@@ -292,6 +301,81 @@ class TestJobQueue:
             assert queue.cache.get(job.config_hash) is None
         finally:
             queue.close()
+
+
+class TestJobTableBounded:
+    """The job table keeps live jobs plus the most recent finished ones."""
+
+    def _prefilled(self, tmp_path, n):
+        """A never-started queue whose cache already answers ``n`` specs."""
+        cache = ResultCache(tmp_path / "c")
+        specs = [parse_spec({**TINY_SWEEP, "seed": seed}) for seed in range(n)]
+        for spec in specs:
+            cache.put(spec.config_hash, spec.config, {"kind": "sweep", "points": []})
+        return JobQueue(CampaignRunner(workers=1), cache), specs
+
+    def test_oldest_finished_jobs_are_dropped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serve_jobs, "MAX_FINISHED_JOBS", 3)
+        queue, specs = self._prefilled(tmp_path, 5)
+        ids = [queue.submit(spec).id for spec in specs]
+        assert [row["job_id"] for row in queue.list_jobs()] == ids[2:]
+        assert queue.get(ids[0]) is None and queue.get(ids[1]) is None
+        assert queue.wait(ids[0], timeout_s=0.1) == (None, 0)
+        assert queue.get(ids[4]).state == "done"
+
+    def test_queued_jobs_outlive_any_number_of_finished_ones(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(serve_jobs, "MAX_FINISHED_JOBS", 2)
+        queue, specs = self._prefilled(tmp_path, 4)
+        waiting = queue.submit(parse_spec({**TINY_SWEEP, "seed": 99}))
+        for spec in specs:
+            queue.submit(spec)
+        assert queue.get(waiting.id).state == "queued"
+        assert queue.queue_depth() == 1
+        assert len(queue.list_jobs()) == 3
+        # Still coalescing onto the live job, not onto a dropped record.
+        assert queue.submit(parse_spec({**TINY_SWEEP, "seed": 99})) is waiting
+
+    def test_running_count_follows_the_dispatcher(self, tmp_path):
+        seen = {}
+        queue = JobQueue(
+            CampaignRunner(workers=1),
+            ResultCache(tmp_path / "c"),
+            on_event=lambda event, job: seen.setdefault(event, queue.running_count()),
+        )
+        queue.start()
+        try:
+            job = queue.submit(parse_spec(TINY_SWEEP))
+            while not job.finished:
+                job, _ = queue.wait(job.id, timeout_s=60.0)
+            assert seen["accepted"] == 0
+            assert seen["started"] == 1
+            assert seen["finished"] == 0 == queue.running_count()
+        finally:
+            queue.close()
+
+    def test_dropped_job_is_a_404(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serve_jobs, "MAX_FINISHED_JOBS", 1)
+        server = ReproServer(port=0, workers=1, cache_dir=tmp_path / "cache")
+        for seed in (1, 2):
+            spec = parse_spec({**TINY_SWEEP, "seed": seed})
+            server.cache.put(
+                spec.config_hash, spec.config, {"kind": "sweep", "points": []}
+            )
+        server.start_background()
+        try:
+            client = ServeClient(server.host, server.port)
+            first = client.submit({**TINY_SWEEP, "seed": 1})
+            second = client.submit({**TINY_SWEEP, "seed": 2})
+            assert first["cached"] and second["cached"]
+            assert client.job(second["job_id"])["state"] == "done"
+            with pytest.raises(ServeError) as dropped:
+                client.job(first["job_id"])
+            assert dropped.value.status == 404
+            assert client.health()["jobs"] == 1
+        finally:
+            server.close()
 
 
 class TestServeHttp:

@@ -231,6 +231,26 @@ class TestRunControl:
         assert sim.step() is True
         assert fired == [1]
 
+    def test_step_skips_cancelled_and_follows_rearmed_handles(self):
+        # step() is one event of the run loop, so the loop's handle
+        # rules apply: a cancelled entry is not an event, and an entry
+        # re-armed to a later time fires there, not at its old slot.
+        sim = Simulator()
+        fired = []
+        sim.schedule_handle(1, fired.append, "cancelled").cancel()
+        moved = sim.schedule_handle(2, fired.append, "moved")
+        moved.rearm(7)
+        sim.at(5, fired.append, "plain")
+        assert sim.step() is True
+        assert (fired, sim.now) == (["plain"], 5)
+        assert sim.step() is True
+        assert (fired, sim.now) == (["plain", "moved"], 7)
+        assert sim.step() is False
+        assert sim.events_executed == 2 and sim.dead_entries == 0
+
+    def test_at_is_schedule(self):
+        assert Simulator.at is Simulator.schedule
+
     def test_event_counts(self):
         sim = Simulator()
         for i in range(5):
