@@ -12,7 +12,7 @@ test:
 compiled:
 	$(PYTHON) setup.py build_ext --inplace
 
-## Perf-regression suite: writes BENCH_PR10.json and fails if any guarded
+## Perf-regression suite: writes BENCH_PR15.json and fails if any guarded
 ## rate drops more than its tolerance below benchmarks/perf_baseline.json
 ## (10% for engine/datapath, 20% default; the obs layer also has an
 ## absolute metrics-on overhead budget).  A loud warning — not a failure —
@@ -22,7 +22,7 @@ compiled:
 bench:
 	-$(MAKE) compiled
 	$(PYTHON) benchmarks/run_perf_suite.py \
-		--output BENCH_PR10.json \
+		--output BENCH_PR15.json \
 		--baseline benchmarks/perf_baseline.json \
 		--check
 
@@ -30,7 +30,7 @@ bench:
 bench-quick:
 	-$(MAKE) compiled
 	$(PYTHON) benchmarks/run_perf_suite.py \
-		--output BENCH_PR10.json \
+		--output BENCH_PR15.json \
 		--baseline benchmarks/perf_baseline.json \
 		--check --quick
 

@@ -20,24 +20,31 @@ column                dtype    meaning
 ``remaining_bits``    f8       bits left to deliver
 ``size_bits``         f8       original flow size
 ``start_ps``          f8       arrival time (fractional: completion-interpolated)
-``bottleneck``        i4       index into the per-bottleneck arrays
+``bottleneck``        intp     index into the per-bottleneck arrays (as NumPy indexes)
 ``kernel``            i1       update-kernel code (:mod:`repro.cc.kernels`)
 ``active``            bool     row liveness mask
 ``flow_id``           i8       stable id (survives compaction)
 ====================  =======  ==================================================
 
-Each :meth:`ColumnarFluidSolver.step` does three group-by passes and a
-handful of elementwise kernels, all O(flows) NumPy:
+Each :meth:`ColumnarFluidSolver.step` follows a *step plan* (row
+selectors per kernel, per-flow bottlenecks and line rates, config
+constants, scratch columns; built once per row layout) and does only
+what the kernels present read, in place, all O(flows) NumPy:
 
-1. **aggregate** — per-bottleneck offered load and active-flow counts
-   via ``np.bincount`` over the flow->bottleneck index column;
+1. **aggregate** — per-bottleneck offered load via ``np.bincount`` over
+   the flow->bottleneck column; active-flow counts only for the ideal
+   kernel or telemetry, the queue-inflated RTT and its derivatives only
+   for window kernels — computed per bottleneck, gathered per flow;
 2. **mark** — per-bottleneck queue integration (``q += (offered-C)*dt``)
-   and DCTCP-style step marking (``mark = q > K``), broadcast back to
-   flows by fancy indexing;
+   and DCTCP-style step marking (``mark = q > K``);
 3. **update** — vectorized per-CC kernels (ideal constant share,
    slow-start doubling / AIMD, DCTCP alpha filter + proportional window
-   cut, DCQCN line-rate decay/recovery) applied to cached per-kernel row
-   index arrays.
+   cut, DCQCN line-rate decay/recovery) written with ``out=``: through
+   a slice when one kernel owns every row, on gathered copies scattered
+   back when kernels are mixed; ``active`` masks only while rows are dead.
+
+The arithmetic is pinned bit for bit (golden digests in the tests, the
+ledger's ``stats_digest``): see "Fluid step cost" in docs/PERFORMANCE.md.
 
 Flows arrive (:meth:`~ColumnarFluidSolver.add_flows`) and depart
 (completion) dynamically; completed rows are recycled in closed-loop
@@ -124,19 +131,24 @@ class SolverConfig:
     compact_slack: float = 2.0
 
     def validate(self) -> None:
-        if self.dt_ps <= 0:
-            raise ConfigError(f"dt_ps must be positive, got {self.dt_ps}")
-        if self.base_rtt_ps <= 0:
-            raise ConfigError(f"base_rtt_ps must be positive, got {self.base_rtt_ps}")
-        if self.mss_bytes <= 0:
-            raise ConfigError(f"mss_bytes must be positive, got {self.mss_bytes}")
-        if self.ecn_threshold_bytes <= 0:
-            raise ConfigError("ecn_threshold_bytes must be positive")
-        if not 0.0 < self.dctcp_gain <= 1.0:
-            raise ConfigError(f"dctcp_gain must be in (0, 1], got {self.dctcp_gain}")
-        if self.min_rate_bps <= 0:
-            raise ConfigError("min_rate_bps must be positive")
-        if self.compact_slack <= 1.0:
+        # The step divides by the periods, tau and (through the window
+        # cap) max_window_bdp; its plan precomputes those ratios.
+        for name in (
+            "dt_ps", "base_rtt_ps", "mss_bytes", "ecn_threshold_bytes",
+            "dcqcn_alpha_period_ps", "dcqcn_cut_period_ps",
+            "dcqcn_recovery_tau_ps", "min_rate_bps", "max_window_bdp",
+            "compact_min_rows",
+        ):
+            if not getattr(self, name) > 0:
+                raise ConfigError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
+        for name in ("dctcp_gain", "dcqcn_alpha_gain"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ConfigError(
+                    f"{name} must be in (0, 1], got {getattr(self, name)}"
+                )
+        if not self.compact_slack > 1.0:
             raise ConfigError("compact_slack must exceed 1.0")
 
 
@@ -229,6 +241,57 @@ class SolverTelemetry:
         np.savez_compressed(path, **self.arrays())
 
 
+class _StepPlan:
+    """What ``_step_once`` needs that depends on the row layout or the
+    config but not on the step.  Built by the first step after the layout
+    changed and dropped by ``add_flows`` / ``compact``, the only places
+    rows appear or move — so it may hold views of the columns."""
+
+    def __init__(self, solver: "ColumnarFluidSolver") -> None:
+        cfg = solver.config
+        n = solver._n
+        self.dt_s = cfg.dt_ps / SECOND
+        self.base_rtt_s = cfg.base_rtt_ps / SECOND
+        self.k_bits = cfg.ecn_threshold_bytes * BITS_PER_BYTE
+        self.mss_bits = cfg.mss_bytes * BITS_PER_BYTE
+        self.alpha_ratio = cfg.dt_ps / cfg.dcqcn_alpha_period_ps
+        self.cut_ratio = cfg.dt_ps / cfg.dcqcn_cut_period_ps
+        self.bdp_b = cfg.max_window_bdp * solver.capacity_bps
+        bot = solver.bottleneck[:n]
+        self.columns = (
+            solver.active[:n], bot, solver.rate_bps[:n], solver.window_bits[:n],
+            solver.alpha[:n], solver.remaining_bits[:n],
+        )
+        codes = solver.kernel[:n]
+        present = np.flatnonzero(np.bincount(codes)).tolist()
+        #: Mixed kernels select rows by index array: gathers copy and
+        #: results are scattered back.  A single-kernel population (the
+        #: usual campaign case) is one slice, every gather a view.
+        self.scatter = len(present) > 1
+        rows = [
+            np.flatnonzero(codes == code) if self.scatter else slice(0, n)
+            for code in present
+        ]
+        per_flow = [bot[idx] for idx in rows]
+        # Scratch every step reuses in place of temporaries: one whole
+        # column, and three as wide as the largest kernel.
+        self.delivered = np.empty(n)
+        self.mark_b = np.empty(solver.n_bottlenecks)
+        scratch = np.empty((3, max(b.size for b in per_flow)))
+        #: code -> (rows, their bottlenecks, their line rates [DCQCN], scratch).
+        self.kernels = {
+            code: (
+                idx, b, solver.capacity_bps[b] if code == KERNEL_DCQCN else None,
+                *scratch[:, : b.size],
+            )
+            for code, idx, b in zip(present, rows, per_flow)
+        }
+        self.window_kernels = [
+            item for item in self.kernels.items()
+            if item[0] in (KERNEL_SLOW_START, KERNEL_DCTCP)
+        ]
+
+
 class ColumnarFluidSolver:
     """Dynamic many-flow fluid model over shared bottlenecks.
 
@@ -288,9 +351,7 @@ class ColumnarFluidSolver:
         self._alloc(rows)
         self._n_active = 0
         self._next_flow_id = 0
-        #: Kernel code -> row selector (index array, or a slice covering
-        #: every row for single-kernel populations).
-        self._kernel_rows: Optional[dict[int, object]] = None
+        self._plan: Optional[_StepPlan] = None
         #: Closed-loop respawn source (None = open loop: flows depart).
         self._respawn: Optional[SizeDistribution] = None
         # Completion log: per-step arrays, concatenated on demand.
@@ -308,7 +369,7 @@ class ColumnarFluidSolver:
         self.remaining_bits = np.zeros(rows, dtype=np.float64)
         self.size_bits = np.zeros(rows, dtype=np.float64)
         self.start_ps = np.zeros(rows, dtype=np.float64)
-        self.bottleneck = np.zeros(rows, dtype=np.int32)
+        self.bottleneck = np.zeros(rows, dtype=np.intp)
         self.kernel = np.zeros(rows, dtype=np.int8)
         self.active = np.zeros(rows, dtype=bool)
         self.flow_id = np.zeros(rows, dtype=np.int64)
@@ -361,9 +422,9 @@ class ColumnarFluidSolver:
         code = fluid_kernel(kernel) if isinstance(kernel, str) else int(kernel)
         if not 0 <= code <= KERNEL_DCQCN:
             raise ConfigError(f"unknown fluid kernel code {code}")
-        bot = np.asarray(bottleneck, dtype=np.int32)
+        bot = np.asarray(bottleneck, dtype=np.intp)
         if bot.ndim == 0:
-            bot = np.full(sizes.size, int(bot), dtype=np.int32)
+            bot = np.full(sizes.size, int(bot), dtype=np.intp)
         if bot.shape != sizes.shape:
             raise ConfigError("bottleneck must be scalar or one index per flow")
         if np.any(bot < 0) or np.any(bot >= self.n_bottlenecks):
@@ -395,31 +456,8 @@ class ColumnarFluidSolver:
         self._n += k
         self._n_active += k
         self.flows_added += k
-        self._kernel_rows = None
+        self._plan = None
         return ids
-
-    def _kernel_index(self) -> dict[int, np.ndarray]:
-        """Row indices per kernel code, cached until the layout changes.
-
-        Flows never change kernel, so these index arrays stay valid
-        across steps; completion only flips ``active``, which every
-        kernel update respects via the mask column.
-        """
-        if self._kernel_rows is None:
-            codes = self.kernel[: self._n]
-            rows = {
-                code: np.flatnonzero(codes == code)
-                for code in (
-                    KERNEL_IDEAL, KERNEL_SLOW_START, KERNEL_DCTCP, KERNEL_DCQCN
-                )
-                if np.any(codes == code)
-            }
-            if len(rows) == 1:
-                # Single-kernel population (the usual campaign case):
-                # a slice makes every gather below a view, not a copy.
-                rows = {code: slice(0, self._n) for code in rows}
-            self._kernel_rows = rows
-        return self._kernel_rows
 
     def compact(self) -> int:
         """Drop dead rows, preserving live-row order; returns rows freed.
@@ -436,7 +474,7 @@ class ColumnarFluidSolver:
             column = getattr(self, name)
             column[: live.size] = column[live]
         self._n = live.size
-        self._kernel_rows = None
+        self._plan = None
         self.compactions += 1
         if self._flight is not None:
             self._flight.record(
@@ -492,101 +530,130 @@ class ColumnarFluidSolver:
             self.now_ps += cfg.dt_ps
             self.steps_run += 1
             return
-        dt_s = cfg.dt_ps / SECOND
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _StepPlan(self)
+        dt_s = plan.dt_s
+        mss_bits = plan.mss_bits
         capacity = self.capacity_bps
-        active = self.active[:n]
-        bot = self.bottleneck[:n]
-        rate = self.rate_bps[:n]
-        window = self.window_bits[:n]
-        alpha = self.alpha[:n]
-        remaining = self.remaining_bits[:n]
+        queue = self.queue_bits
+        active, bot, rate, window, alpha, remaining = plan.columns
+        kernels = plan.kernels
+        scatter = plan.scatter
+        # Dead rows exist only in open loop, between a retirement and the
+        # next compaction; without one the mask is all ones (x * 1.0 == x).
+        masked = self._n_active < n
 
-        # (1) per-bottleneck aggregation: active-flow counts and, for the
-        # window/ideal kernels, the RTT including the standing queue.
-        counts = np.bincount(
-            bot, weights=active, minlength=self.n_bottlenecks
-        )
-        rtt_b = cfg.base_rtt_ps / SECOND + self.queue_bits / capacity
-        inv_rtt_b = 1.0 / rtt_b
-        safe_counts = np.maximum(counts, 1.0)
-        # Everything that depends only on the bottleneck — RTT fractions,
-        # the slow-start growth factor, the window cap — is computed per
-        # bottleneck (a handful of values) and gathered per flow, keeping
-        # transcendentals off the million-row columns.
-        r_b = dt_s * inv_rtt_b  # step as a fraction of each RTT
-        exp2_r_b = np.exp2(r_b)
-        window_cap_b = cfg.max_window_bdp * capacity * rtt_b
-
-        kernel_rows = self._kernel_index()
-        idx_ideal = kernel_rows.get(KERNEL_IDEAL)
-        if idx_ideal is not None:
-            b = bot[idx_ideal]
-            rate[idx_ideal] = capacity[b] / safe_counts[b] * active[idx_ideal]
-        for idx in (
-            kernel_rows.get(KERNEL_SLOW_START), kernel_rows.get(KERNEL_DCTCP)
-        ):
-            if idx is not None:
-                rate[idx] = (
-                    window[idx] * inv_rtt_b[bot[idx]] * active[idx]
-                )
+        # (1) per-bottleneck aggregates, each only if a present kernel
+        # reads it (RTT with the standing queue, step as a fraction of it,
+        # slow-start growth factor, window cap; fair share), and the
+        # rates they set: computed per bottleneck, gathered per flow.
+        counts = None
+        if KERNEL_IDEAL in kernels or self._telemetry is not None:
+            counts = np.bincount(
+                bot, weights=active if masked else None,
+                minlength=self.n_bottlenecks,
+            )
+        if plan.window_kernels:
+            rtt_b = plan.base_rtt_s + queue / capacity
+            inv_rtt_b = 1.0 / rtt_b
+            r_b = dt_s * inv_rtt_b
+            exp2_r_b = np.exp2(r_b)
+            window_cap_b = plan.bdp_b * rtt_b
+        for code, (idx, b, _, m, *_) in kernels.items():
+            if code == KERNEL_DCQCN:  # keeps its own rate state
+                continue
+            out = m if scatter else rate
+            if code == KERNEL_IDEAL:
+                (capacity / np.maximum(counts, 1.0)).take(b, out=out, mode="clip")
+            else:
+                inv_rtt_b.take(b, out=m, mode="clip")
+                np.multiply(window[idx], m, out=out)
+            if masked:
+                np.multiply(out, active[idx], out=out)
+            if scatter:
+                rate[idx] = out
 
         # (2) offered load, service share, and queue/marking update.
         offered = np.bincount(bot, weights=rate, minlength=self.n_bottlenecks)
-        share = np.minimum(1.0, capacity / np.maximum(offered, 1e-9))
-        delivered = rate * (share[bot] * dt_s)
+        share_dt = np.minimum(1.0, capacity / np.maximum(offered, 1e-9)) * dt_s
+        delivered = plan.delivered
+        share_dt.take(bot, out=delivered, mode="clip")
+        np.multiply(rate, delivered, out=delivered)
         np.subtract(remaining, delivered, out=remaining)
-        self.queue_bits += (offered - capacity) * dt_s
-        np.maximum(self.queue_bits, 0.0, out=self.queue_bits)
-        k_bits = cfg.ecn_threshold_bytes * BITS_PER_BYTE
-        mark_b = (self.queue_bits > k_bits).astype(np.float64)
+        queue += (offered - capacity) * dt_s
+        np.maximum(queue, 0.0, out=queue)
+        mark_b = np.greater(queue, plan.k_bits, out=plan.mark_b)
 
-        # (3) per-CC update kernels (masked fancy indexing).
-        mss_bits = cfg.mss_bytes * BITS_PER_BYTE
-        for code in (KERNEL_SLOW_START, KERNEL_DCTCP):
-            idx = kernel_rows.get(code)
-            if idx is None:
-                continue
-            b = bot[idx]
-            mark_f = mark_b[b]
-            r = r_b[b]  # step fraction of this flow's RTT
+        # (3) per-CC update kernels, in place on the columns (on gathered
+        # copies, scattered back, when kernels are mixed).
+        for code, (idx, b, _, m, r, t) in plan.window_kernels:
+            mark_b.take(b, out=m, mode="clip")
+            r_b.take(b, out=r, mode="clip")  # step fraction of this flow's RTT
+            a = alpha[idx]
             w = window[idx]
             if code == KERNEL_DCTCP:
-                a = alpha[idx]
-                a += cfg.dctcp_gain * (mark_f - a) * r
-                alpha[idx] = a
-                cut = 1.0 - 0.5 * a * mark_f * r
+                np.subtract(m, a, out=t)
+                t *= cfg.dctcp_gain
+                t *= r
+                a += t
+                np.multiply(a, 0.5, out=t)
+                t *= m
             else:
                 # The generic window kernel reuses the alpha column as an
                 # ever-marked latch: one mark ends slow start for good.
-                alpha[idx] = np.maximum(alpha[idx], mark_f)
-                cut = 1.0 - 0.5 * mark_f * r
+                np.maximum(a, m, out=a)
+                np.multiply(m, 0.5, out=t)
+            t *= r
+            np.subtract(1.0, t, out=t)  # the multiplicative cut
             # Slow-start doubling while the path has never pushed back
             # (alpha ~ 0 and unmarked); congestion-avoidance AI after.
-            in_ss = (mark_f == 0.0) & (alpha[idx] < 1e-3)
-            w = np.where(in_ss, w * exp2_r_b[b], w * cut + mss_bits * r)
-            np.clip(w, mss_bits, window_cap_b[b], out=w)
-            window[idx] = w
-        idx = kernel_rows.get(KERNEL_DCQCN)
-        if idx is not None:
-            b = bot[idx]
-            mark_f = mark_b[b]
+            in_ss = (m == 0.0) & (a < 1e-3)
+            t *= w
+            r *= mss_bits
+            t += r
+            exp2_r_b.take(b, out=r, mode="clip")
+            r *= w
+            np.copyto(t, r, where=in_ss)
+            np.maximum(t, mss_bits, out=t)
+            window_cap_b.take(b, out=r, mode="clip")
+            np.minimum(t, r, out=w)
+            if scatter:
+                alpha[idx] = a
+                window[idx] = w
+        if KERNEL_DCQCN in kernels:
+            idx, b, line_rate, m, _, t = kernels[KERNEL_DCQCN]
+            mark_b.take(b, out=m, mode="clip")
             a = alpha[idx]
-            a += cfg.dcqcn_alpha_gain * (mark_f - a) * (
-                cfg.dt_ps / cfg.dcqcn_alpha_period_ps
-            )
-            alpha[idx] = a
             rr = rate[idx]
-            decay = 1.0 - 0.5 * a * mark_f * (cfg.dt_ps / cfg.dcqcn_cut_period_ps)
-            recover = (capacity[b] - rr) * (
-                (1.0 - mark_f) * cfg.dt_ps / cfg.dcqcn_recovery_tau_ps
-            )
-            rr = rr * decay + recover
-            np.clip(rr, cfg.min_rate_bps, capacity[b], out=rr)
-            rate[idx] = rr * active[idx]
+            np.subtract(m, a, out=t)
+            t *= cfg.dcqcn_alpha_gain
+            t *= plan.alpha_ratio
+            a += t
+            np.multiply(a, 0.5, out=t)
+            t *= m
+            t *= plan.cut_ratio
+            np.subtract(1.0, t, out=t)
+            t *= rr  # the decayed rate
+            recover_b = (1.0 - mark_b) * cfg.dt_ps / cfg.dcqcn_recovery_tau_ps
+            recover_b.take(b, out=m, mode="clip")
+            np.subtract(line_rate, rr, out=rr)
+            rr *= m
+            np.add(t, rr, out=rr)
+            np.maximum(rr, cfg.min_rate_bps, out=rr)
+            np.minimum(rr, line_rate, out=rr)
+            if masked:
+                np.multiply(rr, active[idx], out=rr)
+            if scatter:
+                alpha[idx] = a
+                rate[idx] = rr
 
         # (4) completions: interpolate within the step for exact FCTs,
         # then recycle (closed loop) or retire (open loop) the rows.
-        done = np.flatnonzero(active & (remaining <= 0.0))
+        finished = remaining <= 0.0
+        if masked:
+            finished &= active
+        done = np.flatnonzero(finished)
         if done.size:
             overshoot = -remaining[done] / np.maximum(delivered[done], 1e-30)
             finish_ps = self.now_ps + cfg.dt_ps * (1.0 - np.minimum(overshoot, 1.0))

@@ -10,6 +10,7 @@ the right machine.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -107,7 +108,18 @@ def config_hash(config: dict[str, Any]) -> str:
 
 
 def git_sha(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
-    """The current HEAD commit, or None outside a repo / without git."""
+    """The HEAD commit, or None outside a repo / without git.
+
+    Resolved once per process and directory: every manifest (hence every
+    ``ResultCache.put``) asks, forking ``git`` costs milliseconds from a
+    large process, and a long-lived daemon should report the commit its
+    code was loaded from, not one checked out under it later.
+    """
+    return _git_sha(os.getcwd() if cwd is None else os.fspath(cwd))
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha(cwd: str) -> Optional[str]:
     try:
         result = subprocess.run(
             ["git", "rev-parse", "HEAD"],

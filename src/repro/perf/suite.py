@@ -9,7 +9,7 @@ sweep grid run serially and through the ``repro.parallel`` process
 pool, recording both throughputs and their ratio), plus
 ``obs_overhead`` (the same event chain metrics-off vs metrics-on,
 guarding the observability layer's <= 5% budget).  Results are stamped
-with the execution environment and written as JSON (``BENCH_PR10.json``
+with the execution environment and written as JSON (``BENCH_PR15.json``
 by default), optionally compared against a checked-in baseline: any
 guarded rate falling more than its tolerance below baseline (the
 ``--tolerance`` default, or a per-bench ``tolerance`` recorded in the
@@ -588,8 +588,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-bench", description="Run the perf-regression suite."
     )
     parser.add_argument(
-        "--output", type=Path, default=Path("BENCH_PR10.json"),
-        help="where to write the JSON report (default: BENCH_PR10.json)",
+        "--output", type=Path, default=Path("BENCH_PR15.json"),
+        help="where to write the JSON report (default: BENCH_PR15.json)",
     )
     parser.add_argument(
         "--baseline", type=Path, default=None,

@@ -1,6 +1,8 @@
 """The columnar fluid solver: oracle equivalence, determinism, and
 population management (arrivals, departures, compaction)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from repro.cc.kernels import (
     KERNEL_DCQCN,
     KERNEL_DCTCP,
     KERNEL_IDEAL,
+    KERNEL_NAMES,
     KERNEL_SLOW_START,
     fluid_kernel,
     kernel_name,
@@ -418,3 +421,249 @@ def test_open_loop_conservation(sizes, seed):
     finish = result.fcts_us  # all started at t=0
     by_size = np.argsort(result.sizes_bytes, kind="stable")
     assert np.all(np.diff(finish[by_size]) >= -1e-6)
+
+
+# -- bit identity: the contract of any solver optimisation --------------------
+
+def _feed(digest, array):
+    array = np.asarray(array)
+    kind = {"f": np.float64, "i": np.int64, "b": np.uint8}[array.dtype.kind]
+    digest.update(np.ascontiguousarray(array, dtype=kind).tobytes())
+
+
+def _state_digest(solver, run, series=None):
+    """SHA-256 over the completion log, the step counters, every state
+    column and the queues (integer columns widened to int64, so the
+    digest does not depend on a column's storage width)."""
+    digest = hashlib.sha256()
+    for array in (
+        run.fcts_us, run.flow_ids, run.sizes_bytes, [run.steps, run.flow_steps]
+    ):
+        _feed(digest, array)
+    for name in ColumnarFluidSolver._COLUMNS:
+        _feed(digest, getattr(solver, name)[: solver.n_rows])
+    _feed(digest, solver.queue_bits)
+    for key in sorted(series or ()):
+        _feed(digest, series[key])
+    return digest.hexdigest()
+
+
+def _closed_loop_cell(kernel, n_ports=12, flows_per_port=64):
+    solver = ColumnarFluidSolver(
+        n_bottlenecks=n_ports, seed=15, capacity_hint=n_ports * flows_per_port
+    )
+    dist = websearch()
+    solver.add_flows(
+        dist.sample_many(solver.rng, n_ports * flows_per_port),
+        bottleneck=np.repeat(np.arange(n_ports, dtype=np.int32), flows_per_port),
+        kernel=kernel,
+    )
+    return solver, solver.run_closed_loop(dist, flows_total=2000)
+
+
+def _open_loop_mixed(telemetry=False, capacity=RATE_100G):
+    """Four kernels over four bottlenecks, arrivals between steps,
+    retirements, a forced compaction: index-array selectors, dead rows
+    and every plan invalidation in one trajectory."""
+    solver = ColumnarFluidSolver(
+        n_bottlenecks=4, capacity_bps=capacity, seed=15, capacity_hint=64
+    )
+    if telemetry:
+        solver.enable_telemetry()
+    dist = websearch()
+
+    def arrive(k):
+        for kernel in KERNEL_NAMES:
+            solver.add_flows(
+                dist.sample_many(solver.rng, k),
+                bottleneck=solver.rng.integers(0, 4, size=k),
+                kernel=kernel,
+            )
+
+    arrive(40)
+    solver.step(300)
+    arrive(25)
+    solver.step(300)
+    assert solver.n_active < solver.n_rows
+    assert solver.compact() > 0
+    arrive(10)
+    solver.step(400)
+    assert 0 < solver.n_active < solver.n_rows
+    return solver, solver.completions()
+
+
+class TestGoldenDigests:
+    """Literal digests captured at the commit *before* the step-plan
+    rewrite (PR 12, NumPy 2.4): the solver's arithmetic is pinned bit
+    for bit, so an optimisation that re-associates one floating-point
+    expression fails here, not in a tolerance."""
+
+    @pytest.mark.parametrize(
+        "kernel, want",
+        [
+            ("ideal", "89516c4a434d653b3b2f2e103e37dd1b278a7a6665d31b66353d9694ae937b50"),
+            ("slow_start", "e191521009731fe2be7bb318275003b2f1c9e10dadfec00eef5e605b87e96ddc"),
+            ("dctcp", "35a47da6dfb48abf3a94adfafa4e39ef7241893cacf90b2dff8f76a6e9ee3485"),
+            ("dcqcn", "6fb983ff2d52a03a2e566204f57b4f3a77e69180cb80e48e904170cd903bd770"),
+        ],
+    )
+    def test_closed_loop_cell_12x64(self, kernel, want):
+        assert _state_digest(*_closed_loop_cell(kernel)) == want
+
+    def test_open_loop_four_kernels(self):
+        assert _state_digest(*_open_loop_mixed()) == (
+            "fe119b83288870a914be0a1706abade4989f191e42f365d07f93e99b4d4fed07"
+        )
+
+    def test_open_loop_with_telemetry(self):
+        solver, run = _open_loop_mixed(telemetry=True)
+        assert _state_digest(solver, run, solver.telemetry.arrays()) == (
+            "577e11529d531e2d2836c17ac30687500a8cac21851884b7fbb345233c25e94a"
+        )
+
+    def test_non_uniform_capacities(self):
+        assert _state_digest(
+            *_open_loop_mixed(capacity=[100e9, 40e9, 25e9, 10e9])
+        ) == "e4c607b250d63e3c888f6da030c69133fb79caeeaa3756712175a423904c715f"
+
+
+def _assert_rows_equal(a, rows_a, b, rows_b, skip=()):
+    for name in ColumnarFluidSolver._COLUMNS:
+        if name not in skip:
+            col_a = getattr(a, name)[: a.n_rows][rows_a]
+            col_b = getattr(b, name)[: b.n_rows][rows_b]
+            assert np.array_equal(col_a, col_b), name
+
+
+class TestPathEquivalence:
+    """The step's shortcuts — slice selectors for a single-kernel
+    population, no ``active`` mask while every row is live — must equal
+    the general path inside one commit, and the plan must never outlive
+    the layout it was built for."""
+
+    N_SHARED = 32
+
+    def _seeded(self, kernel, sizes=None):
+        solver = ColumnarFluidSolver(n_bottlenecks=3, seed=4)
+        if sizes is None:
+            sizes = websearch().sample_many(solver.rng, self.N_SHARED)
+        solver.add_flows(
+            sizes, bottleneck=np.arange(self.N_SHARED) % 2, kernel=kernel
+        )
+        return solver
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_index_array_selectors_equal_slices(self, kernel):
+        dist = websearch()
+        alone = self._seeded(kernel)
+        mixed = self._seeded(kernel)
+        # One never-finishing flow of another kernel, on its own
+        # bottleneck: every selector becomes an index array.
+        other = "dcqcn" if kernel == "ideal" else "ideal"
+        mixed.add_flows([10**15], bottleneck=2, kernel=other)
+        run_alone = alone.run_closed_loop(dist, flows_total=300)
+        run_mixed = mixed.run_closed_loop(dist, flows_total=300)
+        assert isinstance(alone._plan.kernels[fluid_kernel(kernel)][0], slice)
+        assert isinstance(mixed._plan.kernels[fluid_kernel(kernel)][0], np.ndarray)
+        assert np.array_equal(run_alone.fcts_us, run_mixed.fcts_us)
+        assert run_alone.steps == run_mixed.steps
+        shared = slice(0, self.N_SHARED)
+        # (The extra flow took an id, so respawned ids are offset by one.)
+        _assert_rows_equal(alone, shared, mixed, shared, skip=("flow_id",))
+        assert np.array_equal(alone.queue_bits[:2], mixed.queue_bits[:2])
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_dead_row_mask_equals_all_live(self, kernel):
+        big = np.full(self.N_SHARED, 10**12)
+        live = self._seeded(kernel, big)
+        masked = self._seeded(kernel, big)
+        # One tiny flow on its own bottleneck retires in step 1 and
+        # leaves a dead row behind for the rest of the run.
+        masked.add_flows([100], bottleneck=2, kernel=kernel)
+        live.step(400)
+        masked.step(400)
+        assert live.n_active == live.n_rows == self.N_SHARED
+        assert masked.n_active == self.N_SHARED == masked.n_rows - 1
+        assert masked.completions().fcts_us.size == 1
+        shared = slice(0, self.N_SHARED)
+        _assert_rows_equal(live, shared, masked, shared)
+        assert np.array_equal(live.queue_bits[:2], masked.queue_bits[:2])
+
+    def test_plan_rebuilt_after_growth(self):
+        """Growth past ``capacity_hint`` reallocates every column: a plan
+        kept across it would step stale views.  Equal to a solver whose
+        columns never had to grow."""
+        solvers = []
+        for hint in (16, 4096):
+            solver = ColumnarFluidSolver(n_bottlenecks=2, seed=9, capacity_hint=hint)
+            dist = websearch()
+            solver.add_flows(dist.sample_many(solver.rng, 16), kernel="dctcp")
+            solver.step(20)
+            assert solver._plan is not None
+            solver.add_flows(
+                dist.sample_many(solver.rng, 200), bottleneck=1, kernel="dcqcn"
+            )
+            assert solver._plan is None
+            solver.step(200)
+            solvers.append(solver)
+        grown, roomy = solvers
+        everything = slice(None)
+        _assert_rows_equal(grown, everything, roomy, everything)
+        assert np.array_equal(grown.queue_bits, roomy.queue_bits)
+        assert np.array_equal(
+            grown.completions().fcts_us, roomy.completions().fcts_us
+        )
+
+    def test_plan_rebuilt_after_compact(self):
+        """Compaction renumbers rows; the flows that follow must step
+        exactly as in a solver that kept its dead rows."""
+        solvers = []
+        for compact in (True, False):
+            solver = ColumnarFluidSolver(n_bottlenecks=2, seed=9)
+            dist = websearch()
+            solver.add_flows([100] * 8, kernel="dcqcn")
+            solver.add_flows(dist.sample_many(solver.rng, 24), kernel="dcqcn")
+            solver.step(3)
+            assert solver.n_rows - solver.n_active >= 8
+            if compact:
+                assert solver.compact() >= 8
+                assert solver._plan is None
+            solver.add_flows(
+                dist.sample_many(solver.rng, 16), bottleneck=1, kernel="dctcp"
+            )
+            solver.step(200)
+            solvers.append(solver)
+        compacted, sparse = solvers
+        assert compacted.n_rows < sparse.n_rows
+        # Rows that died before the compaction are gone from one solver
+        # only; every flow that outlived it is in both.
+        survived = np.isin(
+            compacted.flow_id[: compacted.n_rows], sparse.flow_id[: sparse.n_rows]
+        )
+        in_sparse = np.isin(
+            sparse.flow_id[: sparse.n_rows], compacted.flow_id[: compacted.n_rows]
+        )
+        assert survived.all() and in_sparse.sum() == compacted.n_rows
+        _assert_rows_equal(compacted, slice(None), sparse, in_sparse)
+        assert np.array_equal(compacted.queue_bits, sparse.queue_bits)
+        assert np.array_equal(
+            compacted.completions().fcts_us, sparse.completions().fcts_us
+        )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dcqcn_alpha_period_ps", 0),
+        ("dcqcn_cut_period_ps", 0),
+        ("dcqcn_recovery_tau_ps", 0),
+        ("max_window_bdp", 0.0),
+        ("compact_min_rows", 0),
+        ("dcqcn_alpha_gain", -1.0),
+        ("dcqcn_alpha_gain", 1.5),
+    ],
+)
+def test_config_rejected_at_construction(field, value):
+    """Values the step would divide by, or clamp against, never reach it."""
+    with pytest.raises(ConfigError, match=field):
+        ColumnarFluidSolver(config=SolverConfig(**{field: value}))

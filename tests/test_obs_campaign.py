@@ -7,6 +7,7 @@ per-component profile plus queue/drop/ECN counters.
 """
 
 import json
+import subprocess
 
 import pytest
 
@@ -153,6 +154,29 @@ class TestManifest:
         assert manifest["metrics"] == {"m": 1}
         assert manifest["note"] == "x"
         assert "python_version" in manifest["environment"]
+
+    def test_git_sha_forks_once_per_directory(self, tmp_path, monkeypatch):
+        from repro.obs import manifest
+
+        calls = []
+
+        def fake_run(argv, cwd, **kwargs):
+            calls.append(cwd)
+            return subprocess.CompletedProcess(argv, 0, stdout="abc123\n")
+
+        monkeypatch.setattr(manifest.subprocess, "run", fake_run)
+        manifest._git_sha.cache_clear()
+        try:
+            first = build_manifest({"a": 1})
+            second = build_manifest({"a": 2})
+            assert first["environment"]["git_sha"] == "abc123"
+            assert second["environment"]["git_sha"] == "abc123"
+            assert len(calls) == 1
+            # Another directory is another repository: asked again, once.
+            assert manifest.git_sha(tmp_path) == manifest.git_sha(str(tmp_path))
+            assert calls[1:] == [str(tmp_path)]
+        finally:
+            manifest._git_sha.cache_clear()
 
 
 class TestCli:
