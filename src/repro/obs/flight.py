@@ -28,8 +28,8 @@ Design constraints (the PR 3 contract still holds):
   recorder never schedules events or perturbs a simulation (property
   tests hold runs event-identical with the recorder on).
 
-Worker wiring mirrors :mod:`repro.obs.heartbeat`: the campaign pool
-initializer calls :func:`configure_autodump` once per worker process;
+Worker wiring mirrors :mod:`repro.obs.heartbeat`: a campaign worker
+calls :func:`configure_autodump` once, at start-up;
 :func:`begin_task` / :func:`end_task` bracket each task, installing a
 per-task recorder that spools to
 ``<dir>/flight-task<index>.json``.  Successful tasks remove their spool
@@ -209,8 +209,8 @@ def load_dump(path: PathLike) -> dict[str, Any]:
 
 _RECORDER: Optional[FlightRecorder] = None
 
-#: Worker-side autodump settings installed by the campaign pool
-#: initializer: ``{"dir": str, "capacity": int, "spool_interval_s": float,
+#: Worker-side autodump settings installed by :func:`configure_autodump`:
+#: ``{"dir": str, "capacity": int, "spool_interval_s": float,
 #: "enqueues": bool}`` or None when post-mortems are not requested.
 _AUTODUMP: Optional[dict[str, Any]] = None
 
@@ -240,7 +240,7 @@ def configure_autodump(
     enqueues: bool = False,
 ) -> None:
     """Arm (or with ``None`` disarm) per-task post-mortem recording for
-    this process; campaign workers get this from the pool initializer."""
+    this process; a campaign worker does this once, at start-up."""
     global _AUTODUMP
     if dump_dir is None:
         _AUTODUMP = None

@@ -1,11 +1,13 @@
 """Campaign telemetry: live heartbeats from simulation workers.
 
 :class:`~repro.parallel.CampaignRunner` workers are black boxes until a
-task returns; this module opens them up.  A worker process is configured
-with a *sink* (a multiprocessing queue proxy, or any callable) by the
-pool initializer; a running simulation then emits periodic
+task returns; this module opens them up.  The runner installs a *sink*
+— a callable — in the process that executes a task: in a worker it
+sends the beat up the worker's pipe, inline it is the campaign's
+listener itself.  A running simulation then emits periodic
 :class:`Heartbeat` snapshots — task id, sim-time progress, event count,
-key counters — which the parent drains and renders live.
+key counters — which the parent reads off the pipes and the campaign's
+listener renders live.
 
 Two invariants keep telemetry from perturbing science:
 
@@ -15,10 +17,12 @@ Two invariants keep telemetry from perturbing science:
   to ``t2`` means the event stream is bit-identical with heartbeats on
   or off — which is also why ``workers=1`` and ``workers=N`` campaigns
   stay bit-identical when only one of them streams telemetry.
-* **Never block the simulation.**  Queue puts are non-blocking; a full
-  or broken queue drops the heartbeat, never stalls the worker.
+* **Never fail the simulation.**  A worker's sink drops a beat it
+  cannot send (the runner went away); it never raises.  A send can
+  block only if the runner stops reading for a pipe buffer's worth of
+  beats — at ~9 beats a run, it does not.
 
-The module-level sink is per-process state: each pool worker (and the
+The module-level sink is per-process state: each worker (and the
 inline runner path) executes one task at a time, exactly like
 ``repro.parallel.report_events``.
 """
@@ -28,15 +32,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Simulator
 
 #: Default number of heartbeat slices per simulation run: enough to see
-#: progress, few enough that queue traffic stays negligible.
+#: progress, few enough that pipe traffic stays negligible.
 DEFAULT_SLICES = 8
 
-Sink = Union[Callable[["Heartbeat"], None], Any]
+Sink = Callable[["Heartbeat"], None]
 
 _SINK: Optional[Sink] = None
 _TASK_ID: int = -1
@@ -46,7 +50,7 @@ _TASK_ID: int = -1
 class Heartbeat:
     """One telemetry snapshot from a running campaign task.
 
-    Plain data (picklable) so it crosses the multiprocessing queue.
+    Plain data (picklable) so it crosses the worker's pipe.
     """
 
     task_id: int
@@ -70,9 +74,9 @@ class Heartbeat:
 
 
 def configure(sink: Optional[Sink]) -> None:
-    """Install the process-wide heartbeat sink (queue proxy or callable).
-    ``None`` disables emission — :func:`run_with_heartbeats` then runs
-    the simulation in one slice with zero overhead."""
+    """Install the process-wide heartbeat sink.  ``None`` disables
+    emission — :func:`run_with_heartbeats` then runs the simulation in
+    one slice with zero overhead."""
     global _SINK
     _SINK = sink
 
@@ -88,18 +92,9 @@ def active() -> bool:
 
 
 def emit(heartbeat: Heartbeat) -> None:
-    """Deliver one heartbeat; drops (never blocks, never raises) when the
-    sink is a full or broken queue."""
-    sink = _SINK
-    if sink is None:
-        return
-    if callable(sink):
-        sink(heartbeat)
-        return
-    try:
-        sink.put_nowait(heartbeat)
-    except Exception:
-        pass
+    """Deliver one heartbeat to the sink, if there is one."""
+    if _SINK is not None:
+        _SINK(heartbeat)
 
 
 # -- simulation driver -----------------------------------------------------------

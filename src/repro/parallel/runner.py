@@ -1,24 +1,33 @@
-"""The process-pool campaign runner.
+"""The campaign runner: one worker process per slot, one pipe per worker.
 
 Execution model
 ---------------
 
 A *campaign* is an ordered list of independent tasks — one picklable
-top-level function applied to per-task arguments.  The runner submits
-tasks to a :class:`concurrent.futures.ProcessPoolExecutor` in chunks
-(amortizing IPC), tracks one deadline per chunk, and drives everything
-from a single wait loop that can never block forever:
+top-level function applied to per-task arguments.  The runner owns its
+worker processes: each is a daemon :class:`multiprocessing.Process`
+joined to the parent by one duplex :func:`multiprocessing.Pipe`.  A
+worker imports the preload modules, arms flight-recorder autodump,
+announces its pid, then loops *receive a task, run it, send the
+outcome*; the heartbeats a task emits travel up the same pipe, so
+whatever a worker sent before dying is read before its end-of-file.
+
+The parent is one loop over :func:`multiprocessing.connection.wait`
+that can never block forever: hand the next pending task to an idle
+worker, read whatever arrived (heartbeat, outcome, or EOF), kill a
+worker whose *own* deadline passed, start a fresh process where one
+was lost.  A worker runs one task at a time, so a failure is charged
+to exactly one task:
 
 * a task raising inside the worker is an *application* error — it is
   reported as a structured :class:`TaskError` immediately (re-running a
-  deterministic failure cannot help) without disturbing chunk-mates;
-* a worker process dying (segfault, OOM-kill, ``os._exit``) breaks the
-  pool — the pool is rebuilt and the affected tasks are retried, each
-  as its own single-task chunk, with exponential backoff;
-* a chunk overrunning its deadline is *abandoned* (its eventual result,
-  if any, is discarded) and its tasks are retried the same way; workers
-  still running abandoned work are terminated at teardown so a hung
-  simulation cannot hang the interpreter.
+  deterministic failure cannot help) and the worker is reused;
+* a worker process dying (segfault, OOM-kill, ``os._exit``) costs the
+  task it was running one attempt; that task is retried with
+  exponential backoff on whichever worker is free;
+* a task overrunning ``task_timeout_s`` has its worker killed — a hung
+  simulation can hang neither the campaign nor the interpreter — and
+  is retried the same way.
 
 Retries are bounded by ``max_retries``; a task that exhausts them gets
 a final structured error and the rest of the campaign completes anyway.
@@ -29,8 +38,8 @@ Determinism
 Per-task seeds are spawned from the campaign seed and the task *index*
 via :func:`numpy.random.SeedSequence` spawn keys, so a campaign's
 results are a pure function of ``(seed, task list)`` — never of worker
-count, chunking, or completion order.  ``workers<=1`` executes inline
-in the calling process (no pool, no pickling) and produces the same
+count or completion order.  ``workers<=1`` executes inline in the
+calling process (no subprocess, no pickling) and produces the same
 values.
 """
 
@@ -38,15 +47,14 @@ from __future__ import annotations
 
 import heapq
 import importlib
-import itertools
 import json
+import math
 import multiprocessing
 import os
-import queue as queue_module
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from traceback import format_exception_only
 from typing import Any, Callable, Optional, Sequence, Union
@@ -58,9 +66,10 @@ from repro.obs import flight as _flight
 from repro.obs import heartbeat as _heartbeat
 from repro.obs.heartbeat import Heartbeat
 
-#: Modules a pool initializer imports so every worker is warm before its
-#: first task (on ``spawn`` platforms this is the bulk of task latency;
-#: under ``fork`` the parent's imports are inherited and this is free).
+#: Modules every worker imports before announcing itself, so its first
+#: task finds them hot (on ``spawn`` platforms this is the bulk of task
+#: latency; under ``fork`` the parent's imports are inherited and this
+#: is free).
 DEFAULT_PRELOAD = (
     "numpy",
     "repro.core.control_plane",
@@ -70,6 +79,17 @@ DEFAULT_PRELOAD = (
     "repro.fluid.solver",
     "repro.workload",
 )
+
+#: Heartbeats read off the pipes are handed to the listener at most this
+#: often (and all of them before :meth:`CampaignRunner.run` returns).
+#: Each hand-over wakes whatever renders progress — under ``repro serve``
+#: a long-polling client whose round trip competes with the workers for
+#: CPU — and nobody reads progress faster than this.
+_BEAT_FORWARD_INTERVAL_S = 0.1
+
+#: How long a freshly started worker may take to announce itself (it
+#: only has the preload imports to do) before the runner gives up on it.
+_WORKER_START_TIMEOUT_S = 60.0
 
 
 def derive_task_seed(campaign_seed: int, *spawn_key: int) -> int:
@@ -99,27 +119,6 @@ def report_events(n_events: int) -> None:
     _TASK_EVENTS = int(n_events)
 
 
-def _warm_worker(
-    preload: tuple[str, ...],
-    heartbeat_sink: Any = None,
-    autodump: Optional[dict[str, Any]] = None,
-) -> None:
-    """Pool initializer: import the heavy modules once per worker,
-    install the campaign's heartbeat sink (a manager-queue proxy), and
-    arm per-task flight-recorder post-mortems when the campaign has a
-    results directory."""
-    for name in preload:
-        try:
-            importlib.import_module(name)
-        except ImportError:  # pragma: no cover - optional deps stay optional
-            pass
-    _heartbeat.configure(heartbeat_sink)
-    if autodump is not None:
-        _flight.configure_autodump(autodump.pop("dir"), **autodump)
-    else:
-        _flight.configure_autodump(None)
-
-
 @dataclass(frozen=True)
 class _TaskSpec:
     """One task, fully materialized (args include any derived seed)."""
@@ -129,23 +128,17 @@ class _TaskSpec:
     kwargs: dict[str, Any]
 
 
-@dataclass(frozen=True)
-class _RawOutcome:
-    """What one task execution produced, worker-side."""
-
-    index: int
-    ok: bool
-    value: Any
-    error: Optional[str]
-    wall_s: float
-    events: int
-    pid: int
-    start_unix: float
+def _exception_error(exc: Exception, attempt: int) -> TaskError:
+    """What a task raised, as the structured error its result carries."""
+    message = "".join(format_exception_only(exc)).strip()
+    return TaskError("exception", message, attempt)
 
 
-def _execute_one(fn: Callable[..., Any], spec: _TaskSpec) -> _RawOutcome:
+def _execute_one(
+    fn: Callable[..., Any], spec: _TaskSpec, attempt: int = 1
+) -> TaskResult:
     """Run one task, catching application errors; shared by the worker
-    chunk loop and the inline (``workers<=1``) path.
+    loop and the inline (``workers<=1``) path.
 
     When flight-recorder autodump is armed for this process (campaigns
     with a results directory), the task runs bracketed by a per-task
@@ -159,35 +152,65 @@ def _execute_one(fn: Callable[..., Any], spec: _TaskSpec) -> _RawOutcome:
     recorder = _flight.begin_task(spec.index)
     start_unix = time.time()
     start = time.perf_counter()
+    value = error = None
     try:
         value = fn(*spec.args, **spec.kwargs)
     except Exception as exc:
-        message = "".join(format_exception_only(exc)).strip()
-        _flight.end_task(recorder, ok=False, error=message)
-        return _RawOutcome(
-            spec.index, False, None, message,
-            time.perf_counter() - start, _TASK_EVENTS, os.getpid(), start_unix,
-        )
+        error = _exception_error(exc, attempt)
     finally:
         _heartbeat.set_task(None)
-    _flight.end_task(recorder, ok=True)
-    return _RawOutcome(
-        spec.index, True, value, None,
-        time.perf_counter() - start, _TASK_EVENTS, os.getpid(), start_unix,
+    _flight.end_task(
+        recorder, ok=error is None, error=error.message if error else None
+    )
+    return TaskResult(
+        index=spec.index,
+        value=value,
+        error=error,
+        wall_s=time.perf_counter() - start,
+        events=_TASK_EVENTS,
+        worker_pid=os.getpid(),
+        attempts=attempt,
+        start_unix=start_unix,
     )
 
 
-def _run_chunk(fn: Callable[..., Any], specs: list[_TaskSpec]) -> list[_RawOutcome]:
-    """Worker entry point: execute a chunk of tasks back to back."""
-    return [_execute_one(fn, spec) for spec in specs]
+def _worker_main(
+    conn: Connection, preload: tuple[str, ...], autodump_dir: Optional[str]
+) -> None:
+    """Worker process entry point: warm up, announce, then serve tasks
+    off the pipe one at a time until the runner goes away."""
+    for name in preload:
+        try:
+            importlib.import_module(name)
+        except ImportError:  # pragma: no cover - optional deps stay optional
+            pass
+    _flight.configure_autodump(autodump_dir)
 
+    def send_beat(beat: Heartbeat) -> None:
+        # Telemetry must never fail a simulation: a beat that cannot be
+        # sent (runner gone, counters that do not pickle) is dropped.
+        try:
+            conn.send(beat)
+        except Exception:
+            pass
 
-def _hold_worker(delay_s: float) -> int:
-    """Warm-up task for :meth:`CampaignRunner.start`: occupy one worker
-    slot briefly so the executor spawns (and preloads) every process
-    before the first real campaign arrives."""
-    time.sleep(delay_s)
-    return os.getpid()
+    conn.send(os.getpid())
+    while True:
+        try:
+            fn, spec, attempt, want_beats = conn.recv()
+        except (EOFError, OSError):
+            return  # the runner closed its end
+        _heartbeat.configure(send_beat if want_beats else None)
+        result = _execute_one(fn, spec, attempt)
+        try:
+            conn.send(result)
+        except OSError:
+            return
+        except Exception as exc:
+            # The return value did not pickle (nothing was written): an
+            # application error like any other, and the worker lives on.
+            error = _exception_error(exc, attempt)
+            conn.send(replace(result, value=None, error=error))
 
 
 # -- result model --------------------------------------------------------------
@@ -219,7 +242,8 @@ class TaskResult:
     worker_pid: int
     attempts: int
     #: Wall-clock start of the (final) execution; 0.0 when the task never
-    #: reported back (terminal crash/timeout).
+    #: reported back (terminal crash/timeout — ``worker_pid`` is then the
+    #: last worker lost to it).
     start_unix: float = 0.0
 
     @property
@@ -233,7 +257,6 @@ class CampaignResult:
 
     results: list[TaskResult]
     n_workers: int
-    chunk_size: int
     wall_s: float
     extra: dict[str, Any] = field(default_factory=dict)
 
@@ -277,7 +300,6 @@ class CampaignResult:
             "crashes": error_kinds.count("crash"),
             "task_exceptions": error_kinds.count("exception"),
             "workers": self.n_workers,
-            "chunk_size": self.chunk_size,
             "campaign_wall_s": self.wall_s,
             "task_wall_s_total": total_wall,
             "task_wall_s_max": max(walls, default=0.0),
@@ -293,45 +315,54 @@ class CampaignResult:
 # -- the runner ----------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class _Worker:
+    """One worker process and the parent's end of its pipe."""
+
+    process: multiprocessing.Process
+    conn: Connection
+    #: The task in flight (``None`` while idle) and when it is overdue.
+    spec: Optional[_TaskSpec] = None
+    deadline: float = math.inf
+
+    def fileno(self) -> int:
+        """Lets :func:`multiprocessing.connection.wait` take workers."""
+        return self.conn.fileno()
+
+
 class CampaignRunner:
-    """Shards independent tasks across a warm process pool.
+    """Shards independent tasks across warm worker processes.
 
     ``workers=None`` uses every CPU; ``workers<=1`` runs inline (no
-    subprocesses, timeouts not enforced).  The executor is created
-    lazily and reused across :meth:`run` calls so workers stay warm for
+    subprocesses, timeouts not enforced).  Workers are started on
+    demand and kept across :meth:`run` calls so they stay warm for
     multi-campaign sessions; call :meth:`close` (or use the runner as a
-    context manager) to release it.
+    context manager) to release them.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         *,
-        chunk_size: Optional[int] = None,
         task_timeout_s: Optional[float] = None,
         max_retries: int = 2,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
         preload: tuple[str, ...] = DEFAULT_PRELOAD,
-        mp_context: Optional[Any] = None,
         results_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         if workers is not None and workers < 0:
             raise CampaignError(f"workers must be >= 0, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise CampaignError(f"task_timeout_s must be positive, got {task_timeout_s}")
         if max_retries < 0:
             raise CampaignError(f"max_retries must be >= 0, got {max_retries}")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.chunk_size = chunk_size
         self.task_timeout_s = task_timeout_s
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.preload = tuple(preload)
-        self.mp_context = mp_context
         #: Campaign artifact directory.  When set, every task records a
         #: flight-recorder ring spooled to ``<dir>/flight-task*.json``
         #: (kept on failure, removed on success) and :meth:`run` writes a
@@ -340,17 +371,10 @@ class CampaignRunner:
         #: runner (e.g. a daemon validating a request) must not litter
         #: directories.
         self.results_dir = Path(results_dir) if results_dir is not None else None
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._stragglers = False
-        #: Heartbeat transport: a manager-queue proxy handed to workers
-        #: (created lazily on the first run() with on_heartbeat set).
-        self._manager: Optional[Any] = None
-        self._hb_queue: Optional[Any] = None
-        #: The queue the live executor's workers were initialized with;
-        #: a mismatch forces a pool rebuild.
-        self._executor_hb_queue: Optional[Any] = None
+        #: Live workers, every one past its start-up announcement.
+        self._pool: list[_Worker] = []
 
-    # -- executor lifecycle ----------------------------------------------------
+    # -- worker lifecycle ------------------------------------------------------
 
     def __enter__(self) -> "CampaignRunner":
         return self
@@ -360,110 +384,70 @@ class CampaignRunner:
 
     @property
     def started(self) -> bool:
-        """Whether a live worker pool is currently attached."""
-        return self._executor is not None
+        """Whether live worker processes are currently attached."""
+        return bool(self._pool)
 
-    def start(self, *, warm: bool = True, timeout_s: float = 60.0) -> "CampaignRunner":
-        """Bring the worker pool (and heartbeat transport) up *now*.
+    def start(self) -> "CampaignRunner":
+        """Bring every worker up *now*.
 
-        A cold :meth:`run` pays pool construction, worker spawn, and the
-        preload imports on its own wall clock — the diagnosed
-        ``parallel_speedup < 1`` regime on small runners.  A long-lived
-        service (``repro serve``) calls ``start()`` once instead, so
-        every subsequent campaign lands on hot workers.  With ``warm``
-        (the default) one brief hold task per worker slot forces every
-        process to exist and finish its preload imports before this
-        returns.  The heartbeat transport is provisioned here too, so a
-        later ``run(on_heartbeat=...)`` never has to rebuild the pool.
+        A cold :meth:`run` pays process start and the preload imports on
+        its own wall clock.  A long-lived service (``repro serve``) calls
+        ``start()`` once instead: every process exists and has finished
+        its preload imports before this returns, so each campaign after
+        it lands on hot workers.
 
         Idempotent; a no-op for ``workers <= 1`` (the inline path has
         nothing to warm).
         """
-        if self.workers <= 1:
-            return self
-        self._ensure_heartbeat_queue()
-        executor = self._get_executor()
-        if warm:
-            holds = [
-                executor.submit(_hold_worker, 0.02) for _ in range(self.workers)
-            ]
-            wait(holds, timeout=timeout_s)
+        if self.workers > 1:
+            self._grow(self.workers)
         return self
 
     def close(self) -> None:
-        """Shut the pool down (terminating any abandoned stragglers)."""
-        self._teardown_executor(force=self._stragglers)
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-            self._hb_queue = None
+        """Stop every worker.  Outside :meth:`run` they are all idle,
+        with nothing to flush, so they are simply killed."""
+        for worker in list(self._pool):
+            self._discard(worker)
 
-    def _ensure_results_dir(self) -> None:
-        """Create the artifact directory lazily, at the first point
-        something will actually be written into it."""
-        if self.results_dir is not None:
-            self.results_dir.mkdir(parents=True, exist_ok=True)
-
-    def _autodump_config(self) -> Optional[dict[str, Any]]:
-        if self.results_dir is None:
-            return None
-        self._ensure_results_dir()  # workers spool flight rings into it
-        return {"dir": str(self.results_dir)}
-
-    def _get_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self.mp_context,
-                initializer=_warm_worker,
-                initargs=(self.preload, self._hb_queue, self._autodump_config()),
+    def _grow(self, size: int) -> None:
+        """Bring the pool up to ``size`` ready workers.  All missing
+        processes are started before any is waited for, so their preload
+        imports overlap."""
+        # Workers spool flight rings into the results directory, but only
+        # while a task runs — and run() has created it by then.
+        autodump_dir = str(self.results_dir) if self.results_dir is not None else None
+        fresh = []
+        for _ in range(size - len(self._pool)):
+            conn, worker_conn = multiprocessing.Pipe()
+            process = multiprocessing.Process(
+                target=_worker_main,
+                args=(worker_conn, self.preload, autodump_dir),
+                daemon=True,
             )
-            self._executor_hb_queue = self._hb_queue
-        return self._executor
-
-    def _ensure_heartbeat_queue(self) -> None:
-        """Provision the worker-side heartbeat transport.
-
-        A ``multiprocessing.Manager`` queue proxy is picklable, so it
-        passes through the executor's initializer under both fork and
-        spawn.  Workers warmed without the queue can't stream, so a
-        stale pool is rebuilt once.
-        """
-        if self._hb_queue is None:
-            self._manager = multiprocessing.Manager()
-            self._hb_queue = self._manager.Queue()
-        if self._executor is not None and self._executor_hb_queue is not self._hb_queue:
-            self._teardown_executor(force=False)
-
-    def _drain_heartbeats(self, on_heartbeat: Callable[[Heartbeat], None]) -> None:
-        """Forward every queued heartbeat to the campaign's callback."""
-        hb_queue = self._hb_queue
-        if hb_queue is None:
-            return
-        while True:
+            process.start()
+            # The worker holds the only copy of its end from here on, so
+            # its death reads as end-of-file on ours.
+            worker_conn.close()
+            fresh.append(_Worker(process, conn))
+        self._pool.extend(fresh)
+        for worker in fresh:
             try:
-                beat = hb_queue.get_nowait()
-            except queue_module.Empty:
-                return
-            except (OSError, EOFError, BrokenPipeError):  # manager died
-                return
-            on_heartbeat(beat)
+                if not worker.conn.poll(_WORKER_START_TIMEOUT_S):
+                    raise EOFError
+                worker.conn.recv()  # the pid announcement: preload is done
+            except (EOFError, OSError):
+                self._discard(worker)
+                raise CampaignError(
+                    f"worker process {worker.process.pid} failed to start"
+                ) from None
 
-    def _teardown_executor(self, *, force: bool) -> None:
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        executor.shutdown(wait=not force, cancel_futures=True)
-        if force:
-            # Stragglers past their deadline (or a broken pool) must not
-            # keep the interpreter alive: kill what's left.
-            processes = list((getattr(executor, "_processes", None) or {}).values())
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join(timeout=1.0)
-        self._stragglers = False
+    def _discard(self, worker: _Worker) -> None:
+        """Remove a worker from the pool and make sure it is dead."""
+        self._pool.remove(worker)
+        worker.conn.close()
+        if worker.process.is_alive():
+            worker.process.kill()
+        worker.process.join()
 
     # -- task normalization ----------------------------------------------------
 
@@ -486,13 +470,6 @@ class CampaignRunner:
             specs.append(_TaskSpec(index, args, kwargs))
         return specs
 
-    def _effective_chunk_size(self, n_tasks: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        # Aim for ~4 chunks per worker so stragglers rebalance, with at
-        # least one task per chunk.
-        return max(1, -(-n_tasks // (self.workers * 4)))
-
     # -- execution -------------------------------------------------------------
 
     def run(
@@ -504,7 +481,7 @@ class CampaignRunner:
         seed_kwarg: str = "seed",
         on_heartbeat: Optional[Callable[[Heartbeat], None]] = None,
     ) -> CampaignResult:
-        """Apply ``fn`` to every task, sharded across the pool.
+        """Apply ``fn`` to every task, sharded across the workers.
 
         ``fn`` must be a picklable top-level function.  Each element of
         ``tasks`` is a tuple (positional args), a dict (keyword args),
@@ -515,17 +492,18 @@ class CampaignRunner:
         ``on_heartbeat`` receives :class:`~repro.obs.heartbeat.Heartbeat`
         snapshots streamed by tasks that call
         :func:`repro.obs.heartbeat.run_with_heartbeats` — live on the
-        pooled path (drained between waits), synchronously inline.
+        pooled path (coalesced: ``_BEAT_FORWARD_INTERVAL_S``), synchronously inline.
         Heartbeats only slice wall-clock execution, never the simulated
         timeline, so results are identical with or without a listener.
         """
         if not tasks:
             raise CampaignError("a campaign needs at least one task")
         specs = self._normalize(tasks, seed, seed_kwarg)
-        self._ensure_results_dir()  # journal + flight spools land here
         created_unix = time.time()
         beats_log: list[dict[str, Any]] = []
         if self.results_dir is not None:
+            # The journal and the flight spools land here: first use.
+            self.results_dir.mkdir(parents=True, exist_ok=True)
             # Journal every heartbeat (receive-stamped) for the campaign
             # trace, forwarding to the caller's listener when present.
             user_cb = on_heartbeat
@@ -536,59 +514,27 @@ class CampaignRunner:
                     user_cb(beat)
 
         start = time.perf_counter()
-        if self.workers <= 1 or len(specs) == 1:
+        if self.workers <= 1:
             _heartbeat.configure(on_heartbeat)
             if self.results_dir is not None:
                 _flight.configure_autodump(self.results_dir)
             try:
-                results = [
-                    self._finalize(_execute_one(fn, spec), attempts=1)
-                    for spec in specs
-                ]
+                results = [_execute_one(fn, spec) for spec in specs]
             finally:
                 _heartbeat.configure(None)
                 if self.results_dir is not None:
                     _flight.configure_autodump(None)
-            result = CampaignResult(
-                results=results,
-                n_workers=1,
-                chunk_size=len(specs),
-                wall_s=time.perf_counter() - start,
-            )
-            self._write_journal(result, beats_log, created_unix)
-            return result
-        if on_heartbeat is not None:
-            self._ensure_heartbeat_queue()
-        chunk_size = self._effective_chunk_size(len(specs))
-        results_by_index = self._run_pooled(
-            fn, specs, chunk_size, on_heartbeat=on_heartbeat
-        )
-        if on_heartbeat is not None:
-            self._drain_heartbeats(on_heartbeat)
+        else:
+            # Even a single task goes to a worker: only there is its
+            # deadline enforced, and only there can it die alone.
+            results = self._run_pooled(fn, specs, on_heartbeat)
         result = CampaignResult(
-            results=[results_by_index[index] for index in range(len(specs))],
-            n_workers=self.workers,
-            chunk_size=chunk_size,
+            results=results,
+            n_workers=max(self.workers, 1),
             wall_s=time.perf_counter() - start,
         )
         self._write_journal(result, beats_log, created_unix)
         return result
-
-    @staticmethod
-    def _finalize(outcome: _RawOutcome, attempts: int) -> TaskResult:
-        error = None
-        if not outcome.ok:
-            error = TaskError("exception", outcome.error or "", attempts)
-        return TaskResult(
-            index=outcome.index,
-            value=outcome.value,
-            error=error,
-            wall_s=outcome.wall_s,
-            events=outcome.events,
-            worker_pid=outcome.pid,
-            attempts=attempts,
-            start_unix=outcome.start_unix,
-        )
 
     def _preserve_flight_dump(self, task_index: int, kind: str, attempt: int) -> None:
         """Rename a dead worker's spooled ring so a retry of the same task
@@ -598,14 +544,12 @@ class CampaignRunner:
         if self.results_dir is None:
             return
         spool = _flight.task_dump_path(self.results_dir, task_index)
-        if not spool.exists():
-            return
         preserved = spool.with_name(
             f"flight-task{task_index:05d}-a{attempt}-{kind}.json"
         )
         try:
             spool.replace(preserved)
-        except OSError:  # pragma: no cover - artifact dir raced away
+        except OSError:  # no spool: the task died before it wrote one
             pass
 
     def _write_journal(
@@ -623,7 +567,6 @@ class CampaignRunner:
             "created_unix": created_unix,
             "wall_s": result.wall_s,
             "workers": result.n_workers,
-            "chunk_size": result.chunk_size,
             "stats": result.stats(),
             "tasks": [
                 {
@@ -649,175 +592,126 @@ class CampaignRunner:
         self,
         fn: Callable[..., Any],
         specs: list[_TaskSpec],
-        chunk_size: int,
-        on_heartbeat: Optional[Callable[[Heartbeat], None]] = None,
-    ) -> dict[int, TaskResult]:
+        on_heartbeat: Optional[Callable[[Heartbeat], None]],
+    ) -> list[TaskResult]:
         final: dict[int, TaskResult] = {}
         attempts: dict[int, int] = {spec.index: 0 for spec in specs}
-        inflight: dict[Future, list[_TaskSpec]] = {}
-        deadlines: dict[Future, float] = {}
-        # Backoff queue of (due_monotonic, tiebreak, spec) awaiting resubmit.
+        pending = deque(specs)
+        # Backoff queue of (due_monotonic, task index, spec) awaiting a
+        # retry; a task is in it at most once, so the index breaks ties.
         retry_queue: list[tuple[float, int, _TaskSpec]] = []
-        tiebreak = itertools.count()
-        # Futures carrying a crash/timeout retry. Retries are serialized
-        # against each other: a task that kills its worker on every attempt
-        # must not take an innocent task's *retry* down with it (collateral
-        # BrokenProcessPool burns an attempt, and retries are the last ones).
-        retry_futures: set[Future] = set()
+        # Without a listener a worker gets no sink, and its simulation
+        # runs as one slice.
+        want_beats = on_heartbeat is not None
+        held: list[Heartbeat] = []  # read off a pipe, not yet forwarded
+        forward_due = 0.0
 
-        def submit(chunk: list[_TaskSpec]) -> Future:
-            for spec in chunk:
-                attempts[spec.index] += 1
-            try:
-                future = self._get_executor().submit(_run_chunk, fn, chunk)
-            except (BrokenProcessPool, RuntimeError):
-                # Pool died between our wait and this submit: rebuild once.
-                self._teardown_executor(force=True)
-                future = self._get_executor().submit(_run_chunk, fn, chunk)
-            inflight[future] = chunk
-            if self.task_timeout_s is not None:
-                deadlines[future] = (
-                    time.monotonic() + self.task_timeout_s * len(chunk)
-                )
-            return future
-
-        def fail(spec: _TaskSpec, kind: str, message: str) -> None:
-            """Retry an infra failure with backoff, or record it finally."""
+        def lose(worker: _Worker, kind: str) -> None:
+            """Bury a dead (or overdue) worker.  The one task it was
+            running, if any, is the only one charged: retried after a
+            backoff, or failed for good."""
+            self._discard(worker)
+            spec = worker.spec
+            if spec is None:
+                return
             used = attempts[spec.index]
-            if kind != "exception":
-                # The worker died or was abandoned mid-run: its spooled
-                # flight ring is the post-mortem — keep it out of a
-                # retry's way.
-                self._preserve_flight_dump(spec.index, kind, used)
-            if kind != "exception" and used <= self.max_retries:
+            # The worker's spooled flight ring is the post-mortem — keep
+            # it out of a retry's way.
+            self._preserve_flight_dump(spec.index, kind, used)
+            if used <= self.max_retries:
                 delay = min(
                     self.backoff_base_s * (2.0 ** (used - 1)), self.backoff_cap_s
                 )
                 heapq.heappush(
-                    retry_queue, (time.monotonic() + delay, next(tiebreak), spec)
+                    retry_queue, (time.monotonic() + delay, spec.index, spec)
                 )
                 return
+            if kind == "timeout":
+                message = f"task exceeded {self.task_timeout_s:.3f}s deadline"
+            else:
+                message = (
+                    f"worker process {worker.process.pid} died "
+                    f"(exit code {worker.process.exitcode})"
+                )
             final[spec.index] = TaskResult(
                 index=spec.index,
                 value=None,
                 error=TaskError(kind, message, used),
                 wall_s=0.0,
                 events=0,
-                worker_pid=0,
+                worker_pid=worker.process.pid,
                 attempts=used,
             )
 
         try:
-            for position in range(0, len(specs), chunk_size):
-                submit(specs[position : position + chunk_size])
-
             while len(final) < len(specs):
+                # Fill empty slots — first use, or a lost worker's — but
+                # never beyond what the unfinished tasks can occupy.
+                self._grow(min(self.workers, len(specs) - len(final)))
                 now = time.monotonic()
-                while retry_queue and retry_queue[0][0] <= now:
-                    if any(f in retry_futures for f in inflight):
-                        break  # one retry at a time: no cross-retry fallout
-                    _, _, spec = heapq.heappop(retry_queue)
-                    # Retries run solo: no chunk-mates at risk.
-                    retry_futures.add(submit([spec]))
-
-                wakeups = [deadline for deadline in deadlines.values()]
-                if retry_queue:
-                    wakeups.append(retry_queue[0][0])
-                poll = 0.25
-                if wakeups:
-                    poll = min(poll, max(min(wakeups) - now, 0.005))
-                if not inflight:
-                    if retry_queue:
-                        # Bugfix: beats queued by just-failed workers must
-                        # not sit undelivered (freezing `repro serve`
-                        # progress) for the whole retry-backoff window.
-                        if on_heartbeat is not None:
-                            self._drain_heartbeats(on_heartbeat)
-                        time.sleep(poll)
-                        continue
-                    raise CampaignError(
-                        "internal: campaign stalled with no inflight work"
-                    )  # pragma: no cover - loop invariant
-
-                done, _ = wait(
-                    list(inflight), timeout=poll, return_when=FIRST_COMPLETED
-                )
-                if on_heartbeat is not None:
-                    self._drain_heartbeats(on_heartbeat)
-                pool_broken = False
-                for future in done:
-                    chunk = inflight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        outcomes = future.result()
-                    except BrokenProcessPool as exc:
-                        pool_broken = True
-                        message = (
-                            "".join(format_exception_only(exc)).strip()
-                            or "worker process died"
-                        )
-                        for spec in chunk:
-                            fail(spec, "crash", message)
-                    except Exception as exc:
-                        # Chunk-level application failure (e.g. the task's
-                        # return value failed to pickle): not retryable.
-                        for spec in chunk:
-                            fail(
-                                spec,
-                                "exception",
-                                "".join(format_exception_only(exc)).strip(),
-                            )
+                for worker in [w for w in self._pool if w.spec is None]:
+                    if retry_queue and retry_queue[0][0] <= now:
+                        spec = heapq.heappop(retry_queue)[2]
+                    elif pending:
+                        spec = pending.popleft()
                     else:
-                        for outcome in outcomes:
-                            if outcome.index in final:
-                                continue  # duplicate from an abandoned chunk
-                            if outcome.ok:
-                                final[outcome.index] = self._finalize(
-                                    outcome, attempts[outcome.index]
-                                )
-                            else:
-                                fail(
-                                    _spec_by_index(chunk, outcome.index),
-                                    "exception",
-                                    outcome.error or "",
-                                )
+                        break
+                    try:
+                        worker.conn.send(
+                            (fn, spec, attempts[spec.index] + 1, want_beats)
+                        )
+                    except OSError:
+                        # Died while idle: it was running nothing, so
+                        # nobody is charged.  Its end-of-file, read just
+                        # below, buries it; the next pass fills the slot.
+                        pending.appendleft(spec)
+                        continue
+                    attempts[spec.index] += 1
+                    worker.spec = spec
+                    if self.task_timeout_s is not None:
+                        worker.deadline = now + self.task_timeout_s
 
-                if self.task_timeout_s is not None:
-                    now = time.monotonic()
-                    for future, deadline in list(deadlines.items()):
-                        if now <= deadline or future not in inflight:
-                            continue
-                        chunk = inflight.pop(future)
-                        deadlines.pop(future, None)
-                        future.cancel()  # only helps if still queued
-                        self._stragglers = True
-                        for spec in chunk:
-                            fail(
-                                spec,
-                                "timeout",
-                                f"task exceeded {self.task_timeout_s:.3f}s deadline",
-                            )
+                # Every unfinished task is now in flight (a worker will
+                # speak or die), backing off (a due time), or waiting for
+                # a busy worker — so this wait always ends.
+                wakeup = min(worker.deadline for worker in self._pool)
+                if retry_queue and any(w.spec is None for w in self._pool):
+                    wakeup = min(wakeup, retry_queue[0][0])
+                if held:
+                    wakeup = min(wakeup, forward_due)
+                timeout = None if wakeup == math.inf else max(wakeup - now, 0.0)
+                for worker in wait(self._pool, timeout):
+                    try:
+                        message = worker.conn.recv()
+                    except (EOFError, OSError):
+                        lose(worker, "crash")
+                        continue
+                    if isinstance(message, Heartbeat):
+                        held.append(message)
+                        continue
+                    worker.spec, worker.deadline = None, math.inf
+                    final[message.index] = message
 
-                if pool_broken:
-                    # Remaining inflight chunks are doomed too: requeue them
-                    # on a fresh pool.
-                    doomed = list(inflight.items())
-                    inflight.clear()
-                    deadlines.clear()
-                    self._teardown_executor(force=True)
-                    for _, chunk in doomed:
-                        for spec in chunk:
-                            if spec.index not in final:
-                                fail(spec, "crash", "worker pool broke mid-chunk")
+                now = time.monotonic()
+                for worker in [w for w in self._pool if w.deadline < now]:
+                    lose(worker, "timeout")
+                if held and (now >= forward_due or len(final) == len(specs)):
+                    for beat in held:
+                        on_heartbeat(beat)
+                    held.clear()
+                    forward_due = now + _BEAT_FORWARD_INTERVAL_S
         finally:
-            if self._stragglers:
-                # Hung workers would survive a graceful shutdown.
-                self._teardown_executor(force=True)
-        return final
+            # Tasks are still in flight only if something raised (a
+            # listener, a failed start-up): those workers' pipes hold
+            # messages nobody will read, so they cannot be reused.
+            for worker in [w for w in self._pool if w.spec is not None]:
+                self._discard(worker)
+        return [final[spec.index] for spec in specs]
 
 
 def _journal_beat(beat: Heartbeat) -> dict[str, Any]:
-    """A heartbeat as a JSON-safe journal row, stamped at receive time."""
+    """A heartbeat as a JSON-safe journal row, stamped as the listener
+    gets it."""
     return {
         "task_id": beat.task_id,
         "pid": beat.pid,
@@ -828,10 +722,3 @@ def _journal_beat(beat: Heartbeat) -> dict[str, Any]:
         "wall_s": beat.wall_s,
         "final": beat.final,
     }
-
-
-def _spec_by_index(chunk: list[_TaskSpec], index: int) -> _TaskSpec:
-    for spec in chunk:
-        if spec.index == index:
-            return spec
-    raise CampaignError(f"internal: outcome for unknown task {index}")

@@ -159,7 +159,7 @@ class TestThreeWays:
 
 class TestRejectedBeforeAnyWorker:
     """Bad campaign input is one line on stderr and exit status 2 from
-    the spec validator, before a pool or heartbeat manager exists."""
+    the spec validator, before any worker process exists."""
 
     @pytest.mark.parametrize(
         "argv,names",

@@ -151,6 +151,10 @@ class TestCampaignPostMortems:
         failed = [t for t in journal["tasks"] if not t["ok"]]
         assert [t["index"] for t in failed] == [1]
         assert failed[0]["error_kind"] == "crash"
+        # ... and on which worker: the last one that ran the task, which
+        # is the process whose spool was preserved.
+        assert failed[0]["pid"] != 0
+        assert failed[0]["pid"] == load_dump(preserved[-1])["pid"]
 
     def test_exception_task_dump_finalized_worker_side(self, tmp_path):
         runner = CampaignRunner(workers=2, results_dir=tmp_path)
@@ -180,8 +184,11 @@ class TestZeroPerturbation:
         kwargs = dict(n_senders=2, duration_ps=500_000_000, seed=3)
         baseline = run_sweep_point("dctcp", {}, **kwargs)
 
+        # Spooling on every event is the harshest setting; the small ring
+        # keeps each rewrite cheap (a 4,096-entry ring made this one test
+        # 199 s of the suite).
         recorder = FlightRecorder(
-            spool_path=tmp_path / "spool.json", spool_interval_s=0.0
+            capacity=64, spool_path=tmp_path / "spool.json", spool_interval_s=0.0
         )
         flight.install(recorder)
         try:

@@ -6,6 +6,7 @@ grammar-valid Prometheus file, and ``repro report`` must print the
 per-component profile plus queue/drop/ECN counters.
 """
 
+import dataclasses
 import json
 import subprocess
 
@@ -83,16 +84,18 @@ class TestRunWithHeartbeats:
         run_with_heartbeats(sim, 10_000, counters_fn=lambda: {"x": sim.now})
         assert beats[-1].counters == {"x": 10_000}
 
-    def test_broken_queue_never_raises(self):
-        class FullQueue:
-            def put_nowait(self, item):
-                raise RuntimeError("full")
 
-        sim = Simulator()
-        self._chain(sim, 5_000)
-        configure(FullQueue())
-        run_with_heartbeats(sim, 10_000)  # must not raise
-        assert sim.now == 10_000
+def emit_unsendable_then_sendable(x):
+    """A campaign task whose first beat cannot cross the worker's pipe
+    (its counters do not pickle)."""
+    from repro.obs.heartbeat import emit
+
+    beat = Heartbeat(
+        task_id=x, pid=0, sim_now_ps=1, sim_until_ps=2, events_executed=1, wall_s=0.0
+    )
+    emit(dataclasses.replace(beat, counters={"unpicklable": lambda: None}))
+    emit(beat)
+    return x
 
 
 class TestCampaignHeartbeats:
@@ -128,6 +131,20 @@ class TestCampaignHeartbeats:
         import os
 
         assert all(beat.pid != os.getpid() for beat in beats)
+
+    def test_unsendable_beat_never_raises(self):
+        """Telemetry never fails a simulation: a worker drops a beat it
+        cannot send, the task carries on and later beats still arrive."""
+        from repro.parallel import CampaignRunner
+
+        beats = []
+        with CampaignRunner(workers=2) as runner:
+            result = runner.run(
+                emit_unsendable_then_sendable, [(0,), (1,)], on_heartbeat=beats.append
+            )
+        assert result.values() == [0, 1]
+        assert sorted(beat.task_id for beat in beats) == [0, 1]
+        assert not any(beat.counters for beat in beats)
 
 
 class TestManifest:

@@ -1,7 +1,8 @@
 """The sharded campaign runner: determinism, ordering, bounded failure."""
 
+import multiprocessing
 import os
-import threading
+import signal
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.sweep import cc_parameter_sweep, steady_state_flow_rates, sweep_
 from repro.errors import CampaignError
 from repro.fluid import dcqcn_profile, dctcp_profile, fluid_fct_campaign
 from repro.measure.throughput import ThroughputSample
+from repro.obs import heartbeat
 from repro.obs.heartbeat import Heartbeat
 from repro.parallel import CampaignRunner, derive_task_seed
 from repro.units import GBPS, MS
@@ -56,6 +58,31 @@ def crash_first_attempt(x, marker_dir):
     return x
 
 
+def beat_then_crash_first_attempt(x, marker_dir):
+    """Streams one beat, then behaves like ``crash_first_attempt``."""
+    heartbeat.emit(
+        Heartbeat(
+            task_id=x,
+            pid=os.getpid(),
+            sim_now_ps=1,
+            sim_until_ps=2,
+            events_executed=1,
+            wall_s=0.0,
+        )
+    )
+    return crash_first_attempt(x, marker_dir)
+
+
+def unpicklable_on_one(x):
+    return (lambda: x) if x == 1 else x
+
+
+def worker_pids():
+    """Pids of the live workers: the runner's processes are the only
+    children this test process has."""
+    return sorted(child.pid for child in multiprocessing.active_children())
+
+
 class TestDeriveTaskSeed:
     def test_stable_and_distinct(self):
         assert derive_task_seed(42, 3) == derive_task_seed(42, 3)
@@ -74,7 +101,7 @@ class TestDeriveTaskSeed:
 
 class TestRunnerBasics:
     def test_order_preserved_across_chunks(self):
-        with CampaignRunner(workers=2, chunk_size=2) as runner:
+        with CampaignRunner(workers=2) as runner:
             result = runner.run(square, [(i,) for i in range(7)])
         assert result.values() == [i * i for i in range(7)]
         assert [r.index for r in result.results] == list(range(7))
@@ -93,7 +120,7 @@ class TestRunnerBasics:
         ]
 
     def test_stats_shape(self):
-        with CampaignRunner(workers=2, chunk_size=2) as runner:
+        with CampaignRunner(workers=2) as runner:
             stats = runner.run(square, [(i,) for i in range(4)]).stats()
         assert stats["tasks"] == 4
         assert stats["failed"] == 0
@@ -110,8 +137,6 @@ class TestRunnerBasics:
         with pytest.raises(CampaignError):
             CampaignRunner(workers=-1)
         with pytest.raises(CampaignError):
-            CampaignRunner(chunk_size=0)
-        with pytest.raises(CampaignError):
             CampaignRunner(task_timeout_s=0)
         with pytest.raises(CampaignError):
             CampaignRunner(max_retries=-1)
@@ -124,7 +149,7 @@ class TestWarmPool:
         tasks = [(i,) for i in range(8)]
         with CampaignRunner(workers=1) as inline:
             expected = inline.run(echo_seed, tasks, seed=3).values()
-        with CampaignRunner(workers=2, chunk_size=2) as runner:
+        with CampaignRunner(workers=2) as runner:
             assert not runner.started
             runner.start()
             assert runner.started
@@ -136,9 +161,10 @@ class TestWarmPool:
     def test_start_is_idempotent_and_keeps_the_pool(self):
         with CampaignRunner(workers=2) as runner:
             runner.start()
-            executor = runner._executor
+            pids = worker_pids()
+            assert len(pids) == 2
             runner.start()
-            assert runner._executor is executor
+            assert worker_pids() == pids
 
     def test_start_is_a_noop_inline(self):
         runner = CampaignRunner(workers=1)
@@ -147,17 +173,18 @@ class TestWarmPool:
         runner.close()
 
     def test_warm_pool_survives_heartbeat_campaigns(self):
-        # start() provisions the heartbeat transport up front, so a later
-        # run(on_heartbeat=...) must reuse the warm pool, not rebuild it.
-        with CampaignRunner(workers=2, chunk_size=1) as runner:
+        # A run(on_heartbeat=...) must land on the warm workers, not
+        # restart them.
+        with CampaignRunner(workers=2) as runner:
             runner.start()
-            executor = runner._executor
+            pids = worker_pids()
             beats = []
             result = runner.run(
                 square, [(i,) for i in range(4)], on_heartbeat=beats.append
             )
             assert result.ok
-            assert runner._executor is executor
+            assert worker_pids() == pids
+            assert {r.worker_pid for r in result.results} <= set(pids)
 
 
 class TestResultsDirLifecycle:
@@ -172,52 +199,29 @@ class TestResultsDirLifecycle:
 
 class TestHeartbeatsDuringBackoff:
     def test_beats_delivered_while_retry_backoff_sleeps(self, tmp_path):
-        """A beat that lands in the queue while every task sits in the
-        retry-backoff heap must reach the listener within one poll
-        interval — not after the whole backoff window (the stalled-
-        progress bug `repro serve` exposed)."""
+        """Beats a worker sent before dying must reach the listener at
+        once — not after the retry-backoff window in which nothing is in
+        flight (the stalled-progress bug `repro serve` exposed) — and a
+        crash must cost only the task that crashed."""
         received = []
 
         def on_beat(beat):
             received.append((time.monotonic(), beat.task_id))
 
-        injected_at = []
-        runner = CampaignRunner(
-            workers=2, chunk_size=1, max_retries=2, backoff_base_s=2.0
-        )
-
-        def inject():
-            # By now both workers have crashed and the runner is inside
-            # the ~2 s backoff window with nothing inflight.
-            time.sleep(0.7)
-            injected_at.append(time.monotonic())
-            runner._hb_queue.put(
-                Heartbeat(
-                    task_id=99,
-                    pid=0,
-                    sim_now_ps=1,
-                    sim_until_ps=2,
-                    events_executed=1,
-                    wall_s=0.0,
-                )
-            )
-
-        with runner:
+        with CampaignRunner(workers=2, max_retries=2, backoff_base_s=2.0) as runner:
             runner.start()
-            thread = threading.Thread(target=inject, daemon=True)
-            thread.start()
+            started = time.monotonic()
             result = runner.run(
-                crash_first_attempt,
+                beat_then_crash_first_attempt,
                 [(i, str(tmp_path)) for i in range(2)],
                 on_heartbeat=on_beat,
             )
-            thread.join()
         assert result.ok
         assert all(r.attempts == 2 for r in result.results)
-        delivery = [stamp for stamp, task in received if task == 99]
-        assert delivery, "injected heartbeat was never delivered"
-        assert delivery[0] - injected_at[0] < 0.8, (
-            "heartbeat sat undelivered through the retry-backoff window"
+        first_attempt_beats = sorted(received)[:2]
+        assert {task for _, task in first_attempt_beats} == {0, 1}
+        assert all(stamp - started < 0.8 for stamp, _ in first_attempt_beats), (
+            "heartbeats sat undelivered through the retry-backoff window"
         )
 
 
@@ -227,13 +231,13 @@ class TestRunnerDeterminism:
         tasks = [(i,) for i in range(12)]
         with CampaignRunner(workers=1) as serial:
             expected = serial.run(echo_seed, tasks, seed=7).values()
-        with CampaignRunner(workers=4, chunk_size=3) as pooled:
+        with CampaignRunner(workers=4) as pooled:
             assert pooled.run(echo_seed, tasks, seed=7).values() == expected
 
 
 class TestRunnerFailures:
     def test_task_exception_is_structured_and_isolated(self):
-        with CampaignRunner(workers=2, chunk_size=2) as runner:
+        with CampaignRunner(workers=2) as runner:
             result = runner.run(raise_on_zero, [(i,) for i in range(4)])
         assert not result.ok
         [failed] = result.errors
@@ -246,11 +250,11 @@ class TestRunnerFailures:
             result.values()
 
     def test_worker_crash_retried_then_surfaced(self):
-        """A dying worker breaks the pool: the runner rebuilds it, retries
-        the affected tasks, and surfaces a structured error for the one
-        that keeps crashing — the rest of the campaign completes."""
+        """A dying worker is replaced and its task retried; the one that
+        keeps crashing surfaces as a structured error — the rest of the
+        campaign completes."""
         with CampaignRunner(
-            workers=2, chunk_size=2, max_retries=1, backoff_base_s=0.01
+            workers=2, max_retries=1, backoff_base_s=0.01
         ) as runner:
             result = runner.run(crash_on_two, [(i,) for i in range(4)])
         crashed = [r for r in result.errors if r.index == 2]
@@ -264,7 +268,6 @@ class TestRunnerFailures:
         start = time.perf_counter()
         with CampaignRunner(
             workers=2,
-            chunk_size=1,
             task_timeout_s=0.3,
             max_retries=1,
             backoff_base_s=0.01,
@@ -279,6 +282,92 @@ class TestRunnerFailures:
             assert result.results[index].value == index
         # Two 0.3 s deadlines + backoff, not the 3 s sleep per attempt.
         assert elapsed < 2.5
+
+
+class TestSingleTaskOnPooledRunner:
+    """A one-task campaign on a pooled runner (a one-point job served by
+    `repro serve --workers 2`) runs in a worker, not in the caller."""
+
+    def test_crash_is_survived_and_retried(self, tmp_path):
+        with CampaignRunner(workers=2, backoff_base_s=0.01) as runner:
+            result = runner.run(crash_first_attempt, [(0, str(tmp_path))])
+        # Still here: the task's os._exit took a worker, not this process.
+        assert result.ok
+        assert result.results[0].attempts == 2
+        assert result.results[0].worker_pid != os.getpid()
+
+    def test_timeout_is_enforced(self):
+        start = time.perf_counter()
+        with CampaignRunner(workers=2, task_timeout_s=0.3, max_retries=0) as runner:
+            result = runner.run(sleep_on_one, [(1,)])
+        assert result.results[0].error.kind == "timeout"
+        assert time.perf_counter() - start < 2.5
+
+
+class TestWorkerIsolation:
+    """One worker, one task: a failure is charged to nobody else."""
+
+    def test_crash_charges_only_the_crashing_task(self):
+        with CampaignRunner(workers=2, max_retries=0) as runner:
+            result = runner.run(crash_on_two, [(i,) for i in range(4)])
+        [crashed] = result.errors
+        assert crashed.index == 2
+        assert crashed.error.kind == "crash"
+        assert all(r.attempts == 1 for r in result.results)
+        assert result.values(strict=False) == [0, 1, None, 3]
+
+    def test_timeout_kills_only_the_overrunning_worker(self):
+        with CampaignRunner(workers=2, task_timeout_s=0.3, max_retries=0) as runner:
+            runner.start()
+            before = worker_pids()
+            result = runner.run(sleep_on_one, [(i,) for i in range(4)])
+            after = worker_pids()
+        [timed_out] = result.errors
+        assert timed_out.index == 1
+        assert timed_out.worker_pid in before
+        assert timed_out.worker_pid not in after
+        [bystander] = set(before) - {timed_out.worker_pid}
+        assert bystander in after
+
+    def test_unpicklable_result_is_a_structured_exception(self):
+        with CampaignRunner(workers=2) as runner:
+            runner.start()
+            before = worker_pids()
+            result = runner.run(unpicklable_on_one, [(i,) for i in range(4)])
+            assert worker_pids() == before  # the worker was reused
+        [failed] = result.errors
+        assert failed.index == 1
+        assert failed.error.kind == "exception"
+        assert failed.attempts == 1
+        assert result.values(strict=False) == [0, None, 2, 3]
+
+    def test_worker_killed_while_idle_is_replaced(self):
+        tasks = [(i,) for i in range(4)]
+        with CampaignRunner(workers=2, max_retries=0) as runner:
+            assert runner.run(square, tasks).ok
+            victim = worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            while victim in worker_pids():  # reaps it once it is dead
+                time.sleep(0.01)
+            second = runner.run(square, tasks)
+            assert len(worker_pids()) == 2
+        # Nothing was running on the dead worker: nobody pays an attempt.
+        assert second.ok
+        assert all(r.attempts == 1 for r in second.results)
+
+    def test_raising_listener_propagates_and_leaves_no_child(self, tmp_path):
+        def on_beat(beat):
+            raise RuntimeError("listener is broken")
+
+        runner = CampaignRunner(workers=2)
+        with pytest.raises(RuntimeError, match="listener is broken"):
+            runner.run(
+                beat_then_crash_first_attempt,
+                [(i, str(tmp_path)) for i in range(4)],
+                on_heartbeat=on_beat,
+            )
+        runner.close()
+        assert multiprocessing.active_children() == []
 
 
 class TestSteadyStateMeasurement:
