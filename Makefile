@@ -12,25 +12,20 @@ test:
 compiled:
 	$(PYTHON) setup.py build_ext --inplace
 
-## Perf-regression suite: writes BENCH_PR15.json and fails if any guarded
-## rate drops more than its tolerance below benchmarks/perf_baseline.json
-## (10% for engine/datapath, 20% default; the obs layer also has an
-## absolute metrics-on overhead budget).  A loud warning — not a failure —
-## is printed when the baseline was recorded on a different machine.
-## Builds the compiled backend first (best-effort: the suite measures
-## whatever backend `auto` resolves to and stamps it in the report).
+## The micro guard (docs/PERFORMANCE.md): writes BENCH.json and fails if
+## fluid_rate_1m drops more than 20% below benchmarks/perf_baseline.json or
+## the metrics-on overhead exceeds its absolute budget.  A loud warning —
+## not a failure — is printed when the baseline was recorded on a
+## different machine.  Everything else is measured by the cost ledger
+## (python3 -m benchmarks.ledger).
 bench:
-	-$(MAKE) compiled
-	$(PYTHON) benchmarks/run_perf_suite.py \
-		--output BENCH_PR15.json \
+	$(PYTHON) -m repro.perf.suite \
 		--baseline benchmarks/perf_baseline.json \
 		--check
 
 ## Quarter-size workloads for a fast smoke signal (same regression check).
 bench-quick:
-	-$(MAKE) compiled
-	$(PYTHON) benchmarks/run_perf_suite.py \
-		--output BENCH_PR15.json \
+	$(PYTHON) -m repro.perf.suite \
 		--baseline benchmarks/perf_baseline.json \
 		--check --quick
 

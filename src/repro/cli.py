@@ -131,7 +131,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         cp.start_flows(size_packets=args.size_packets, pattern=args.pattern)
     else:
         _start_closed_loop(args, tester)
-    cp.run(duration_ps=int(args.duration_ms * MS))
+    cp.run(duration_ps=round(args.duration_ms * MS))
 
     counters = cp.read_measurements()
     print(f"ran {args.algorithm} for {args.duration_ms} ms "
@@ -456,7 +456,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     registry = instrument_control_plane(cp)
     cp.sim.enable_profiling()
     cp.start_flows(size_packets=args.size_packets, pattern="fan_in")
-    cp.run(duration_ps=int(args.duration_ms * MS))
+    cp.run(duration_ps=round(args.duration_ms * MS))
     profile = cp.sim.profile()
 
     def family(name: str) -> float:
@@ -501,7 +501,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         events = campaign_trace_events(args.campaign_dir)
     except FileNotFoundError as exc:
-        raise SystemExit(str(exc))
+        raise ConfigError(str(exc)) from exc
     out = args.output
     if out is None:
         out = str(Path(args.campaign_dir) / "trace.json")
@@ -615,7 +615,7 @@ def _start_closed_loop(args: argparse.Namespace, tester) -> None:
         )
     n = tester.n_test_ports
     if n % 2 != 0:
-        raise SystemExit("closed-loop workloads need an even port count")
+        raise ConfigError("closed-loop workloads need an even port count")
     slots = [
         FlowSlot(src, src + n // 2)
         for src in range(n // 2)

@@ -1,19 +1,1 @@
 """Performance-regression suite (see ``docs/PERFORMANCE.md``)."""
-
-from repro.perf.suite import (
-    check_provenance,
-    check_regression,
-    load_bench_report,
-    main,
-    normalize_report,
-    run_suite,
-)
-
-__all__ = [
-    "check_provenance",
-    "check_regression",
-    "load_bench_report",
-    "main",
-    "normalize_report",
-    "run_suite",
-]

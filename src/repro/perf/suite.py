@@ -1,30 +1,22 @@
-"""The perf-regression suite behind ``make bench`` / ``repro-bench``.
+"""The micro guard behind ``make bench`` / ``repro-bench``.
 
-Times the hot paths the engine overhaul targets — the raw event loop,
-the full SCHE->DATA->ACK->INFO datapath, the fluid-model batch kernel,
-and the columnar fluid solver at million-flow scale
-(``fluid_rate_1m``) — the two supporting paths (timer churn, trace
-logging), and the campaign layer (``parallel_speedup``: an identical
-sweep grid run serially and through the ``repro.parallel`` process
-pool, recording both throughputs and their ratio), plus
-``obs_overhead`` (the same event chain metrics-off vs metrics-on,
-guarding the observability layer's <= 5% budget).  Results are stamped
-with the execution environment and written as JSON (``BENCH_PR15.json``
-by default), optionally compared against a checked-in baseline: any
-guarded rate falling more than its tolerance below baseline (the
-``--tolerance`` default, or a per-bench ``tolerance`` recorded in the
-baseline entry) is a regression and the run exits non-zero.  When the
+Every number an operator waits for, and every per-layer share of it,
+is measured by the cost ledger (``python3 -m benchmarks.ledger``).
+This suite keeps only the three things a 12-second closed loop cannot
+see: ``fluid_rate_1m`` (the columnar solver stepping 2**20 concurrent
+flows — the one guarded rate floor), ``obs_overhead`` (the same event
+chain metrics-off vs metrics-on, held to an absolute <= 5% budget) and
+``timer_churn`` (the RTO re-arm path; reported, not guarded).  Results
+are stamped with the execution environment and written as JSON
+(``BENCH.json`` by default), optionally compared against a checked-in
+baseline: a guarded rate falling more than ``TOLERANCE`` below its
+baseline is a regression and ``--check`` exits non-zero.  When the
 baseline's recorded environment fingerprint differs from this run's, a
 loud provenance warning is printed first — cross-machine comparisons
-are advisory, not regressions (the lesson of the BENCH_PR1->PR3
-drift).  ``--trajectory BENCH_*.json`` prints guarded rates across
-report files of any schema vintage.
+are advisory, not regressions.
 
 Rates are the best of ``--repeats`` rounds: wall-clock minimums are the
 standard way to suppress scheduler noise on shared machines.
-Allocation figures come from :mod:`tracemalloc` (peak traced bytes and
-the block count surviving the round), which the free-list pool and the
-tuple heap are expected to keep flat.
 """
 
 from __future__ import annotations
@@ -33,47 +25,19 @@ import argparse
 import json
 import sys
 import time
-import tracemalloc
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
-
-from repro.units import US
+from typing import Any, Callable
 
 #: Rates guarded by --check, as (bench, field) paths into the report.
-GUARDED_RATES = (
-    ("engine_event_rate", "events_per_sec"),
-    ("datapath_rate", "packets_per_sec"),
-    ("fluid_rate", "flows_per_sec"),
-    ("fluid_rate_1m", "flow_steps_per_sec"),
-    ("parallel_speedup", "points_per_sec"),
-    ("parallel_speedup", "points_per_sec_warm"),
-)
+GUARDED_RATES = (("fluid_rate_1m", "flow_steps_per_sec"),)
+
+#: Allowed fractional drop of a guarded rate below its baseline.
+TOLERANCE = 0.20
 
 #: Environment-fingerprint fields compared by the provenance check: a
 #: baseline recorded on different hardware or interpreter cannot vouch
 #: for this machine's rates, so a mismatch is warned about loudly.
 PROVENANCE_FIELDS = ("platform", "python_version", "implementation", "cpu_count")
-
-
-def normalize_report(report: dict[str, Any]) -> dict[str, Any]:
-    """Upgrade any BENCH_*.json schema to the current shape, in place.
-
-    Schema 1 (BENCH_PR1/PR2) lacked the ``env`` environment stamp;
-    schema 2 added it.  Trajectory tooling and the baseline comparison
-    read every report through this normalizer so all vintages parse
-    uniformly: missing blocks become empty dicts, and the original
-    schema number is preserved under ``schema_original``.
-    """
-    report.setdefault("schema_original", report.get("schema", 1))
-    report["schema"] = 2
-    report.setdefault("env", {})
-    report.setdefault("benches", {})
-    return report
-
-
-def load_bench_report(path: Path) -> dict[str, Any]:
-    """Read and normalize one bench report (or baseline) file."""
-    return normalize_report(json.loads(Path(path).read_text()))
 
 
 def _best_of(fn: Callable[[], tuple[int, float]], repeats: int) -> tuple[float, int]:
@@ -89,49 +53,7 @@ def _best_of(fn: Callable[[], tuple[int, float]], repeats: int) -> tuple[float, 
     return best, work
 
 
-def _traced(fn: Callable[[], Any]) -> dict[str, int]:
-    """Peak traced bytes and surviving allocation blocks for one run."""
-    tracemalloc.start()
-    try:
-        fn()
-        current, peak = tracemalloc.get_traced_memory()
-        blocks = sum(
-            stat.count for stat in tracemalloc.take_snapshot().statistics("filename")
-        )
-    finally:
-        tracemalloc.stop()
-    return {
-        "alloc_peak_bytes": peak,
-        "alloc_current_bytes": current,
-        "alloc_blocks": blocks,
-    }
-
-
 # -- benches ------------------------------------------------------------------
-
-
-def bench_engine(n_events: int = 20_000, repeats: int = 5) -> dict[str, Any]:
-    """The tight self-rescheduling chain: pure event-loop overhead."""
-    from repro.sim import Simulator
-
-    horizon = n_events * 1000
-
-    def round_() -> tuple[int, float]:
-        sim = Simulator()
-
-        def tick() -> None:
-            if sim.now < horizon:
-                sim.after(1000, tick)
-
-        sim.at(0, tick)
-        t0 = time.perf_counter()
-        executed = sim.run()
-        return executed, time.perf_counter() - t0
-
-    rate, executed = _best_of(round_, repeats)
-    result = {"events_per_sec": rate, "events": executed, "repeats": repeats}
-    result.update(_traced(round_))
-    return result
 
 
 def bench_timer_churn(n_restarts: int = 20_000, repeats: int = 3) -> dict[str, Any]:
@@ -158,54 +80,6 @@ def bench_timer_churn(n_restarts: int = 20_000, repeats: int = 3) -> dict[str, A
         "pending_entries_after": pending_after,
         "repeats": repeats,
     }
-
-
-def bench_datapath(duration_us: int = 200, repeats: int = 3) -> dict[str, Any]:
-    """End-to-end DATA packets through SCHE->DATA->ACK->INFO->CC."""
-    from repro import ControlPlane, TestConfig
-    from repro.pswitch.packets import PACKET_POOL
-
-    pool_stats: dict[str, int] = {}
-
-    def round_() -> tuple[int, float]:
-        nonlocal pool_stats
-        cp = ControlPlane()
-        cp.deploy(TestConfig(cc_algorithm="dcqcn", n_test_ports=2))
-        cp.wire_loopback_fabric()
-        cp.start_flows(size_packets=10**9, pattern="pairs")
-        before = PACKET_POOL.stats()
-        t0 = time.perf_counter()
-        cp.run(duration_ps=duration_us * US)
-        seconds = time.perf_counter() - t0
-        after = PACKET_POOL.stats()
-        pool_stats = {k: after[k] - before[k] for k in ("created", "reused", "released")}
-        return cp.read_measurements()["switch.data_generated"], seconds
-
-    rate, packets = _best_of(round_, repeats)
-    result = {
-        "packets_per_sec": rate,
-        "packets": packets,
-        "sim_duration_us": duration_us,
-        "pool": pool_stats,
-        "repeats": repeats,
-    }
-    result.update(_traced(round_))
-    return result
-
-
-def bench_fluid(flows_total: int = 50_000, repeats: int = 3) -> dict[str, Any]:
-    """The vectorized fluid-model FCT kernel (Figure 10 scale path)."""
-    from repro.fluid import FluidSimulator, dcqcn_profile
-    from repro.workload import websearch
-
-    def round_() -> tuple[int, float]:
-        fluid = FluidSimulator(flows_per_port=8, seed=1)
-        t0 = time.perf_counter()
-        result = fluid.run(dcqcn_profile(), websearch(), flows_total=flows_total)
-        return len(result.fcts_us), time.perf_counter() - t0
-
-    rate, flows = _best_of(round_, repeats)
-    return {"flows_per_sec": rate, "flows": flows, "repeats": repeats}
 
 
 def bench_fluid_1m(
@@ -251,73 +125,6 @@ def bench_fluid_1m(
         "steps": n_steps,
         "flow_steps": flow_steps,
         "repeats": repeats,
-    }
-
-
-def bench_parallel_speedup(
-    n_points: int = 8,
-    duration_us: int = 600,
-    workers: int | None = None,
-) -> dict[str, Any]:
-    """Serial vs sharded throughput for one sweep campaign.
-
-    The same ``n_points`` DCQCN grid runs three ways: ``workers=1``
-    (serial reference), through a cold process pool (what one-shot
-    ``repro sweep`` pays — pool spawn and preload imports on the
-    campaign's own clock), and through a pre-``start()``-ed warm pool
-    (what every campaign after the first costs inside ``repro serve``).
-    All are real end-to-end campaigns (wiring, simulation, aggregation).
-    ``speedup`` approaches the worker count on an otherwise idle
-    multi-core box and ~1.0 on a single core; ``points_per_sec`` (cold
-    pooled) and ``points_per_sec_warm`` are the guarded rates — the gap
-    between them is exactly the startup cost the daemon amortizes.
-    """
-    import os
-
-    from repro.parallel import CampaignRunner
-    from repro.serve.spec import parse_spec
-    from repro.units import GBPS
-
-    if workers is None:
-        workers = max(2, min(4, os.cpu_count() or 1))
-    spec = parse_spec(
-        {
-            "kind": "sweep",
-            "algorithm": "dcqcn",
-            "grid": [{"rate_ai_bps": (index + 1) * GBPS} for index in range(n_points)],
-            "n_senders": 2,
-            "duration_ms": duration_us / 1000,
-        }
-    )
-
-    def campaign(runner: CampaignRunner) -> dict[str, Any]:
-        with runner:
-            return spec.run(runner)
-
-    serial = campaign(CampaignRunner(workers=1))
-    parallel = campaign(CampaignRunner(workers=workers))
-    if serial["points"] != parallel["points"]:  # determinism is part of the contract
-        raise AssertionError("parallel sweep diverged from the serial run")
-    warm = campaign(CampaignRunner(workers=workers).start())
-    if warm["points"] != serial["points"]:
-        raise AssertionError("warm-pool sweep diverged from the serial run")
-
-    serial_s = serial["stats"]["campaign_wall_s"]
-    parallel_s = parallel["stats"]["campaign_wall_s"]
-    warm_s = warm["stats"]["campaign_wall_s"]
-    return {
-        "points_per_sec": n_points / parallel_s if parallel_s > 0 else 0.0,
-        "points_per_sec_serial": n_points / serial_s if serial_s > 0 else 0.0,
-        "points_per_sec_warm": n_points / warm_s if warm_s > 0 else 0.0,
-        "speedup": serial_s / parallel_s if parallel_s > 0 else 0.0,
-        "speedup_warm": serial_s / warm_s if warm_s > 0 else 0.0,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "points": n_points,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "warm_s": warm_s,
-        "events_total": parallel["stats"]["events_total"],
     }
 
 
@@ -440,71 +247,27 @@ def bench_obs_overhead(n_events: int = 20_000, repeats: int = 5) -> dict[str, An
     }
 
 
-def bench_trace(n_records: int = 100_000, repeats: int = 3) -> dict[str, Any]:
-    """Columnar trace append + series read-back."""
-    from repro.sim import TraceRecorder
-
-    def round_() -> tuple[int, float]:
-        trace = TraceRecorder()
-        log = trace.log
-        t0 = time.perf_counter()
-        for i in range(n_records):
-            log(i, "cc", cwnd=i, rate=i * 2)
-        trace.series("cc", "cwnd")
-        return n_records, time.perf_counter() - t0
-
-    rate, _ = _best_of(round_, repeats)
-    return {"logs_per_sec": rate, "repeats": repeats}
-
-
 # -- suite --------------------------------------------------------------------
 
 
-def run_suite(
-    *,
-    quick: bool = False,
-    repeats: int = 5,
-    only: Optional[Sequence[str]] = None,
-) -> dict[str, Any]:
-    """Run every bench; returns the report dict (also what gets written).
-
-    ``only`` restricts the run to the named benches (CI uses this to
-    emit a standalone fluid_rate_1m artifact).
-    """
+def run_suite(*, quick: bool = False, repeats: int = 5) -> dict[str, Any]:
+    """Run every bench; returns the report dict (also what gets written)."""
     scale = 4 if quick else 1
     benches: dict[str, Callable[[], dict[str, Any]]] = {
-        "engine_event_rate": lambda: bench_engine(20_000 // scale, repeats),
         "timer_churn": lambda: bench_timer_churn(20_000 // scale, min(repeats, 3)),
-        "datapath_rate": lambda: bench_datapath(200 // scale, min(repeats, 3)),
-        "fluid_rate": lambda: bench_fluid(50_000 // scale, min(repeats, 3)),
         "fluid_rate_1m": lambda: bench_fluid_1m(
             1_048_576 // scale, repeats=min(repeats, 2)
         ),
-        "trace_log_rate": lambda: bench_trace(100_000 // scale, min(repeats, 3)),
         "obs_overhead": lambda: bench_obs_overhead(20_000 // scale, repeats),
-        "parallel_speedup": lambda: bench_parallel_speedup(
-            8 // (2 if quick else 1), 600 // scale
-        ),
     }
-    if only:
-        # Short aliases for the two gated hot-path benches.
-        aliases = {"engine": "engine_event_rate", "datapath": "datapath_rate"}
-        wanted = {aliases.get(name, name) for name in only}
-        unknown = sorted(wanted - set(benches))
-        if unknown:
-            raise SystemExit(
-                f"unknown bench(es) {unknown}; available: {sorted(benches)} "
-                f"(aliases: {sorted(aliases)})"
-            )
-        benches = {name: benches[name] for name in benches if name in wanted}
     from repro.obs.manifest import environment
 
     report: dict[str, Any] = {
         "schema": 2,
         "quick": quick,
-        # Environment stamp: lets rate trajectories across BENCH_*.json
-        # files be attributed to the machine/interpreter that produced
-        # them (git sha, python version, platform, cpu count).
+        # Environment stamp: attributes the rates to the machine and
+        # interpreter that produced them (git sha, python version,
+        # platform, cpu count) — what check_provenance compares.
         "env": environment(),
         "benches": {},
     }
@@ -519,17 +282,17 @@ def check_provenance(
 ) -> list[str]:
     """Environment-fingerprint mismatches between a report and its baseline.
 
-    The BENCH_PR1->PR3 rate "drift" turned out to be partly cross-machine
-    noise (different kernels/hosts behind the same 1-core runner), so a
-    baseline now records where it was measured and ``--check`` warns —
-    loudly, but without failing — when this run's host or interpreter
-    differs: rate comparisons across environments are advisory only.
+    Rates measured on different hosts or interpreters differ for reasons
+    that are not the code's, so a baseline records where it was measured
+    and ``--check`` warns — loudly, but without failing — when this run's
+    host or interpreter differs: rate comparisons across environments
+    are advisory only.
     """
     base_env = baseline.get("env") or {}
     run_env = report.get("env") or {}
     if not base_env:
         return [
-            "baseline has no environment fingerprint (schema 1?); "
+            "baseline has no environment fingerprint; "
             "re-baseline to enable provenance checking"
         ]
     mismatches = []
@@ -540,37 +303,24 @@ def check_provenance(
     return mismatches
 
 
-def check_regression(
-    report: dict[str, Any], baseline: dict[str, Any], tolerance: float
-) -> list[str]:
-    """Guarded rates that fell more than their tolerance below baseline.
-
-    ``tolerance`` is the default gate; a baseline bench entry may carry
-    its own ``tolerance`` field to tighten (or loosen) just that rate —
-    the engine/datapath floors run at 10% while noisier benches keep
-    the default.
-    """
+def check_regression(report: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
+    """Guarded rates that fell more than ``TOLERANCE`` below baseline."""
     failures = []
+    floors = baseline.get("benches", {})
     for bench, field in GUARDED_RATES:
-        entry = baseline.get("benches", {}).get(bench, {})
-        base = entry.get(field)
+        base = floors.get(bench, {}).get(field)
         if base is None:
             continue
-        gate = entry.get("tolerance", tolerance)
-        if bench not in report.get("benches", {}):
-            continue  # partial runs (--only) only guard what they measured
         measured = report["benches"].get(bench, {}).get(field, 0.0)
-        floor = base * (1.0 - gate)
+        floor = base * (1.0 - TOLERANCE)
         if measured < floor:
             failures.append(
                 f"{bench}.{field}: {measured:,.0f}/s is below the regression "
-                f"floor {floor:,.0f}/s (baseline {base:,.0f}/s - {gate:.0%})"
+                f"floor {floor:,.0f}/s (baseline {base:,.0f}/s - {TOLERANCE:.0%})"
             )
     # The obs layer is additionally held to an absolute budget: metrics-on
     # must stay within the baseline's max_overhead_frac of metrics-off.
-    budget = baseline.get("benches", {}).get("obs_overhead", {}).get(
-        "max_overhead_frac"
-    )
+    budget = floors.get("obs_overhead", {}).get("max_overhead_frac")
     if budget is not None:
         measured = (
             report["benches"].get("obs_overhead", {}).get("overhead_frac", 0.0)
@@ -588,8 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-bench", description="Run the perf-regression suite."
     )
     parser.add_argument(
-        "--output", type=Path, default=Path("BENCH_PR15.json"),
-        help="where to write the JSON report (default: BENCH_PR15.json)",
+        "--output", type=Path, default=Path("BENCH.json"),
+        help="where to write the JSON report (default: BENCH.json)",
     )
     parser.add_argument(
         "--baseline", type=Path, default=None,
@@ -597,40 +347,24 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero if a guarded rate regresses past --tolerance",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.20,
-        help="allowed fractional drop below baseline (default 0.20)",
+        help="exit non-zero if a guarded rate falls more than "
+             f"{100 * TOLERANCE:.0f}%% below baseline",
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
         "--quick", action="store_true", help="quarter-size workloads (CI smoke)"
     )
-    parser.add_argument(
-        "--only", action="extend", nargs="+", default=None, metavar="BENCH",
-        help="run only the named benches (repeatable; accepts several "
-             "names, plus the aliases engine/datapath)",
-    )
-    parser.add_argument(
-        "--trajectory", nargs="+", type=Path, default=None, metavar="REPORT",
-        help="print guarded rates across BENCH_*.json files (any schema) "
-             "instead of running the suite",
-    )
     args = parser.parse_args(argv)
-
-    if args.trajectory is not None:
-        return print_trajectory(args.trajectory)
 
     baseline = None
     if args.baseline is not None:
         # Read up front: a bad path should not cost a full suite run.
         try:
-            baseline = load_bench_report(args.baseline)
+            baseline = json.loads(args.baseline.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read baseline {args.baseline}: {exc}")
 
-    report = run_suite(quick=args.quick, repeats=args.repeats, only=args.only)
+    report = run_suite(quick=args.quick, repeats=args.repeats)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[bench] report written to {args.output}")
     for name, result in report["benches"].items():
@@ -657,42 +391,13 @@ def main(argv: list[str] | None = None) -> int:
             for mismatch in mismatches:
                 print(f"[bench]   {mismatch}", file=sys.stderr)
             print("[bench] " + "=" * 66, file=sys.stderr)
-        failures = check_regression(report, baseline, args.tolerance)
+        failures = check_regression(report, baseline)
         if args.check and failures:
             for failure in failures:
                 print(f"[bench] REGRESSION: {failure}", file=sys.stderr)
             return 1
         for failure in failures:
             print(f"[bench] warning: {failure}")
-    return 0
-
-
-def print_trajectory(paths: Sequence[Path]) -> int:
-    """Guarded-rate table across bench reports of any schema vintage."""
-    reports = []
-    for path in paths:
-        try:
-            reports.append((path, load_bench_report(path)))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"[bench] cannot read {path}: {exc}", file=sys.stderr)
-            return 1
-    names = [f"{bench}.{field}" for bench, field in GUARDED_RATES]
-    width = max(len(name) for name in names) + 2
-    header = "".rjust(width) + "".join(
-        str(path.name)[:20].rjust(22) for path, _ in reports
-    )
-    print(header)
-    for (bench, field), name in zip(GUARDED_RATES, names):
-        row = name.ljust(width)
-        for _, report in reports:
-            value = report["benches"].get(bench, {}).get(field)
-            row += (f"{value:,.0f}" if value is not None else "-").rjust(22)
-        print(row)
-    envs = "".rjust(width) + "".join(
-        str((report.get("env") or {}).get("platform", "schema 1"))[-20:].rjust(22)
-        for _, report in reports
-    )
-    print(envs)
     return 0
 
 

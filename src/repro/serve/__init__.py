@@ -5,10 +5,10 @@ long-running asyncio HTTP/JSON service that validates campaign specs
 (:mod:`repro.serve.spec`), dedups them through a config-hash result
 cache (:mod:`repro.serve.cache`), queues them onto one persistent warm
 :class:`~repro.parallel.CampaignRunner` pool (:mod:`repro.serve.jobs` —
-amortizing pool startup, the fix for the ``parallel_speedup < 1``
-regime on small runners), and streams heartbeat progress over long-poll
-or SSE (:mod:`repro.serve.app`).  :mod:`repro.serve.client` is the
-stdlib client behind ``repro submit``.
+amortizing pool startup, the fix for pooled campaigns running slower
+than serial ones on small runners), and streams heartbeat progress over
+long-poll or SSE (:mod:`repro.serve.app`).  :mod:`repro.serve.client`
+is the stdlib client behind ``repro submit``.
 """
 
 from repro.serve.app import ReproServer

@@ -133,7 +133,7 @@ class CampaignSpec:
                 c["algorithm"],
                 [dict(params) for params in c["grid"]],
                 n_senders=c["n_senders"],
-                duration_ps=int(c["duration_ms"] * MS),
+                duration_ps=round(c["duration_ms"] * MS),
                 ecn_threshold_bytes=c["ecn_threshold_bytes"],
                 seeds=c["seeds"],
                 seed=c["seed"],

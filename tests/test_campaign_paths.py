@@ -205,6 +205,31 @@ class TestRejectedBeforeAnyWorker:
         assert main(["sweep", "--workers", "-1"]) == 2
         assert capsys.readouterr().err == "repro sweep: workers must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "no-such-campaign-dir"],
+            ["run", "--workload", "websearch", "--ports", "3"],
+        ],
+    )
+    def test_other_commands_share_the_handler(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"repro {argv[0]}: ")
+
+
+def test_duration_ms_is_rounded_to_picoseconds_not_truncated(monkeypatch):
+    # 1.001 ms is not representable: 1.001 * MS == 1000999999.9999999.
+    class Reached(Exception):
+        pass
+
+    def sweep_campaign(*args, duration_ps, **kwargs):
+        raise Reached(duration_ps)
+
+    monkeypatch.setattr("repro.core.sweep.sweep_campaign", sweep_campaign)
+    with pytest.raises(Reached) as reached:
+        parse_spec({**SWEEP_SPEC, "duration_ms": 1.001}).run(runner=None)
+    assert reached.value.args == (1_001_000_000,)
+
 
 def test_campaign_flags_keep_their_names_and_spec_defaults():
     """The CLI adds no knob of its own: every campaign flag maps onto a

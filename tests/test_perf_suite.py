@@ -1,62 +1,28 @@
-"""The perf-suite report plumbing: schema normalization, provenance
-fingerprints, and the regression gate (no benches are actually run)."""
+"""The perf-suite report plumbing (provenance fingerprints and the
+regression gate over synthetic reports) plus one quick-scale run of the
+suite itself; no wall-clock rate is asserted."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.perf import (
+from repro.perf.suite import (
+    PROVENANCE_FIELDS,
     check_provenance,
     check_regression,
-    load_bench_report,
-    normalize_report,
+    main,
 )
-from repro.perf.suite import GUARDED_RATES, PROVENANCE_FIELDS, print_trajectory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def make_report(env=None, benches=None, schema=2):
-    report = {"schema": schema, "benches": benches or {}}
+def make_report(env=None, benches=None):
+    report = {"schema": 2, "benches": benches or {}}
     if env is not None:
         report["env"] = env
     return report
-
-
-class TestNormalize:
-    def test_schema_1_upgraded(self):
-        report = {"benches": {"engine_event_rate": {"events_per_sec": 1.0}}}
-        out = normalize_report(report)
-        assert out["schema"] == 2
-        assert out["schema_original"] == 1
-        assert out["env"] == {}
-        assert out["benches"]["engine_event_rate"]["events_per_sec"] == 1.0
-
-    def test_schema_2_passthrough(self):
-        report = make_report(env={"platform": "x"}, schema=2)
-        out = normalize_report(report)
-        assert out["schema_original"] == 2
-        assert out["env"] == {"platform": "x"}
-
-    def test_missing_blocks_defaulted(self):
-        out = normalize_report({})
-        assert out["env"] == {} and out["benches"] == {}
-
-    def test_load_checked_in_reports(self):
-        # Every historical BENCH_*.json vintage must parse uniformly.
-        paths = sorted(REPO_ROOT.glob("BENCH_PR*.json"))
-        assert paths, "expected checked-in bench reports at the repo root"
-        for path in paths:
-            report = load_bench_report(path)
-            assert report["schema"] == 2
-            assert isinstance(report["env"], dict)
-            assert report["benches"], path
-
-    def test_load_baseline(self):
-        baseline = load_bench_report(REPO_ROOT / "benchmarks/perf_baseline.json")
-        guarded = {bench for bench, _ in GUARDED_RATES}
-        assert guarded <= set(baseline["benches"])
 
 
 class TestProvenance:
@@ -83,9 +49,7 @@ class TestProvenance:
             assert field in mismatches[0]
 
     def test_schema_1_baseline_flagged(self):
-        mismatches = check_provenance(
-            make_report(env=dict(self.ENV)), normalize_report({})
-        )
+        mismatches = check_provenance(make_report(env=dict(self.ENV)), {})
         assert len(mismatches) == 1
         assert "no environment fingerprint" in mismatches[0]
 
@@ -99,88 +63,71 @@ class TestProvenance:
 
 class TestRegressionGate:
     def baseline(self, **overrides):
-        benches = {
-            "engine_event_rate": {"events_per_sec": 1000.0, "tolerance": 0.10},
-            "datapath_rate": {"packets_per_sec": 100.0, "tolerance": 0.10},
-            "fluid_rate": {"flows_per_sec": 500.0},
-            "fluid_rate_1m": {"flow_steps_per_sec": 5000.0},
-            "parallel_speedup": {"points_per_sec": 10.0},
-        }
+        benches = {"fluid_rate_1m": {"flow_steps_per_sec": 5000.0}}
         benches.update(overrides)
         return make_report(benches=benches)
 
     def test_clean_pass(self):
-        report = self.baseline()
-        assert check_regression(report, self.baseline(), 0.20) == []
+        assert check_regression(self.baseline(), self.baseline()) == []
 
     def test_default_tolerance(self):
-        report = self.baseline(fluid_rate={"flows_per_sec": 390.0})
-        failures = check_regression(report, self.baseline(), 0.20)
-        assert len(failures) == 1 and "fluid_rate.flows_per_sec" in failures[0]
-        # 390 > 500 * (1 - 0.25): a looser gate passes.
-        assert check_regression(report, self.baseline(), 0.25) == []
-
-    def test_per_bench_tolerance_overrides_default(self):
-        # 850 is fine under the 20% default but trips the entry's own 10%.
-        report = self.baseline(engine_event_rate={"events_per_sec": 850.0})
-        failures = check_regression(report, self.baseline(), 0.20)
+        # The floor sits 20% below the baseline: 4000 holds, 3990 trips.
+        report = self.baseline(fluid_rate_1m={"flow_steps_per_sec": 4000.0})
+        assert check_regression(report, self.baseline()) == []
+        report = self.baseline(fluid_rate_1m={"flow_steps_per_sec": 3990.0})
+        failures = check_regression(report, self.baseline())
         assert len(failures) == 1
-        assert "engine_event_rate" in failures[0]
-        assert "10%" in failures[0]
-
-    def test_partial_report_skips_missing_benches(self):
-        # An --only run guards only what it measured.
-        report = make_report(
-            benches={"fluid_rate_1m": {"flow_steps_per_sec": 6000.0}}
-        )
-        assert check_regression(report, self.baseline(), 0.20) == []
-
-    def test_partial_report_still_guards_measured(self):
-        report = make_report(
-            benches={"fluid_rate_1m": {"flow_steps_per_sec": 1.0}}
-        )
-        failures = check_regression(report, self.baseline(), 0.20)
-        assert len(failures) == 1 and "fluid_rate_1m" in failures[0]
+        assert "fluid_rate_1m.flow_steps_per_sec" in failures[0]
 
     def test_obs_budget(self):
         baseline = self.baseline(obs_overhead={"max_overhead_frac": 0.05})
         report = self.baseline(obs_overhead={"overhead_frac": 0.20})
-        failures = check_regression(report, baseline, 0.20)
+        failures = check_regression(report, baseline)
         assert len(failures) == 1 and "obs_overhead" in failures[0]
         report = self.baseline(obs_overhead={"overhead_frac": 0.01})
-        assert check_regression(report, baseline, 0.20) == []
+        assert check_regression(report, baseline) == []
 
-    def test_checked_in_baseline_has_tight_gates(self):
-        # The satellite contract: engine and datapath floors run at 10%.
-        baseline = load_bench_report(REPO_ROOT / "benchmarks/perf_baseline.json")
-        for bench in ("engine_event_rate", "datapath_rate"):
-            assert baseline["benches"][bench]["tolerance"] == pytest.approx(0.10)
-        assert (
-            baseline["benches"]["fluid_rate_1m"]["flow_steps_per_sec"]
-            >= 5_000_000
+
+def test_help_lists_the_five_options(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    options = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert options == {
+        "--help", "--output", "--baseline", "--check", "--repeats", "--quick"
+    }
+
+
+@pytest.fixture(scope="module")
+def quick_report(tmp_path_factory):
+    """One ``--quick --repeats 1`` run of the suite, gated on zero floors."""
+    tmp = tmp_path_factory.mktemp("bench")
+    baseline = tmp / "baseline.json"
+    baseline.write_text(json.dumps(make_report(
+        env={},
+        benches={
+            "fluid_rate_1m": {"flow_steps_per_sec": 0},
+            "obs_overhead": {"max_overhead_frac": 1.0},
+        },
+    )))
+    output = tmp / "BENCH.json"
+    argv = ["--quick", "--repeats", "1", "--output", str(output),
+            "--baseline", str(baseline), "--check"]
+    assert main(argv) == 0
+    return json.loads(output.read_text())
+
+
+class TestSuiteRuns:
+    def test_quick_run_writes_the_three_benches(self, quick_report):
+        assert quick_report["env"]
+        assert list(quick_report["benches"]) == [
+            "timer_churn", "fluid_rate_1m", "obs_overhead"
+        ]
+        assert quick_report["benches"]["timer_churn"]["pending_entries_after"] == 1
+
+    def test_every_checked_in_floor_names_a_bench_that_runs(self, quick_report):
+        # A floor for a bench that no longer exists cannot linger.
+        baseline = json.loads(
+            (REPO_ROOT / "benchmarks/perf_baseline.json").read_text()
         )
-
-
-class TestTrajectory:
-    def test_renders_all_vintages(self, capsys, tmp_path):
-        old = tmp_path / "BENCH_OLD.json"  # schema 1: no env block
-        old.write_text(
-            json.dumps({"benches": {"engine_event_rate": {"events_per_sec": 1.0}}})
-        )
-        new = tmp_path / "BENCH_NEW.json"
-        new.write_text(
-            json.dumps(
-                make_report(
-                    env={"platform": "Linux-x"},
-                    benches={"datapath_rate": {"packets_per_sec": 2.0}},
-                )
-            )
-        )
-        assert print_trajectory([old, new]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_OLD" in out and "BENCH_NEW" in out
-        assert "engine_event_rate.events_per_sec" in out
-
-    def test_unreadable_report_fails(self, tmp_path, capsys):
-        assert print_trajectory([tmp_path / "missing.json"]) == 1
-        assert "cannot read" in capsys.readouterr().err
+        assert set(baseline["benches"]) <= set(quick_report["benches"])
