@@ -255,6 +255,7 @@ class FpgaNic(Device):
             return
         flow.finished = True
         self.event_generator.forget_flow(flow_id)
+        self.schedulers[flow.port_index].recheck(flow)
 
     def on_complete(self, callback: Callable[[FlowState], None]) -> None:
         """Register a flow-completion callback (closed-loop workloads)."""
@@ -301,8 +302,12 @@ class FpgaNic(Device):
     def _kick_drain(self, index: int) -> None:
         if self._drain_pending[index] or self.rx_fifos[index].empty:
             return
+        when = self._next_drain_ps[index]
+        if self.sim.now >= when:
+            # The RX timer slot is already free: drain at once.
+            self._drain(index)
+            return
         self._drain_pending[index] = True
-        when = max(self.sim.now, self._next_drain_ps[index])
         self.sim.at(when, self._drain, index)
 
     def _drain(self, index: int) -> None:
@@ -385,6 +390,7 @@ class FpgaNic(Device):
         flow = self.flows.get(flow_id)
         if flow is not None and not flow.finished:
             flow.cwnd_or_rate = self._clamp(value)
+            self.schedulers[flow.port_index].recheck(flow)
 
     def _on_bytes_sent(self, flow: FlowState) -> None:
         if self._byte_threshold is None or flow.counter_bytes < self._byte_threshold:
@@ -452,7 +458,11 @@ class FpgaNic(Device):
         return min(max(value, floor), float(self.config.port_rate_bps))
 
     def _maybe_activate(self, flow: FlowState) -> None:
-        if flow.finished or flow.scheduled:
+        if flow.finished:
+            return
+        scheduler = self.schedulers[flow.port_index]
+        if flow.scheduled:
+            scheduler.recheck(flow)
             return
         sendable = (
             flow.sendable_window()
@@ -460,12 +470,13 @@ class FpgaNic(Device):
             else flow.sendable_rate()
         )
         if sendable:
-            self.schedulers[flow.port_index].enqueue_flow(flow)
+            scheduler.enqueue_flow(flow)
 
     def _finish_flow(self, flow: FlowState) -> None:
         flow.finished = True
         flow.finish_ps = self.sim.now
         self.event_generator.forget_flow(flow.flow_id)
+        self.schedulers[flow.port_index].recheck(flow)
         self.completed_flows.append(flow)
         for callback in self.completion_callbacks:
             callback(flow)

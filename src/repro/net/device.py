@@ -3,7 +3,9 @@
 A :class:`Device` is anything with ports: a switch, a host, Marlin's
 programmable switch, or the FPGA NIC.  A :class:`Port` owns an output queue
 and a transmitter that serializes packets onto the attached link at the
-port rate.  Reception is pushed to ``Device.receive(packet, port)``.
+port rate.  Reception is pushed to ``Device.receive(packet, port)`` once
+the link's propagation delay and the device's ``rx_latency_ps`` have
+elapsed.
 """
 
 from __future__ import annotations
@@ -213,6 +215,11 @@ else:  # pragma: no cover - exercised on builds without the extension
 class Device:
     """Base class for anything with ports.  Subclasses implement
     :meth:`receive` to process arriving packets."""
+
+    #: Fixed ingress latency before :meth:`receive` sees a packet.  A
+    #: :class:`~repro.net.link.Link` adds it to the arrival time, so it
+    #: costs no event of its own; it must be set before links attach.
+    rx_latency_ps: int = 0
 
     def __init__(self, sim: Simulator, name: Optional[str] = None) -> None:
         self.sim = sim

@@ -189,6 +189,11 @@ def instrument_tester(
         instrument_fifo(fifo, registry, device="nic")
     for scheduler in nic.schedulers:
         port = str(scheduler.port_index)
+        # A scheduler sleeping through shut pacing gates neither ticks nor
+        # touches its FIFO: ``ticks`` and the scheduling FIFO's push/pop
+        # counts are wake-ups executed, while ``reschedules``
+        # (``skipped_pacing``) counts every TX period a shut gate kept
+        # unsent, slept ones included (see repro.fpga.scheduler).
         instrument_fifo(scheduler.sched_fifo, registry, device="nic", port=port)
         instrument_fifo(scheduler.prio_fifo, registry, device="nic", port=port)
         registry.bind(

@@ -16,13 +16,17 @@ loud provenance warning is printed first — cross-machine comparisons
 are advisory, not regressions.
 
 Rates are the best of ``--repeats`` rounds: wall-clock minimums are the
-standard way to suppress scheduler noise on shared machines.
+standard way to suppress scheduler noise on shared machines.  The guarded
+``obs_overhead.overhead_frac`` is instead the median, over repeats, of
+each back-to-back metrics-off/metrics-on pair's ratio.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -131,8 +135,8 @@ def bench_fluid_1m(
 def bench_obs_overhead(n_events: int = 20_000, repeats: int = 5) -> dict[str, Any]:
     """Metrics-on vs metrics-off cost of the instrumented event loop.
 
-    Three variants of the same self-rescheduling tick chain, rounds
-    interleaved so machine drift hits all variants equally:
+    Variants of the same self-rescheduling tick chain, rounds mirrored
+    within each repeat so machine drift hits all variants equally:
 
     * ``off``  — the plain engine, nothing bound;
     * ``on``   — the obs design point: a registry of lazy bindings over
@@ -170,23 +174,32 @@ def bench_obs_overhead(n_events: int = 20_000, repeats: int = 5) -> dict[str, An
                     sim.after(1000, tick)
         sim.at(0, tick)
 
+    def timed_run(sim: Any) -> tuple[int, float]:
+        # A round is ~10 ms: one cyclic-garbage collection landing inside
+        # it (the previous rounds' simulators) skews its ratio by several
+        # percent, so collect first and time the loop alone.
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            executed = sim.run()
+            return executed, time.perf_counter() - t0
+        finally:
+            gc.enable()
+
     def round_off() -> tuple[int, float]:
         sim = Simulator()
         chain(sim)
-        t0 = time.perf_counter()
-        executed = sim.run()
-        return executed, time.perf_counter() - t0
+        return timed_run(sim)
 
     def round_on() -> tuple[int, float]:
         sim = Simulator()
         registry = MetricsRegistry()
         instrument_engine(sim, registry)
         chain(sim)
-        t0 = time.perf_counter()
-        executed = sim.run()
-        seconds = time.perf_counter() - t0
+        result = timed_run(sim)
         list(registry.collect())  # one end-of-run scrape, like --metrics-out
-        return executed, seconds
+        return result
 
     def round_live() -> tuple[int, float]:
         sim = Simulator()
@@ -198,50 +211,60 @@ def bench_obs_overhead(n_events: int = 20_000, repeats: int = 5) -> dict[str, An
             ticks.value += 1
 
         chain(sim, bump)
-        t0 = time.perf_counter()
-        executed = sim.run()
-        seconds = time.perf_counter() - t0
+        result = timed_run(sim)
         list(registry.collect())
-        return executed, seconds
+        return result
 
     def round_flight() -> tuple[int, float]:
         sim = Simulator()
         recorder = flight_mod.FlightRecorder(capacity=1024)
         flight_mod.attach(sim=sim, recorder=recorder)
         chain(sim)
-        t0 = time.perf_counter()
-        executed = sim.run()
-        return executed, time.perf_counter() - t0
+        return timed_run(sim)
 
-    best = {"off": 0.0, "on": 0.0, "live": 0.0, "flight": 0.0}
-    executed = 0
     rounds = (
         ("off", round_off),
         ("on", round_on),
         ("live", round_live),
         ("flight", round_flight),
     )
-    for _ in range(repeats):  # interleaved: drift cannot bias one variant
-        for key, round_ in rounds:
-            items, seconds = round_()
-            executed = items
-            if seconds > 0:
-                best[key] = max(best[key], items / seconds)
+    for _ in range(2):  # warm-up: a process's first ~8 rounds run slow
+        for _, round_ in rounds:
+            round_()
+    rates: dict[str, list[float]] = {key: [] for key, _ in rounds}
+    executed = 0
+    for _ in range(repeats):
+        # Mirrored order (off, on, live, flight, flight, live, on, off):
+        # each variant's two rounds straddle the same midpoint, so drift
+        # that is linear over a repeat cancels out of its ratio to off.
+        seconds = dict.fromkeys(rates, 0.0)
+        for key, round_ in rounds + rounds[::-1]:
+            executed, spent = round_()
+            seconds[key] += spent
+        for key, spent in seconds.items():
+            rates[key].append(2 * executed / spent if spent > 0 else 0.0)
 
-    def overhead(rate: float) -> float:
-        if best["off"] <= 0:
+    def overhead(key: str) -> float:
+        # The median over repeats of each repeat's own variant/off ratio:
+        # a noisy repeat moves one ratio, not the verdict (a ratio of two
+        # best-ofs compared rounds from different moments and false-failed
+        # the budget).
+        ratios = [
+            1.0 - on / off for off, on in zip(rates["off"], rates[key]) if off > 0
+        ]
+        if not ratios:
             return 0.0
         # Clamp at 0 so a faster instrumented round never goes negative.
-        return max((best["off"] - rate) / best["off"], 0.0)
+        return max(statistics.median(ratios), 0.0)
 
     return {
-        "events_per_sec_off": best["off"],
-        "events_per_sec_on": best["on"],
-        "events_per_sec_live": best["live"],
-        "events_per_sec_flight": best["flight"],
-        "overhead_frac": overhead(best["on"]),  # guarded
-        "live_counter_overhead_frac": overhead(best["live"]),
-        "flight_overhead_frac": overhead(best["flight"]),
+        "events_per_sec_off": max(rates["off"]),
+        "events_per_sec_on": max(rates["on"]),
+        "events_per_sec_live": max(rates["live"]),
+        "events_per_sec_flight": max(rates["flight"]),
+        "overhead_frac": overhead("on"),  # guarded
+        "live_counter_overhead_frac": overhead("live"),
+        "flight_overhead_frac": overhead("flight"),
         "events": executed,
         "repeats": repeats,
     }
@@ -258,7 +281,9 @@ def run_suite(*, quick: bool = False, repeats: int = 5) -> dict[str, Any]:
         "fluid_rate_1m": lambda: bench_fluid_1m(
             1_048_576 // scale, repeats=min(repeats, 2)
         ),
-        "obs_overhead": lambda: bench_obs_overhead(20_000 // scale, repeats),
+        # Not scaled by --quick: below ~20k events a round is too short
+        # for its ratio to sit inside the 5% budget reliably.
+        "obs_overhead": lambda: bench_obs_overhead(20_000, repeats),
     }
     from repro.obs.manifest import environment
 
@@ -319,15 +344,17 @@ def check_regression(report: dict[str, Any], baseline: dict[str, Any]) -> list[s
                 f"floor {floor:,.0f}/s (baseline {base:,.0f}/s - {TOLERANCE:.0%})"
             )
     # The obs layer is additionally held to an absolute budget: metrics-on
-    # must stay within the baseline's max_overhead_frac of metrics-off.
+    # must stay below the baseline's max_overhead_frac of metrics-off (so a
+    # zero budget, against an overhead clamped at 0, always fails: the
+    # guard is live).
     budget = floors.get("obs_overhead", {}).get("max_overhead_frac")
     if budget is not None:
         measured = (
             report["benches"].get("obs_overhead", {}).get("overhead_frac", 0.0)
         )
-        if measured > budget:
+        if measured >= budget:
             failures.append(
-                f"obs_overhead.overhead_frac: {measured:.1%} exceeds the "
+                f"obs_overhead.overhead_frac: {measured:.1%} is not below the "
                 f"metrics-on budget of {budget:.0%}"
             )
     return failures
@@ -352,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
-        "--quick", action="store_true", help="quarter-size workloads (CI smoke)"
+        "--quick", action="store_true", help="quarter-size workloads, obs_overhead excepted (CI smoke)"
     )
     args = parser.parse_args(argv)
 

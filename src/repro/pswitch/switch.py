@@ -11,7 +11,11 @@ index) carrying SCHE in / INFO out.  Dispatch per ingress packet:
   it to the FPGA.
 
 A fixed ``pipeline_latency_ps`` models the Tofino ingress-to-egress
-transit for each of these paths.
+transit for each of these paths.  It is the switch's
+:attr:`~repro.net.device.Device.rx_latency_ps`: the attached links add it
+to every arrival time, so a packet reaches :meth:`MarlinSwitch.receive`
+(and its handler) ``delay_ps + pipeline_latency_ps`` after it departs
+the far port, with no event spent waiting out the pipeline.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ class MarlinSwitch(Device):
         super().__init__(sim, name)
         self.config = config if config is not None else MarlinSwitchConfig()
         cfg = self.config
+        self.rx_latency_ps = cfg.pipeline_latency_ps
         self.allocation: PortAllocation = allocate_ports(
             cfg.template_bytes,
             port_rate_bps=cfg.port_rate_bps,
@@ -112,9 +117,6 @@ class MarlinSwitch(Device):
         )
         self.info_generator = InfoGenerator()
         self.unknown_packets = 0
-        #: Hot-path alias: ``receive`` runs once per ingress packet and
-        #: the latency is fixed at deploy time.
-        self._latency = cfg.pipeline_latency_ps
 
     @property
     def n_test_ports(self) -> int:
@@ -123,22 +125,23 @@ class MarlinSwitch(Device):
     # -- ingress dispatch -----------------------------------------------------
 
     def receive(self, packet: Packet, port: Port) -> None:
-        latency = self._latency
+        """Dispatch a packet that has crossed the pipeline (the link
+        delivers it ``pipeline_latency_ps`` after it arrived)."""
         if packet.ptype == PTYPE_SCHE:
             if port is not self.fpga_port:
                 raise ConfigError(
                     f"SCHE packet arrived on {port.name}, expected the FPGA port"
                 )
-            self.sim.after(latency, self._handle_sche, packet)
+            self._handle_sche(packet)
         elif packet.ptype == PTYPE_DATA:
-            self.sim.after(latency, self._handle_data, packet, port)
+            self._handle_data(packet, port)
         elif packet.ptype == PTYPE_ACK:
             if port is self.receiver_port:
                 # A response computed by the FPGA's receiver logic: send
                 # it out the test port its DATA arrived on.
-                self.sim.after(latency, self._handle_fpga_response, packet)
+                self._handle_fpga_response(packet)
             else:
-                self.sim.after(latency, self._handle_ack, packet, port)
+                self._handle_ack(packet, port)
         else:
             self.unknown_packets += 1
 

@@ -1250,7 +1250,7 @@ typedef struct {
     /* Inline-carry cache, built on first transmit (links attach once
      * and never re-attach — Link.__init__ enforces it). */
     PyObject *peer_deliver;
-    long long link_delay_ps;
+    long long link_offset_ps;       /* Link.to_{a,b}_ps toward the peer */
     char busy, paused;
     long long busy_until_ps;
     long long pause_events;
@@ -1298,6 +1298,7 @@ static int
 cport_ensure_carry_cache(CPortObject *self)
 {
     PyObject *a = NULL, *b = NULL, *peer = NULL;
+    const char *offset_name;
     if (self->peer_deliver != NULL)
         return 0;
     a = PyObject_GetAttrString(self->link, "a");
@@ -1308,10 +1309,14 @@ cport_ensure_carry_cache(CPortObject *self)
         Py_DECREF(a);
         return -1;
     }
-    if (a == (PyObject *)self)
+    if (a == (PyObject *)self) {
         peer = b;
-    else if (b == (PyObject *)self)
+        offset_name = "to_b_ps";
+    }
+    else if (b == (PyObject *)self) {
         peer = a;
+        offset_name = "to_a_ps";
+    }
     else {
         Py_DECREF(a);
         Py_DECREF(b);
@@ -1319,7 +1324,7 @@ cport_ensure_carry_cache(CPortObject *self)
                         "port is not attached to its own link");
         return -1;
     }
-    if (attr_as_ll(self->link, "delay_ps", &self->link_delay_ps) < 0) {
+    if (attr_as_ll(self->link, offset_name, &self->link_offset_ps) < 0) {
         Py_DECREF(a);
         Py_DECREF(b);
         return -1;
@@ -1382,7 +1387,7 @@ cport_transmit_impl(CPortObject *self)
         goto fail;
     depart = now + tx_time;
     /* Inline Link.carry: counters, then the deliver event at
-     * depart + propagation. */
+     * depart + propagation + the peer device's ingress latency. */
     if (cport_ensure_carry_cache(self) < 0)
         goto fail;
     {
@@ -1406,7 +1411,7 @@ cport_transmit_impl(CPortObject *self)
         }
         Py_DECREF(v);
     }
-    if (cport_push(self, depart + self->link_delay_ps, self->peer_deliver,
+    if (cport_push(self, depart + self->link_offset_ps, self->peer_deliver,
                    packet) < 0)
         goto fail;
     self->busy_until_ps = depart;

@@ -3,7 +3,8 @@ the event generator and slow-path executor."""
 
 import pytest
 
-from repro.cc import Dctcp, Reno
+from repro.cc import Cubic, Dcqcn, Dctcp, Reno
+from repro.cc.base import EventType, IntrinsicOutput
 from repro.cc.dctcp import AlphaUpdateEvent
 from repro.errors import ConfigError
 from repro.fpga.event_generator import EventGenerator
@@ -15,7 +16,7 @@ from repro.pswitch.module_a import ReceiverMode
 from repro.pswitch.packets import PTYPE_SCHE, make_data, make_info, make_ack, make_sche
 from repro.pswitch.switch import MarlinSwitch, MarlinSwitchConfig
 from repro.sim import Simulator
-from repro.units import MICROSECOND, MS, US
+from repro.units import MICROSECOND, MS, US, serialization_time_ps, wire_bits
 
 
 class TestEventGenerator:
@@ -210,11 +211,156 @@ class TestFpgaNicUnit:
         assert flow.started
         assert flow.start_ps == 500 * US
 
-    def test_frequency_warnings_for_slow_cc(self):
-        from repro.cc import Cubic
+    @staticmethod
+    def info_acking(flow, psn):
+        data = make_data(
+            flow.flow_id, psn - 1, src_addr=1, dst_addr=2, frame_bytes=1024, tx_tstamp_ps=0
+        )
+        return make_info(make_ack(data, psn), 0)
 
+    def started(self):
+        sim, nic, sink = self.build()
+        flow = nic.start_flow(port_index=0, src_addr=1, dst_addr=2, size_packets=10)
+        sim.run(until_ps=1 * US)
+        return sim, nic, flow
+
+    def test_free_rx_slot_drains_inline(self):
+        sim, nic, flow = self.started()
+        nic.receive(self.info_acking(flow, 1), nic.port)
+        # Processed inside receive: no event between arrival and drain.
+        assert nic.infos_processed == 1
+        assert flow.una == 1
+
+    def test_busy_rx_slot_defers_to_next_slot(self):
+        sim, nic, flow = self.started()
+        now = sim.now
+        nic.receive(self.info_acking(flow, 1), nic.port)
+        nic.receive(self.info_acking(flow, 2), nic.port)
+        assert nic.infos_processed == 1
+        interval = nic.frequency.rx_interval_ps
+        sim.run(until_ps=now + interval - 1)
+        assert nic.infos_processed == 1
+        sim.run(until_ps=now + interval)
+        assert nic.infos_processed == 2
+        assert flow.una == 2
+
+    def test_busy_rmw_stalls_drain(self):
+        sim, nic, flow = self.started()
+        now = sim.now
+        nic.bram.begin_rmw(flow.flow_id, now, 5000)
+        nic.receive(self.info_acking(flow, 1), nic.port)
+        assert nic.infos_processed == 0
+        assert nic.rmw_stalls == 1
+        sim.run(until_ps=now + 4999)
+        assert nic.infos_processed == 0
+        sim.run(until_ps=now + 5000)
+        assert nic.infos_processed == 1
+
+    def test_frequency_warnings_for_slow_cc(self):
         sim, nic, sink = self.build(algorithm=Cubic())
         assert nic.frequency_warnings  # ~100 cycles > 27-cycle budget
+
+
+class Shrinker(Cubic):
+    """CUBIC's cycle cost, so the NIC paces it under the per-flow PPS cap,
+    with a 100-packet window that only the ACK of PSN 2 changes: it
+    collapses the window to one packet, directly or through the slow
+    path.  No timers, no retransmissions."""
+
+    name = "test-shrinker"
+
+    def __init__(self, via_slow_path=False):
+        super().__init__()
+        self.via_slow_path = via_slow_path
+
+    def initial_cwnd_or_rate(self, link_rate_bps):
+        return 100.0
+
+    def on_flow_start(self, cust, slow, now_ps):
+        return IntrinsicOutput()
+
+    def on_event(self, intr, cust, slow):
+        if intr.evt_type != EventType.RX or intr.psn != 2:
+            return IntrinsicOutput()
+        if self.via_slow_path:
+            return IntrinsicOutput(slow_path_events=["shrink"])
+        return IntrinsicOutput(cwnd_or_rate=1.0)
+
+    def slow_path(self, event, cust, slow):
+        return 1.0
+
+
+class TestNicWakesSleepingScheduler:
+    """The NIC tells a scheduler sleeping through a shut pacing gate when
+    its flow turns ineligible, so the flow is descheduled at the tick a
+    polling timer would have found it on.  The emission times are
+    literals recorded from a timer that polled every period."""
+
+    def build(self, algorithm):
+        sim = Simulator()
+        nic = FpgaNic(sim, algorithm, FpgaNicConfig(n_test_ports=2, slow_path_cycles=10))
+        sink = Sink(sim, "sink")
+        Link(nic.port, sink.add_port(), delay_ps=0)
+        return sim, nic, sink
+
+    @staticmethod
+    def sche_times(sink, flow):
+        return [
+            t for t, p in sink.received
+            if p.ptype == PTYPE_SCHE and p.flow_id == flow.flow_id
+        ]
+
+    def rate_flow_sleeping(self):
+        """A DCQCN flow paced to one SCHE per four TX periods."""
+        sim, nic, sink = self.build(Dcqcn())
+        flow = nic.start_flow(port_index=0, src_addr=1, dst_addr=2, size_packets=100)
+        sim.run(until_ps=0)
+        tx = nic.frequency.tx_interval_ps
+        flow.cwnd_or_rate = wire_bits(1024) * 1e12 / (4 * tx)
+        return sim, nic, sink, flow, tx
+
+    def test_stop_mid_sleep(self):
+        sim, nic, sink, flow, tx = self.rate_flow_sleeping()
+        sim.at(6 * tx + tx // 2, nic.stop_flow, flow.flow_id)
+        other = nic.start_flow(
+            port_index=0, src_addr=1, dst_addr=2, size_packets=3,
+            start_at_ps=7 * tx + tx // 2,
+        )
+        sim.run(until_ps=20 * tx)
+        assert self.sche_times(sink, flow) == [6720, 90240, 424320]
+        assert self.sche_times(sink, other) == [674880, 758400, 841920]
+
+    def test_completion_mid_sleep(self):
+        sim, nic, sink, flow, tx = self.rate_flow_sleeping()
+        # An ACK past nxt (the receiver already held the rest) completes
+        # the flow while the scheduler sleeps on it.
+        info = TestFpgaNicUnit.info_acking(flow, 100)
+        sim.at(6 * tx + tx // 2, nic.receive, info, nic.port)
+        other = nic.start_flow(
+            port_index=0, src_addr=1, dst_addr=2, size_packets=3,
+            start_at_ps=7 * tx + tx // 2,
+        )
+        sim.run(until_ps=20 * tx)
+        assert flow.finished
+        assert self.sche_times(sink, flow) == [6720, 90240, 424320]
+        assert self.sche_times(sink, other) == [674880, 758400, 841920]
+
+    @pytest.mark.parametrize("via_slow_path", [False, True])
+    def test_window_shrink_mid_sleep(self, via_slow_path):
+        sim, nic, sink = self.build(Shrinker(via_slow_path))
+        assert nic.schedulers[0].min_flow_spacing_ps > 0
+        flow = nic.start_flow(port_index=0, src_addr=1, dst_addr=2, size_packets=100)
+        tx = nic.frequency.tx_interval_ps
+        info = TestFpgaNicUnit.info_acking
+        # SCHEs leave at 0, 4, 8 tx; the window shrinks just after the
+        # third and reopens after the shrinking ACK's RMW, before the gate.
+        shrink_at = 8 * tx + 5_000
+        if via_slow_path:
+            shrink_at -= nic.slow_path.latency_ps
+        sim.at(shrink_at, nic.receive, info(flow, 2), nic.port)
+        sim.at(11 * tx + 3 * tx // 4, nic.receive, info(flow, 3), nic.port)
+        sim.run(until_ps=20 * tx)
+        assert self.sche_times(sink, flow) == [6720, 340800, 674880, 1071600]
 
 
 class TestMarlinSwitchUnit:
@@ -266,12 +412,46 @@ class TestMarlinSwitchUnit:
         assert infos[0].meta["rx_port"] == 0
 
     def test_pipeline_latency_applied(self):
-        sim, switch, fpga_sink, net_sinks = self.build()
+        """Every ingress path reaches its handler ``pipeline_latency_ps``
+        after the packet arrives, exactly once per hop; the link carries
+        the latency, so a packet sent by a peer port is the probe."""
+        sim = Simulator()
+        cfg = MarlinSwitchConfig(n_test_ports=2, receiver_on_fpga=True)
+        switch = MarlinSwitch(sim, cfg)
+        delay = 1_000
+        peers = {}
+        for port in (switch.fpga_port, switch.receiver_port, *switch.test_ports):
+            peers[port.index] = Sink(sim, f"peer{port.index}").add_port()
+            Link(peers[port.index], port, delay_ps=delay)
+        calls = []
+        for name in ("_handle_sche", "_handle_data", "_handle_ack", "_handle_fpga_response"):
+            def spy(*args, _name=name, _handler=getattr(switch, name)):
+                calls.append((_name, sim.now))
+                _handler(*args)
+
+            setattr(switch, name, spy)
+
         data = make_data(1, 0, src_addr=10, dst_addr=20, frame_bytes=1024, tx_tstamp_ps=0)
-        switch.receive(data, switch.test_ports[0])
+        response = make_ack(data, 1)
+        response.meta["egress_port"] = 0
+        probes = [
+            (
+                switch.fpga_port,
+                make_sche(1, 0, 1, src_addr=10, dst_addr=20, frame_bytes=1024),
+                "_handle_sche",
+            ),
+            (switch.test_ports[0], data, "_handle_data"),
+            (switch.test_ports[1], make_ack(data, 1), "_handle_ack"),
+            (switch.receiver_port, response, "_handle_fpga_response"),
+        ]
+        expected = []
+        for port, packet, handler in probes:
+            peer = peers[port.index]
+            arrival = serialization_time_ps(packet.size_bytes, peer.rate_bps) + delay
+            expected.append((handler, arrival + cfg.pipeline_latency_ps))
+            peer.send(packet)
         sim.run(until_ps=1 * MS)
-        t, _ = net_sinks[0].received[0]
-        assert t >= switch.config.pipeline_latency_ps
+        assert sorted(calls) == sorted(expected)
 
     def test_counters(self):
         sim, switch, fpga_sink, net_sinks = self.build()

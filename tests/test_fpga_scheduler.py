@@ -7,6 +7,7 @@ from repro.cc.base import CCMode
 from repro.fpga.flow import FlowState
 from repro.fpga.scheduler import PortScheduler
 from repro.sim import Simulator
+from repro.units import wire_bits
 
 TX = 1000  # ps per tick for these tests
 
@@ -24,11 +25,12 @@ def make_flow(flow_id, *, size=100, cwnd=10.0, mode=CCMode.WINDOW, port=0):
 
 
 class Harness:
-    def __init__(self, mode=CCMode.WINDOW, tx=TX):
+    def __init__(self, mode=CCMode.WINDOW, tx=TX, spacing=0):
         self.sim = Simulator()
         self.emitted = []
         self.scheduler = PortScheduler(
-            self.sim, 0, tx, mode, self.emit, on_bytes_sent=None
+            self.sim, 0, tx, mode, self.emit, on_bytes_sent=None,
+            min_flow_spacing_ps=spacing,
         )
 
     def emit(self, flow, psn, is_rtx):
@@ -189,6 +191,117 @@ class TestRateScheduling:
             counts[fid] = counts.get(fid, 0) + 1
         # Each wants full rate but the port alternates: equal split.
         assert abs(counts[0] - counts[1]) <= 1
+
+
+def rate_for_gap(gap_ps):
+    """The rate whose pacing gap for make_flow's 1024 B frames is
+    ``gap_ps``."""
+    return wire_bits(1024) * 1e12 / gap_ps
+
+
+class TestSleepThroughShutGates:
+    """A lone gated flow: the timer sleeps to the tick its gate opens on,
+    and every emission lands exactly where a timer polling every period
+    put it (the literals were recorded from such a timer)."""
+
+    def paced(self, gap_ps=3500, **kwargs):
+        h = Harness(mode=CCMode.RATE, **kwargs)
+        flow = make_flow(1, mode=CCMode.RATE, cwnd=rate_for_gap(gap_ps))
+        h.scheduler.enqueue_flow(flow)
+        return h, flow
+
+    def test_lone_paced_flow_matches_polling_timer(self):
+        h, flow = self.paced()
+        # The rate halves mid-sleep: only the next emission's gap moves.
+        h.sim.at(9500, setattr, flow, "cwnd_or_rate", rate_for_gap(7000))
+        h.sim.run(until_ps=26_000)  # ends on an emission
+        assert [t for t, *_ in h.emitted] == [0, 4000, 8000, 12000, 19000, 26000]
+        assert h.scheduler.skipped_pacing == 21
+        assert h.scheduler.ticks <= len(h.emitted) + 1
+
+    def test_rtx_mid_sleep_served_at_next_tick(self):
+        h, flow = self.paced()
+        h.sim.at(5500, h.scheduler.enqueue_rtx, flow, 0)
+        h.sim.run(until_ps=13_000)
+        assert h.emitted == [
+            (0, 1, 0, False),
+            (4000, 1, 1, False),
+            (6000, 1, 0, True),
+            (8000, 1, 2, False),
+            (12000, 1, 3, False),
+        ]
+
+    def test_second_flow_mid_sleep_served_at_polling_time(self):
+        h, flow = self.paced()
+        other = make_flow(2, mode=CCMode.RATE, cwnd=rate_for_gap(TX))
+        h.sim.at(5500, h.scheduler.enqueue_flow, other)
+        h.sim.run(until_ps=13_000)
+        assert [(t, fid) for t, fid, *_ in h.emitted] == [
+            (0, 1), (4000, 1), (7000, 2), (8000, 1),
+            (9000, 2), (11000, 2), (12000, 1), (13000, 2),
+        ]
+
+    def test_work_at_the_wake_instant_keeps_the_wake(self):
+        """A flow enqueued by an older event at the very picosecond the
+        timer wakes: the wake still runs then, after it."""
+        h = Harness(mode=CCMode.RATE)
+        other = make_flow(2, mode=CCMode.RATE, cwnd=rate_for_gap(TX))
+        h.sim.at(4000, h.scheduler.enqueue_flow, other)
+        flow = make_flow(1, mode=CCMode.RATE, cwnd=rate_for_gap(3500))
+        h.scheduler.enqueue_flow(flow)
+        h.sim.run(until_ps=7_000)
+        assert [(t, fid) for t, fid, *_ in h.emitted] == [
+            (0, 1), (4000, 1), (5000, 2), (7000, 2),
+        ]
+
+    def test_finish_mid_sleep_deschedules_at_next_tick(self):
+        """``recheck`` after the flow finishes: it is descheduled at the
+        tick a polling timer would have found it on, so a flow enqueued
+        later starts on the polling timer's grid."""
+        h, flow = self.paced()
+
+        def finish():
+            flow.finished = True
+            h.scheduler.recheck(flow)
+
+        h.sim.at(5500, finish)
+        other = make_flow(2, mode=CCMode.RATE, cwnd=rate_for_gap(TX))
+        h.sim.at(6200, h.scheduler.enqueue_flow, other)
+        h.sim.run(until_ps=9_500)
+        assert not flow.scheduled
+        assert [(t, fid) for t, fid, *_ in h.emitted] == [
+            (0, 1), (4000, 1), (7000, 2), (8000, 2), (9000, 2),
+        ]
+
+    def test_spacing_gate_window_shrink_mid_sleep(self):
+        """Window mode under the per-flow PPS cap sleeps on the same gate;
+        a window that shrinks mid-sleep deschedules at the next tick."""
+        h = Harness(spacing=4 * TX)
+        flow = make_flow(1, cwnd=100.0)
+        h.scheduler.enqueue_flow(flow)
+
+        def shrink():
+            flow.cwnd_or_rate = 1.0
+            h.scheduler.recheck(flow)
+
+        def reopen():
+            flow.una = flow.nxt
+            h.scheduler.enqueue_flow(flow)
+
+        h.sim.at(5500, shrink)
+        h.sim.at(6500, reopen)
+        h.sim.run(until_ps=16_000)
+        assert [t for t, *_ in h.emitted] == [0, 4000, 8000]
+        assert h.scheduler.skipped_pacing == 5
+
+    def test_two_flows_keep_polling(self):
+        h = Harness(mode=CCMode.RATE)
+        for fid in (1, 2):
+            h.scheduler.enqueue_flow(
+                make_flow(fid, mode=CCMode.RATE, cwnd=rate_for_gap(3500))
+            )
+        h.sim.run(until_ps=10 * TX)
+        assert h.scheduler.ticks == 11
 
 
 class TestByteCounter:
