@@ -8,8 +8,8 @@
   executor ``repro serve`` uses;
 * ``serve`` / ``submit`` — the campaign daemon, and its client, which
   prints a finished job the way ``sweep`` / ``fluid`` print theirs;
-* ``report``         — profile a demo scenario (or a columnar fluid
-  run) and print per-component wall time and key counters;
+* ``report``         — profile a demo scenario and print per-component
+  wall time and key counters;
 * ``trace``          — merge a campaign results directory into one
   Chrome/Perfetto trace-event JSON timeline;
 * ``amplification``, ``capabilities``, ``resources``, ``algorithms`` —
@@ -38,7 +38,12 @@ from repro.errors import ConfigError, ReproError
 from repro.fpga.hls import algorithm_cycles
 from repro.fpga.resources import estimate_resources
 from repro.fpga.timers import FrequencyControl
-from repro.measure.export import counters_to_json, fct_to_csv, throughput_to_csv
+from repro.measure.export import (
+    counters_to_json,
+    fct_to_csv,
+    throughput_to_csv,
+    trace_to_json,
+)
 from repro.obs import (
     build_manifest,
     instrument_control_plane,
@@ -156,6 +161,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  {fct_to_csv(tester.fct, out / 'fct.csv')}")
         print(f"  {throughput_to_csv(sampler, out / 'throughput.csv')}")
         print(f"  {counters_to_json(counters, out / 'counters.json')}")
+        if config.trace_cc:
+            print(f"  {trace_to_json(tester.nic.logger.trace, out / 'trace.json')}")
     if registry is not None:
         print(f"wrote {write_metrics(registry, args.metrics_out)}")
     return 0
@@ -373,77 +380,8 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_columnar(args: argparse.Namespace) -> int:
-    """Solver-telemetry report for one closed-loop columnar fluid run."""
-    import time
-
-    import numpy as np
-
-    from repro.fluid import PROFILES
-    from repro.fluid.solver import ColumnarFluidSolver, kernel_for_profile
-    from repro.obs import instrument_fluid_solver
-    from repro.workload import DISTRIBUTIONS
-
-    if args.algorithm not in PROFILES:
-        raise ConfigError(
-            f"columnar report supports fluid profiles {sorted(PROFILES)}, "
-            f"got {args.algorithm!r}"
-        )
-    profile = PROFILES[args.algorithm]()
-    distribution = DISTRIBUTIONS[args.workload]()
-    n_ports = args.senders
-    solver = ColumnarFluidSolver(
-        n_bottlenecks=n_ports,
-        seed=args.seed,
-        capacity_hint=n_ports * args.flows_per_port,
-    )
-    solver.enable_telemetry()
-    registry = MetricsRegistry()
-    instrument_fluid_solver(solver, registry)
-    bottleneck = np.repeat(np.arange(n_ports, dtype=np.int32), args.flows_per_port)
-    sizes = distribution.sample_many(solver.rng, bottleneck.size)
-    solver.add_flows(sizes, bottleneck=bottleneck, kernel=kernel_for_profile(profile))
-    start = time.perf_counter()
-    run = solver.run_closed_loop(distribution, flows_total=args.flows_total)
-    wall = time.perf_counter() - start
-
-    series = solver.telemetry.arrays()
-    rate = run.flow_steps / wall if wall > 0 else 0.0
-    print(
-        f"profiled {args.algorithm} columnar closed loop "
-        f"({n_ports} bottlenecks x {args.flows_per_port} flows): "
-        f"{run.steps:,} steps, {run.flow_steps:,} flow-steps in {wall:.3f} s "
-        f"({rate / 1e6:.2f} M flow-steps/s)"
-    )
-    print()
-    print(f"{'bottleneck':>10s} {'mean queue':>11s} {'peak queue':>11s} "
-          f"{'mark frac':>10s} {'mean rate':>12s} {'mean flows':>10s}")
-    for port in range(n_ports):
-        print(f"{port:>10d} {series['queue_bytes'][:, port].mean() / 1000:>9.1f}kB "
-              f"{series['queue_bytes'][:, port].max() / 1000:>9.1f}kB "
-              f"{series['mark'][:, port].mean():>10.3f} "
-              f"{format_rate(series['offered_bps'][:, port].mean()):>12s} "
-              f"{series['active_flows'][:, port].mean():>10.1f}")
-    print()
-    fcts = run.fcts_us
-    print(f"FCT mean/p50/p99: {np.mean(fcts):.1f} / "
-          f"{np.percentile(fcts, 50):.1f} / {np.percentile(fcts, 99):.1f} us "
-          f"({fcts.size:,} completions)")
-    print("solver counters:")
-    for name in ("repro_fluid_steps_total", "repro_fluid_flow_steps_total",
-                 "repro_fluid_flows_completed_total",
-                 "repro_fluid_compactions_total"):
-        value = sum(s.value for s in registry.collect() if s.name == name)
-        print(f"  {name:38s}: {value:,.0f}")
-    if args.metrics_out is not None:
-        print(f"wrote {write_metrics(registry, args.metrics_out)}")
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Profile-and-counters report for one demo congestion scenario."""
-    if args.backend == "columnar":
-        return _report_columnar(args)
     cp = ControlPlane()
     cp.deploy(
         TestConfig(
@@ -555,7 +493,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"cache {args.cache_dir})",
             flush=True,
         )
-        print("endpoints: POST /jobs, GET /jobs[/<id>[/events]], "
+        print("endpoints: POST /jobs, GET /jobs[/<id>], "
               "/metrics, /healthz  (Ctrl-C to stop)", flush=True)
         try:
             await start
@@ -673,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="log every per-flow CC decision (cwnd/rate updates, slow-path "
              "alpha) to the in-model QDMA logger (tester.nic.logger); "
-             "grows with decision count, so off by default",
+             "grows with decision count, so off by default; with "
+             "--export-dir it is also written to trace.json",
     )
     p_run.add_argument("--export-dir", default=None)
     p_run.add_argument(
@@ -797,27 +736,14 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="profile a demo scenario and print metrics"
     )
     p_report.add_argument("--algorithm", default="dctcp")
-    p_report.add_argument(
-        "--backend", choices=("packet", "columnar"), default="packet",
-        help="packet: event-driven demo scenario with the sim profiler; "
-             "columnar: closed-loop fluid-solver run with step telemetry",
-    )
     p_report.add_argument("--senders", type=int, default=3,
-                          help="sender ports (columnar: bottleneck count)")
+                          help="sender ports of the fan-in scenario")
     p_report.add_argument("--size-packets", type=int, default=10**9)
     p_report.add_argument("--duration-ms", type=float, default=2.0)
     p_report.add_argument("--ecn-threshold", type=int, default=84_000)
     p_report.add_argument("--seed", type=int, default=0)
     p_report.add_argument("--top", type=int, default=12,
                           help="profile rows to print")
-    p_report.add_argument(
-        "--workload", choices=("websearch", "hadoop"), default="websearch",
-        help="(columnar) flow-size distribution",
-    )
-    p_report.add_argument("--flows-per-port", type=int, default=64,
-                          help="(columnar) concurrent flows per bottleneck")
-    p_report.add_argument("--flows-total", type=int, default=20_000,
-                          help="(columnar) FCT samples to collect")
     p_report.add_argument(
         "--metrics-out",
         default=None,

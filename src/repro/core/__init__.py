@@ -20,7 +20,6 @@ from repro.core.multi_pipeline import MultiPipelineTester, scaling_table
 from repro.core.sweep import (
     SweepPoint,
     cc_parameter_sweep,
-    max_lossless_rate_bps,
     run_sweep_point,
     sweep_campaign,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "scaling_table",
     "SweepPoint",
     "cc_parameter_sweep",
-    "max_lossless_rate_bps",
     "run_sweep_point",
     "sweep_campaign",
 ]

@@ -2,14 +2,10 @@
 
 The paper's use case (Section 1): operators "validate the effectiveness
 of the selected CC algorithms and parameters through high-throughput
-traffic".  These helpers automate the two standard sweeps:
-
-* :func:`max_lossless_rate_bps` — binary-search the highest fixed
-  offered load a path sustains without loss (classic RFC 2544-style
-  throughput testing, using the CC-less baseline tester);
-* :func:`cc_parameter_sweep` — run one congestion scenario across a
-  grid of CC parameter settings and report throughput/fairness/queue
-  metrics for each (the "find the optimal configuration" loop).
+traffic".  :func:`cc_parameter_sweep` automates the standard sweep: run
+one congestion scenario across a grid of CC parameter settings and
+report throughput/fairness/queue metrics for each (the "find the optimal
+configuration" loop).
 
 Sweeps are campaigns of independent simulations, so they shard across a
 :class:`~repro.parallel.CampaignRunner` process pool (``workers=``),
@@ -23,73 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.baselines.pswitch_tester import PswitchTester
 from repro.core.config import TestConfig
 from repro.core.control_plane import ControlPlane
 from repro.errors import ConfigError
 from repro.measure.fairness import jain_index
 from repro.measure.throughput import ThroughputSampler
-from repro.net.switch import NetworkSwitch
-from repro.net.topology import Topology
 from repro.obs import flight
 from repro.obs.heartbeat import Heartbeat, run_with_heartbeats
 from repro.parallel import CampaignResult, CampaignRunner, derive_task_seed, report_events
-from repro.sim import Simulator
-from repro.units import GBPS, MS, RATE_100G, US
-
-
-def max_lossless_rate_bps(
-    *,
-    bottleneck_rate_bps: int = RATE_100G,
-    queue_capacity_bytes: int = 128 * 1024,
-    frame_bytes: int = 1024,
-    duration_ps: int = 2 * MS,
-    tolerance_bps: float = 1 * GBPS,
-) -> float:
-    """Highest constant offered load with zero loss through one port.
-
-    Binary search over the open-loop stream rate; each probe runs a
-    fresh simulation of a single fixed-rate stream through a bottleneck
-    switch port and checks the drop counters.  The answer exceeds the
-    bottleneck line rate by at most ``queue_capacity / duration`` (the
-    excess a queue can absorb over a finite probe) — keep the default
-    small queue/long probe ratio for sharp results.
-    """
-    if tolerance_bps <= 0:
-        raise ConfigError("tolerance must be positive")
-
-    def lossless(rate_bps: float) -> bool:
-        sim = Simulator()
-        topo = Topology(sim)
-        fabric = NetworkSwitch(sim, "fabric")
-        topo.add_device(fabric)
-        # Tester ports run faster than the bottleneck so offered loads
-        # above the bottleneck actually reach it.
-        tester = PswitchTester(sim, 2, port_rate_bps=4 * bottleneck_rate_bps)
-        for index, port in enumerate(tester.ports):
-            fabric_port = fabric.add_ecn_port(
-                rate_bps=bottleneck_rate_bps,
-                capacity_bytes=queue_capacity_bytes,
-            )
-            topo.connect(port, fabric_port)
-            fabric.set_route(index + 1, fabric_port)
-        stream = tester.add_stream(
-            0, src_addr=1, dst_addr=2, rate_bps=rate_bps, frame_bytes=frame_bytes
-        )
-        stream.start()
-        sim.run(until_ps=duration_ps)
-        return all(p.queue.stats.dropped_packets == 0 for p in fabric.ports)
-
-    low, high = 0.0, float(2 * bottleneck_rate_bps)
-    if lossless(high):
-        return high
-    while high - low > tolerance_bps:
-        mid = (low + high) / 2.0
-        if lossless(mid):
-            low = mid
-        else:
-            high = mid
-    return low
+from repro.units import MS, US
 
 
 @dataclass(frozen=True)

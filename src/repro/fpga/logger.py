@@ -44,8 +44,8 @@ class QdmaLogger:
     private bare int.  ``flush()`` on an empty logger uploads nothing.
     """
 
-    def __init__(self, trace: TraceRecorder | None = None) -> None:
-        self.trace = trace if trace is not None else TraceRecorder()
+    def __init__(self) -> None:
+        self.trace = TraceRecorder()
         self.records_logged = 0
         self.uploads = 0
         self.upload_bytes = 0

@@ -65,17 +65,6 @@ class ResourceReport:
     total_ff_pct: float
     bram_pct: float
 
-    def as_row(self) -> dict[str, float | int | str]:
-        return {
-            "algorithm": self.algorithm,
-            "clk": self.cycles,
-            "cc_lut": round(self.cc_lut_pct, 1),
-            "cc_ff": round(self.cc_ff_pct, 1),
-            "total_lut": round(self.total_lut_pct, 1),
-            "total_ff": round(self.total_ff_pct, 1),
-            "bram": round(self.bram_pct, 1),
-        }
-
 
 def flow_state_bytes(algorithm: CCAlgorithm) -> int:
     """Per-flow BRAM footprint of an algorithm."""

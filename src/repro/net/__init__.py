@@ -12,14 +12,7 @@ from repro.net.queue import DropTailQueue, EcnQueue, QueueStats
 from repro.net.device import Device, Port
 from repro.net.switch import NetworkSwitch
 from repro.net.host import Host
-from repro.net.topology import (
-    Topology,
-    dumbbell,
-    fan_in,
-    n_cast_1,
-    one_to_one,
-    passthrough,
-)
+from repro.net.topology import Topology, n_cast_1
 from repro.net.leaf_spine import (
     LeafSpineFabric,
     attach_endpoint,
@@ -43,11 +36,7 @@ __all__ = [
     "NetworkSwitch",
     "Host",
     "Topology",
-    "dumbbell",
-    "fan_in",
     "n_cast_1",
-    "one_to_one",
-    "passthrough",
     "LeafSpineFabric",
     "attach_endpoint",
     "build_leaf_spine",

@@ -85,21 +85,6 @@ class Packet:
     def ce_marked(self) -> bool:
         return self.ecn == CE
 
-    def copy(self) -> "Packet":
-        """A deep-enough copy (fresh uid, copied meta) for multicast."""
-        return Packet(
-            self.ptype,
-            self.src,
-            self.dst,
-            self.size_bytes,
-            flow_id=self.flow_id,
-            psn=self.psn,
-            ecn=self.ecn,
-            ecn_echo=self.ecn_echo,
-            created_ps=self.created_ps,
-            meta=dict(self.meta),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{self.ptype} uid={self.uid} {self.src}->{self.dst} "

@@ -122,14 +122,6 @@ class _PyDropTailQueue:
             return False
         self._queue.append(packet)
         self.backlog_bytes = backlog
-        if self._flight is not None and self._flight.enqueues:
-            self._flight.note(
-                "queue", "enqueue",
-                queue=self.flight_label,
-                size_bytes=size,
-                backlog_bytes=backlog,
-                flow=packet.flow_id,
-            )
         threshold = self.ecn_threshold_bytes
         if threshold is not None and backlog >= threshold:
             before = packet.ce_marked

@@ -1,16 +1,9 @@
-"""Topology container and builders for the paper's testbeds.
+"""Topology container and the Figure 9 n-cast-1 builder.
 
-The experiments use three shapes:
-
-* **passthrough / one-to-one** — the intermediate switch forwards each
-  tester port straight to a distinct receiver port (Figures 6 and 7);
-* **congestion fan-in** — many source ports forwarded to one destination
-  port, creating a bottleneck (Figure 8);
-* **n-cast-1 dumbbell** — n sender hosts behind switch A, one inter-switch
-  link to switch B, receivers behind B (Figure 9).
-
-Builders return a :class:`Topology` holding the simulator, named devices,
-and links, plus the relevant device handles.
+:class:`Topology` holds the simulator, named devices and links of one
+testbed; the control plane and the leaf-spine builder wire into it.
+:func:`n_cast_1` builds the Figure 9 dumbbell: n sender hosts behind
+switch A, one inter-switch link to switch B, a receiver behind B.
 """
 
 from __future__ import annotations
@@ -54,91 +47,6 @@ class Topology:
         address = self._next_address
         self._next_address += 1
         return address
-
-    def device(self, name: str) -> Device:
-        try:
-            return self.devices[name]
-        except KeyError:
-            raise ConfigError(f"no device named {name!r}") from None
-
-
-def passthrough(
-    sim: Simulator,
-    n_ports: int,
-    *,
-    rate_bps: int = RATE_100G,
-    ecn_threshold_bytes: int = 84_000,
-) -> tuple[Topology, NetworkSwitch]:
-    """An intermediate switch with ``2 * n_ports`` ECN-capable ports.
-
-    Ports ``0..n-1`` face the sender side and ``n..2n-1`` the receiver
-    side; no routes are installed — callers wire routes per experiment.
-    """
-    if n_ports <= 0:
-        raise ConfigError(f"n_ports must be positive, got {n_ports}")
-    topo = Topology(sim)
-    switch = NetworkSwitch(sim, "fabric")
-    for _ in range(2 * n_ports):
-        switch.add_ecn_port(rate_bps=rate_bps, ecn_threshold_bytes=ecn_threshold_bytes)
-    topo.add_device(switch)
-    return topo, switch
-
-
-def one_to_one(
-    topo: Topology,
-    switch: NetworkSwitch,
-    sender_ports: list[Port],
-    receiver_ports: list[Port],
-    sender_addresses: list[int],
-    receiver_addresses: list[int],
-    *,
-    delay_ps: int = DEFAULT_LINK_DELAY_PS,
-) -> None:
-    """Wire sender port i <-> switch <-> receiver port i and install routes.
-
-    ``receiver_addresses[i]`` is routed out the switch port facing
-    ``receiver_ports[i]``; ``sender_addresses[i]`` back to sender i.
-    """
-    n = len(sender_ports)
-    if not (
-        len(receiver_ports) == len(sender_addresses) == len(receiver_addresses) == n
-    ):
-        raise ConfigError("one_to_one requires equal-length port/address lists")
-    if len(switch.ports) < 2 * n:
-        raise ConfigError(
-            f"switch has {len(switch.ports)} ports, need {2 * n} for one_to_one"
-        )
-    for i in range(n):
-        topo.connect(sender_ports[i], switch.ports[i], delay_ps=delay_ps)
-        topo.connect(receiver_ports[i], switch.ports[n + i], delay_ps=delay_ps)
-        switch.set_route(receiver_addresses[i], switch.ports[n + i])
-        switch.set_route(sender_addresses[i], switch.ports[i])
-
-
-def fan_in(
-    topo: Topology,
-    switch: NetworkSwitch,
-    sender_ports: list[Port],
-    receiver_port: Port,
-    sender_addresses: list[int],
-    receiver_address: int,
-    *,
-    delay_ps: int = DEFAULT_LINK_DELAY_PS,
-) -> None:
-    """Wire all sender ports into the switch and route the single receiver
-    address out one congested port (Figure 8's bottleneck)."""
-    n = len(sender_ports)
-    if len(sender_addresses) != n:
-        raise ConfigError("fan_in requires one address per sender port")
-    if len(switch.ports) < n + 1:
-        raise ConfigError(
-            f"switch has {len(switch.ports)} ports, need {n + 1} for fan_in"
-        )
-    for i in range(n):
-        topo.connect(sender_ports[i], switch.ports[i], delay_ps=delay_ps)
-        switch.set_route(sender_addresses[i], switch.ports[i])
-    topo.connect(receiver_port, switch.ports[n], delay_ps=delay_ps)
-    switch.set_route(receiver_address, switch.ports[n])
 
 
 def n_cast_1(
@@ -200,54 +108,3 @@ def n_cast_1(
         switch_b.set_route(host.address, b_trunk)
 
     return topo, senders, receiver, switch_a, switch_b
-
-
-def dumbbell(
-    sim: Simulator,
-    n_left: int,
-    n_right: int,
-    *,
-    rate_bps: int = RATE_100G,
-    delay_ps: int = DEFAULT_LINK_DELAY_PS,
-    ecn_threshold_bytes: int = 84_000,
-) -> tuple[Topology, list[Host], list[Host], NetworkSwitch, NetworkSwitch]:
-    """A general dumbbell: left hosts behind switch A, right behind B."""
-    if n_left <= 0 or n_right <= 0:
-        raise ConfigError("dumbbell requires at least one host per side")
-    topo = Topology(sim)
-    switch_a = NetworkSwitch(sim, "switchA")
-    switch_b = NetworkSwitch(sim, "switchB")
-    topo.add_device(switch_a)
-    topo.add_device(switch_b)
-
-    def attach(switch: NetworkSwitch, prefix: str, count: int) -> list[Host]:
-        hosts = []
-        for i in range(count):
-            host = Host(
-                sim, topo.allocate_address(), name=f"{prefix}{i}", rate_bps=rate_bps
-            )
-            topo.add_device(host)
-            sw_port = switch.add_ecn_port(
-                rate_bps=rate_bps, ecn_threshold_bytes=ecn_threshold_bytes
-            )
-            topo.connect(host.port, sw_port, delay_ps=delay_ps)
-            switch.set_route(host.address, sw_port)
-            hosts.append(host)
-        return hosts
-
-    left = attach(switch_a, "left", n_left)
-    right = attach(switch_b, "right", n_right)
-
-    a_trunk = switch_a.add_ecn_port(
-        rate_bps=rate_bps, ecn_threshold_bytes=ecn_threshold_bytes
-    )
-    b_trunk = switch_b.add_ecn_port(
-        rate_bps=rate_bps, ecn_threshold_bytes=ecn_threshold_bytes
-    )
-    topo.connect(a_trunk, b_trunk, delay_ps=delay_ps)
-    for host in right:
-        switch_a.set_route(host.address, a_trunk)
-    for host in left:
-        switch_b.set_route(host.address, b_trunk)
-
-    return topo, left, right, switch_a, switch_b

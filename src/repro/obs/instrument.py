@@ -23,10 +23,8 @@ from repro.obs.metrics import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.control_plane import ControlPlane
     from repro.core.tester import MarlinTester
-    from repro.fluid.solver import ColumnarFluidSolver
     from repro.fpga.fifos import Fifo
     from repro.fpga.logger import QdmaLogger
-    from repro.net.pfc import PfcController
     from repro.net.queue import DropTailQueue
     from repro.net.switch import NetworkSwitch
     from repro.net.packet import PacketPool
@@ -95,26 +93,6 @@ def instrument_network_switch(
     )
     for port in switch.ports:
         instrument_queue(port.queue, registry, switch=name, port=str(port.index))
-    return registry
-
-
-def instrument_pfc(
-    pfc: "PfcController", registry: MetricsRegistry, **labels: str
-) -> MetricsRegistry:
-    """PFC PAUSE/RESUME activity for one switch's controller."""
-    labels.setdefault("switch", pfc.switch.name)
-    registry.bind(
-        "repro_pfc_pause_frames_total", lambda: pfc.pause_frames_sent, **labels
-    )
-    registry.bind(
-        "repro_pfc_resume_frames_total", lambda: pfc.resume_frames_sent, **labels
-    )
-    registry.bind(
-        "repro_pfc_congested_queues",
-        lambda: len(pfc._congested),
-        kind="gauge",
-        **labels,
-    )
     return registry
 
 
@@ -229,43 +207,11 @@ def instrument_tester(
     return registry
 
 
-def instrument_fluid_solver(
-    solver: "ColumnarFluidSolver", registry: MetricsRegistry, **labels: str
-) -> MetricsRegistry:
-    """The columnar fluid solver's step/population/compaction registers."""
-    registry.bind("repro_fluid_steps_total", lambda: solver.steps_run, **labels)
-    registry.bind("repro_fluid_flow_steps_total", lambda: solver.flow_steps, **labels)
-    registry.bind("repro_fluid_flows_added_total", lambda: solver.flows_added, **labels)
-    registry.bind(
-        "repro_fluid_flows_completed_total", lambda: solver.flows_completed, **labels
-    )
-    registry.bind("repro_fluid_compactions_total", lambda: solver.compactions, **labels)
-    registry.bind(
-        "repro_fluid_active_flows", lambda: solver.n_active, kind="gauge", **labels
-    )
-    registry.bind(
-        "repro_fluid_rows", lambda: solver.n_rows, kind="gauge", **labels
-    )
-    registry.bind(
-        "repro_fluid_time_ps", lambda: solver.now_ps, kind="gauge", **labels
-    )
-    registry.bind(
-        "repro_fluid_queue_bits_total",
-        lambda: float(solver.queue_bits.sum()),
-        kind="gauge",
-        **labels,
-    )
-    return registry
-
-
 def instrument_control_plane(
-    cp: "ControlPlane",
-    registry: Optional[MetricsRegistry] = None,
-    *,
-    pfc: Optional["PfcController"] = None,
+    cp: "ControlPlane", registry: Optional[MetricsRegistry] = None
 ) -> MetricsRegistry:
     """One call instruments everything a deployed control plane owns:
-    engine, tester, fabric switch, packet pool, and optionally PFC."""
+    engine, tester, fabric switch and packet pool."""
     from repro.net.packet import PACKET_POOL
 
     if registry is None:
@@ -276,6 +222,4 @@ def instrument_control_plane(
     if cp.fabric is not None:
         instrument_network_switch(cp.fabric, registry)
     instrument_packet_pool(PACKET_POOL, registry)
-    if pfc is not None:
-        instrument_pfc(pfc, registry)
     return registry

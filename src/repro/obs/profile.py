@@ -18,7 +18,6 @@ bit-identical results.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -45,31 +44,15 @@ class ProfileRow:
 
 
 class SimProfiler:
-    """Accumulates per-owner wall-clock cost; driven by the engine.
+    """Accumulates per-owner wall-clock cost; driven by the engine."""
 
-    With ``max_spans > 0`` the profiler also retains the last
-    ``max_spans`` individual ``(owner, start_s, dur_s)`` callback spans
-    (start relative to profiler creation) for timeline export via
-    :func:`repro.obs.trace.spans_to_events`; the bound keeps a long run
-    from hoarding memory, and the default of 0 keeps span retention out
-    of the aggregate-only path entirely.
-    """
+    __slots__ = ("clock", "_table")
 
-    __slots__ = ("clock", "max_spans", "_table", "_spans", "_t0")
-
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        *,
-        max_spans: int = 0,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
-        self.max_spans = max_spans
         #: owner -> [calls, seconds]; a plain list so the engine's inner
         #: loop mutates in place without attribute churn.
         self._table: dict[str, list] = {}
-        self._spans: deque = deque(maxlen=max_spans) if max_spans > 0 else deque(maxlen=0)
-        self._t0 = clock()
 
     def record(self, fn: Callable[..., Any], seconds: float) -> None:
         owner = callback_owner(fn)
@@ -79,18 +62,6 @@ class SimProfiler:
         else:
             cell[0] += 1
             cell[1] += seconds
-        if self.max_spans > 0:
-            # record() runs right after the callback: the span ended now.
-            self._spans.append((owner, self.clock() - self._t0 - seconds, seconds))
-
-    def spans(self) -> list[tuple[str, float, float]]:
-        """Retained ``(owner, start_s, dur_s)`` spans, oldest first."""
-        return list(self._spans)
-
-    def reset(self) -> None:
-        self._table.clear()
-        self._spans.clear()
-        self._t0 = self.clock()
 
     def rows(self) -> list[ProfileRow]:
         """Owners sorted by cumulative wall time, hottest first."""
@@ -139,19 +110,3 @@ class ProfileReport:
             f"{'100.0%':>6s}"
         )
         return "\n".join(lines)
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-friendly form (manifests, bench reports)."""
-        return {
-            "total_seconds": self.total_seconds,
-            "total_calls": self.total_calls,
-            "rows": [
-                {
-                    "owner": row.owner,
-                    "calls": row.calls,
-                    "seconds": row.seconds,
-                    "events_per_sec": row.events_per_sec,
-                }
-                for row in self.rows
-            ],
-        }

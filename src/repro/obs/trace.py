@@ -2,7 +2,7 @@
 
 The :mod:`repro.obs` counters say *how much*; this module says *when*.
 It serializes everything the platform already knows about a run's
-schedule — profiler spans, campaign worker lifetimes and retries,
+schedule — campaign worker lifetimes and retries,
 heartbeats, and :mod:`repro.obs.flight` post-mortems — into the Chrome
 trace-event JSON format, so one ``repro trace <campaign_dir>`` produces
 a file that drops straight into https://ui.perfetto.dev (or
@@ -14,8 +14,7 @@ Only the *array-of-objects* flavor is emitted::
 
 with the event phases we need:
 
-* ``"X"`` — complete span (``ts`` + ``dur``, both µs): task executions,
-  profiler owner spans;
+* ``"X"`` — complete span (``ts`` + ``dur``, both µs): task executions;
 * ``"i"`` — instant: heartbeats, flight-recorder events, terminal task
   failures;
 * ``"C"`` — counter: per-task simulated-event progress from heartbeats;
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.obs.flight import load_dump
 
@@ -170,31 +169,6 @@ def validate_chrome_trace(payload: Any) -> None:
             raise ValueError(f"{where} ('M') needs args.name")
         if "args" in event and not isinstance(event["args"], dict):
             raise ValueError(f"{where} 'args' must be an object")
-
-
-# -- profiler spans ------------------------------------------------------------
-
-
-def spans_to_events(
-    spans: Iterable[tuple[str, float, float]],
-    *,
-    pid: int = 0,
-    tid: int = 0,
-    cat: str = "profile",
-) -> list[dict[str, Any]]:
-    """Convert profiler ``(owner, start_s, dur_s)`` spans (see
-    :meth:`repro.obs.profile.SimProfiler.spans`) to ``"X"`` events."""
-    return [
-        complete_event(
-            owner,
-            ts_us=start_s * 1e6,
-            dur_us=dur_s * 1e6,
-            pid=pid,
-            tid=tid,
-            cat=cat,
-        )
-        for owner, start_s, dur_s in spans
-    ]
 
 
 # -- campaign merge ------------------------------------------------------------

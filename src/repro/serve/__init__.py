@@ -7,7 +7,7 @@ cache (:mod:`repro.serve.cache`), queues them onto one persistent warm
 :class:`~repro.parallel.CampaignRunner` pool (:mod:`repro.serve.jobs` —
 amortizing pool startup, the fix for pooled campaigns running slower
 than serial ones on small runners), and streams heartbeat progress over
-long-poll or SSE (:mod:`repro.serve.app`).  :mod:`repro.serve.client`
+long-poll (:mod:`repro.serve.app`).  :mod:`repro.serve.client`
 is the stdlib client behind ``repro submit``.
 """
 

@@ -12,13 +12,13 @@ API (all JSON unless noted):
 ===========================  ==================================================
 ``POST /jobs``               submit a campaign spec; 200 with the job document
                              (``"cached": true`` + full result on a cache hit),
-                             400 on a malformed spec, 503 when the queue is full
+                             400 on a malformed spec or ``Content-Length``,
+                             503 when the queue is full
 ``GET /jobs``                all jobs, submission order
 ``GET /jobs/<id>``           one job; ``?wait=1[&timeout_s=N][&cursor=N]``
-                             long-polls until new heartbeats or completion
-``GET /jobs/<id>/events``    Server-Sent Events: one ``heartbeat`` event per
-                             campaign heartbeat, a final ``done`` event with
-                             the job document
+                             long-polls until new heartbeats or completion;
+                             400 when ``timeout_s`` or ``cursor`` is not a
+                             non-negative number
 ``GET /metrics``             Prometheus text: ``repro_serve_*`` counters/gauges
 ``GET /healthz``             liveness + pool/cache facts
 ===========================  ==================================================
@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ConfigError, ReproError
@@ -46,8 +47,8 @@ from repro.serve.spec import parse_spec
 #: huge body is a mistake or abuse, not a campaign.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: Hard cap on one long-poll / SSE wait step, so a vanished client can
-#: hold a connection open for at most this long.
+#: Hard cap on one long-poll wait step, so a vanished client can hold a
+#: connection open for at most this long.
 MAX_WAIT_S = 120.0
 
 
@@ -69,11 +70,7 @@ _REASONS = {
 
 
 def _response_bytes(
-    status: int,
-    body: bytes,
-    *,
-    content_type: str = "application/json",
-    extra_headers: tuple[tuple[str, str], ...] = (),
+    status: int, body: bytes, *, content_type: str = "application/json"
 ) -> bytes:
     head = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
@@ -81,12 +78,22 @@ def _response_bytes(
         f"Content-Length: {len(body)}",
         "Connection: close",
     ]
-    head.extend(f"{name}: {value}" for name, value in extra_headers)
     return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
 
 
 def _json_bytes(payload: Any) -> bytes:
     return (json.dumps(payload, indent=1, default=str) + "\n").encode("utf-8")
+
+
+def _non_negative(text: str, name: str, kind: Callable[[str], Any]) -> Any:
+    """``kind(text)`` when it is a finite number >= 0, else a 400."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise _HttpError(400, f"{name} must be a number, got {text!r}") from None
+    if not 0 <= value < math.inf:
+        raise _HttpError(400, f"{name} must be finite and >= 0, got {text!r}")
+    return value
 
 
 class ReproServer:
@@ -232,7 +239,7 @@ class ReproServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            response = await self._handle_request(reader, writer)
+            response = await self._handle_request(reader)
             if response is not None:
                 writer.write(response)
                 await writer.drain()
@@ -254,7 +261,7 @@ class ReproServer:
                 pass
 
     async def _handle_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader
     ) -> Optional[bytes]:
         request_line = await reader.readline()
         if not request_line:
@@ -271,18 +278,20 @@ class ReproServer:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY_BYTES:
-            return _response_bytes(413, _json_bytes({"error": "body too large"}))
-        if length:
-            body = await reader.readexactly(length)
-        self._requests.inc()
-        url = urlsplit(target)
-        query = {
-            key: values[-1] for key, values in parse_qs(url.query).items()
-        }
         try:
-            return await self._route(method, url.path, query, body, writer)
+            length = _non_negative(
+                headers.get("content-length") or "0", "Content-Length", int
+            )
+            if length > MAX_BODY_BYTES:
+                return _response_bytes(413, _json_bytes({"error": "body too large"}))
+            if length:
+                body = await reader.readexactly(length)
+            self._requests.inc()
+            url = urlsplit(target)
+            query = {
+                key: values[-1] for key, values in parse_qs(url.query).items()
+            }
+            return await self._route(method, url.path, query, body)
         except _HttpError as exc:
             return _response_bytes(
                 exc.status, _json_bytes({"error": str(exc)})
@@ -296,8 +305,7 @@ class ReproServer:
         path: str,
         query: dict[str, str],
         body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> Optional[bytes]:
+    ) -> bytes:
         if path == "/healthz" and method == "GET":
             return _response_bytes(200, _json_bytes(self._health()))
         if path == "/metrics" and method == "GET":
@@ -311,16 +319,9 @@ class ReproServer:
         if path == "/jobs" and method == "GET":
             return _response_bytes(200, _json_bytes({"jobs": self.queue.list_jobs()}))
         if path.startswith("/jobs/"):
-            rest = path[len("/jobs/"):]
-            if rest.endswith("/events"):
-                job_id = rest[: -len("/events")]
-                if method != "GET":
-                    raise _HttpError(405, "events endpoint is GET-only")
-                await self._stream_events(job_id, writer)
-                return None
             if method != "GET":
                 raise _HttpError(405, f"{method} not supported on job resources")
-            return await self._job_status(rest, query)
+            return await self._job_status(path[len("/jobs/"):], query)
         raise _HttpError(404, f"no route for {method} {path}")
 
     def _health(self) -> dict[str, Any]:
@@ -360,8 +361,11 @@ class ReproServer:
         if job is None:
             raise _HttpError(404, f"unknown job {job_id!r}")
         if query.get("wait") in ("1", "true", "yes"):
-            timeout_s = min(float(query.get("timeout_s", "30")), MAX_WAIT_S)
-            requested = int(query.get("cursor", "0"))
+            timeout_s = min(
+                _non_negative(query.get("timeout_s", "30"), "timeout_s", float),
+                MAX_WAIT_S,
+            )
+            requested = _non_negative(query.get("cursor", "0"), "cursor", int)
             job, cursor = await asyncio.to_thread(
                 self.queue.wait, job_id, beat_cursor=requested, timeout_s=timeout_s
             )
@@ -374,50 +378,3 @@ class ReproServer:
             document["heartbeats"] = job.beats[max(requested, cursor - 32):cursor]
             return _response_bytes(200, _json_bytes(document))
         return _response_bytes(200, _json_bytes(self._job_document(job)))
-
-    async def _stream_events(
-        self, job_id: str, writer: asyncio.StreamWriter
-    ) -> None:
-        """Server-Sent Events: live ``[hb]`` heartbeats, then ``done``."""
-        job = self.queue.get(job_id)
-        if job is None:
-            writer.write(
-                _response_bytes(404, _json_bytes({"error": f"unknown job {job_id!r}"}))
-            )
-            await writer.drain()
-            return
-        writer.write(
-            "\r\n".join(
-                [
-                    "HTTP/1.1 200 OK",
-                    "Content-Type: text/event-stream",
-                    "Cache-Control: no-cache",
-                    "Connection: close",
-                ]
-            ).encode("ascii")
-            + b"\r\n\r\n"
-        )
-        await writer.drain()
-        cursor = 0
-        while True:
-            job, new_cursor = await asyncio.to_thread(
-                self.queue.wait, job_id, beat_cursor=cursor, timeout_s=15.0
-            )
-            if job is None:
-                return
-            for row in job.beats[cursor:new_cursor]:
-                writer.write(
-                    b"event: heartbeat\ndata: "
-                    + json.dumps(row, default=str).encode("utf-8")
-                    + b"\n\n"
-                )
-            cursor = new_cursor
-            if job.finished:
-                writer.write(
-                    b"event: done\ndata: "
-                    + json.dumps(self._job_document(job), default=str).encode("utf-8")
-                    + b"\n\n"
-                )
-                await writer.drain()
-                return
-            await writer.drain()

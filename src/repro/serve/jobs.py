@@ -17,8 +17,8 @@ Dedup happens at submit time, twice:
   attaches to that job instead of queuing a duplicate run.
 
 All job state transitions go through one :class:`threading.Condition`,
-so HTTP long-polls and SSE streams can wait on "something changed about
-job N" without busy-looping.
+so HTTP long-polls can wait on "something changed about job N" without
+busy-looping.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class Job:
     finished_unix: Optional[float] = None
     result: Optional[dict[str, Any]] = None
     error: Optional[str] = None
-    #: Heartbeat rows in arrival order; the SSE stream's backing log.
+    #: Heartbeat rows in arrival order; the long-poll's backing log.
     beats: list[dict[str, Any]] = field(default_factory=list)
     #: Task ids that have reported a final heartbeat.
     _tasks_done: set[int] = field(default_factory=set)
@@ -231,7 +231,7 @@ class JobQueue:
     ) -> tuple[Optional[Job], int]:
         """Block until job ``job_id`` changes past ``beat_cursor`` (new
         heartbeats) or finishes, or the timeout lapses.  Returns the job
-        and the new cursor — the long-poll/SSE primitive."""
+        and the new cursor — the long-poll primitive."""
         deadline = time.monotonic() + timeout_s
         with self._cond:
             while True:

@@ -7,7 +7,6 @@ were scheduled, which makes every simulation in the library deterministic.
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.timers import PeriodicTimer, Timeout
-from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder, TraceRecord
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "Simulator",
     "PeriodicTimer",
     "Timeout",
-    "RngStreams",
     "TraceRecorder",
     "TraceRecord",
 ]

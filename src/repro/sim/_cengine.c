@@ -918,19 +918,6 @@ cq_enqueue_impl(CQueueObject *q, PyObject *packet)
     q->ring[(q->head + q->count) % q->ring_cap] = packet;
     q->count += 1;
     q->backlog_bytes = backlog;
-    if (q->flight != Py_None && q->flight != NULL) {
-        PyObject *en = PyObject_GetAttrString(q->flight, "enqueues");
-        int truth;
-        if (en == NULL)
-            return -1;
-        truth = PyObject_IsTrue(en);
-        Py_DECREF(en);
-        if (truth < 0)
-            return -1;
-        if (truth &&
-            cq_flight_note(q, "enqueue", size, 1, backlog, packet) < 0)
-            return -1;
-    }
     if (q->ecn_on && backlog >= q->ecn_thr) {
         if (ensure_ecn_consts() < 0)
             return -1;

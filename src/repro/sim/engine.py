@@ -322,28 +322,21 @@ class Simulator:
 
     # -- profiling ----------------------------------------------------------
 
-    def enable_profiling(
-        self, profiler: Optional[Any] = None, *, max_spans: int = 0
-    ) -> Any:
+    def enable_profiling(self, profiler: Optional[Any] = None) -> Any:
         """Attach a wall-clock profiler to the run loop (opt-in).
 
         Subsequent :meth:`run` calls attribute each callback's wall time
         to its owner; read the result with :meth:`profile`.  Passing a
-        :class:`~repro.obs.profile.SimProfiler` reuses it (tests inject
-        fake clocks); otherwise a fresh one is created, retaining the
-        last ``max_spans`` individual callback spans for timeline export
-        (see :mod:`repro.obs.trace`).
+        profiler (an object with ``clock`` and ``record(fn, seconds)``)
+        plugs it in; otherwise a fresh
+        :class:`~repro.obs.profile.SimProfiler` is created.
         """
         if profiler is None:
             from repro.obs.profile import SimProfiler
 
-            profiler = SimProfiler(max_spans=max_spans)
+            profiler = SimProfiler()
         self._profiler = profiler
         return profiler
-
-    def disable_profiling(self) -> None:
-        """Detach the profiler; the default run loop takes over again."""
-        self._profiler = None
 
     def profile(self) -> Any:
         """A :class:`~repro.obs.profile.ProfileReport` of the wall time

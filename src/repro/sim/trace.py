@@ -9,18 +9,14 @@ Storage is columnar (see ``docs/PERFORMANCE.md``): each channel keeps one
 ``(record_indices, values)``.  The hot-path :meth:`TraceRecorder.log`
 therefore allocates no per-record object and no per-record dict, and
 :meth:`TraceRecorder.series` — the read pattern behind every figure —
-is a direct column read.  Row-shaped views (:meth:`channel`, iteration,
-``records``) materialize :class:`TraceRecord` objects on demand.
-
-Channels can be disabled individually (:meth:`set_channel_enabled`) or
-wholesale (``enabled``); a ``log()`` call on a disabled channel costs one
-dict lookup and returns.
+is a direct column read.  The row-shaped view (:meth:`channel`)
+materializes :class:`TraceRecord` objects on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -49,26 +45,17 @@ class _ChannelStore:
 class TraceRecorder:
     """Append-only per-channel columnar store with a row-view read API."""
 
-    __slots__ = ("_stores", "_muted", "enabled")
+    __slots__ = ("_stores",)
 
     def __init__(self) -> None:
         self._stores: dict[str, _ChannelStore] = {}
-        #: Disabled channels; value keeps any data logged before disabling
-        #: (None when the channel was never logged).
-        self._muted: dict[str, Optional[_ChannelStore]] = {}
-        #: Master gate: when False, log() is a no-op for new channels too.
-        self.enabled = True
 
     # -- hot path ------------------------------------------------------------
 
     def log(self, time_ps: int, channel: str, **fields: Any) -> None:
-        """Append a record to ``channel`` (no-op when gated off)."""
-        if not self.enabled:
-            return
+        """Append a record to ``channel``."""
         store = self._stores.get(channel)
         if store is None:
-            if channel in self._muted:
-                return
             store = self._stores[channel] = _ChannelStore()
         times = store.times
         index = len(times)
@@ -82,32 +69,11 @@ class TraceRecorder:
                 column[0].append(index)
                 column[1].append(value)
 
-    # -- gates ---------------------------------------------------------------
-
-    def set_channel_enabled(self, channel: str, enabled: bool = True) -> None:
-        """Enable or disable one channel.  Disabling keeps already-logged
-        data readable; further ``log()`` calls on the channel are dropped."""
-        if enabled:
-            store = self._muted.pop(channel, None)
-            if store is not None:
-                self._stores[channel] = store
-        elif channel not in self._muted:
-            self._muted[channel] = self._stores.pop(channel, None)
-
-    def channel_enabled(self, channel: str) -> bool:
-        return channel not in self._muted
-
     # -- read API ------------------------------------------------------------
-
-    def _store(self, channel: str) -> Optional[_ChannelStore]:
-        store = self._stores.get(channel)
-        if store is None:
-            store = self._muted.get(channel)
-        return store
 
     def channel(self, channel: str) -> list[TraceRecord]:
         """All records logged on ``channel`` in time order (row view)."""
-        store = self._store(channel)
+        store = self._stores.get(channel)
         if store is None:
             return []
         fields_per_record: list[dict[str, Any]] = [{} for _ in store.times]
@@ -120,13 +86,11 @@ class TraceRecorder:
         ]
 
     def channels(self) -> list[str]:
-        names = list(self._stores)
-        names.extend(c for c, s in self._muted.items() if s is not None)
-        return sorted(names)
+        return sorted(self._stores)
 
     def series(self, channel: str, key: str) -> tuple[list[int], list[Any]]:
         """``(times_ps, values)`` for field ``key`` on ``channel``."""
-        store = self._store(channel)
+        store = self._stores.get(channel)
         if store is None:
             return [], []
         column = store.columns.get(key)
@@ -134,18 +98,3 @@ class TraceRecorder:
             return [], []
         times = store.times
         return [times[i] for i in column[0]], list(column[1])
-
-    @property
-    def records(self) -> dict[str, list[TraceRecord]]:
-        """Row view of everything, grouped by channel (compat shim for the
-        seed's dict-of-records storage)."""
-        return {channel: self.channel(channel) for channel in self.channels()}
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        for channel in self.channels():
-            yield from self.channel(channel)
-
-    def __len__(self) -> int:
-        total = sum(len(store.times) for store in self._stores.values())
-        total += sum(len(s.times) for s in self._muted.values() if s is not None)
-        return total

@@ -238,6 +238,32 @@ class TestCli:
         assert "flows completed : 1" in out
         assert (tmp_path / "fct.csv").exists()
         assert (tmp_path / "counters.json").exists()
+        assert not (tmp_path / "trace.json").exists()  # --trace is off
+
+    def test_run_trace_export_matches_qdma_log(self, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        planes = []
+
+        class RecordingControlPlane(cli.ControlPlane):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                planes.append(self)
+
+        monkeypatch.setattr(cli, "ControlPlane", RecordingControlPlane)
+        code = cli_main(
+            ["run", "--algorithm", "dctcp", "--duration-ms", "1",
+             "--size-packets", "200", "--trace", "--export-dir", str(tmp_path)]
+        )
+        assert code == 0
+        exported = json.loads((tmp_path / "trace.json").read_text())
+        trace = planes[0].tester.nic.logger.trace
+        assert trace.channels()  # the comparison below is not vacuous
+        assert sorted(exported) == trace.channels()
+        for channel in trace.channels():
+            assert [row["time_ps"] for row in exported[channel]] == [
+                record.time_ps for record in trace.channel(channel)
+            ]
 
     def test_run_closed_loop_workload(self, capsys):
         code = cli_main(

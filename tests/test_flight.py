@@ -106,6 +106,28 @@ class TestFlightRecorder:
         # Throttled: the file still holds only the creation-time snapshot.
         assert load_dump(spool)["events"] == []
 
+    def test_slow_spool_does_not_respool_on_next_record(self, tmp_path):
+        """A spool that outlasts the interval is stamped when it ends, so
+        the next record() is not a spool too (else every event spools)."""
+        now = [0.0]
+
+        class SlowDump(FlightRecorder):
+            spools = 0
+
+            def dump(self, path, **kwargs):
+                now[0] += 2.0  # the write takes two intervals
+                SlowDump.spools += 1
+                return super().dump(path, **kwargs)
+
+        recorder = SlowDump(
+            spool_path=tmp_path / "spool.json",
+            spool_interval_s=1.0,
+            clock=lambda: now[0],
+        )
+        assert SlowDump.spools == 1  # the creation-time snapshot
+        recorder.record(1, "timer", "cancel")
+        assert SlowDump.spools == 1
+
 
 class TestTaskLifecycle:
     def test_begin_end_success_removes_spool(self, tmp_path):

@@ -285,18 +285,6 @@ class TestSolverTelemetry:
         for key in series:
             assert np.array_equal(loaded[key], series[key]), key
 
-    def test_metrics_bindings(self):
-        from repro.obs import MetricsRegistry, instrument_fluid_solver
-
-        solver, run = self._run(11, telemetry=False)
-        registry = MetricsRegistry()
-        instrument_fluid_solver(solver, registry)
-        samples = {s.name: s.value for s in registry.collect()}
-        assert samples["repro_fluid_steps_total"] == run.steps
-        assert samples["repro_fluid_flow_steps_total"] == run.flow_steps
-        assert samples["repro_fluid_flows_completed_total"] == solver.flows_completed
-        assert samples["repro_fluid_active_flows"] == solver.n_active
-
 
 class TestPopulation:
     def test_add_flows_validation(self):

@@ -1,4 +1,4 @@
-"""Links, ports, devices, the network switch, and topology builders."""
+"""Links, ports, devices, the network switch, and the n-cast-1 topology."""
 
 import pytest
 
@@ -9,11 +9,7 @@ from repro.net import (
     NetworkSwitch,
     Packet,
     Topology,
-    dumbbell,
-    fan_in,
     n_cast_1,
-    one_to_one,
-    passthrough,
 )
 from repro.net.device import Device, Port
 from repro.sim import Simulator
@@ -179,43 +175,6 @@ class TestTopologyBuilders:
         assert topo.allocate_address() == 1
         assert topo.allocate_address() == 2
 
-    def test_passthrough_port_count(self):
-        sim = Simulator()
-        topo, switch = passthrough(sim, 3)
-        assert len(switch.ports) == 6
-
-    def test_one_to_one_routes(self):
-        sim = Simulator()
-        topo, switch = passthrough(sim, 2)
-        senders = [Sink(sim, f"s{i}") for i in range(2)]
-        receivers = [Sink(sim, f"r{i}") for i in range(2)]
-        sp = [d.add_port() for d in senders]
-        rp = [d.add_port() for d in receivers]
-        one_to_one(topo, switch, sp, rp, [1, 2], [11, 12])
-        sp[0].send(Packet("DATA", 1, 11, 64))
-        sp[1].send(Packet("DATA", 2, 12, 64))
-        sim.run()
-        assert len(receivers[0].received) == 1
-        assert len(receivers[1].received) == 1
-
-    def test_one_to_one_length_mismatch(self):
-        sim = Simulator()
-        topo, switch = passthrough(sim, 2)
-        with pytest.raises(ConfigError):
-            one_to_one(topo, switch, [], [], [1], [2])
-
-    def test_fan_in_congests_single_port(self):
-        sim = Simulator()
-        topo, switch = passthrough(sim, 2)
-        senders = [Sink(sim, f"s{i}") for i in range(3)]
-        receiver = Sink(sim, "r")
-        sp = [d.add_port() for d in senders]
-        fan_in(topo, switch, sp, receiver.add_port(), [1, 2, 3], 9)
-        for i, port in enumerate(sp):
-            port.send(Packet("DATA", i + 1, 9, 64))
-        sim.run()
-        assert len(receiver.received) == 3
-
     def test_n_cast_1_shape(self):
         sim = Simulator()
         topo, senders, receiver, sw_a, sw_b = n_cast_1(sim, 3)
@@ -223,14 +182,6 @@ class TestTopologyBuilders:
         assert receiver.address not in [h.address for h in senders]
         # The A-side trunk must route the receiver's address.
         assert sw_a.route_for(receiver.address) is not None
-
-    def test_dumbbell_cross_routes(self):
-        sim = Simulator()
-        topo, left, right, sw_a, sw_b = dumbbell(sim, 2, 2)
-        for host in right:
-            assert sw_a.route_for(host.address) is not None
-        for host in left:
-            assert sw_b.route_for(host.address) is not None
 
     def test_n_cast_1_end_to_end_delivery(self):
         sim = Simulator()

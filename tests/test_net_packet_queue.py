@@ -31,15 +31,6 @@ class TestPacket:
         assert q.ce_marked
         assert q.ecn == CE
 
-    def test_copy_is_independent(self):
-        p = make_packet(ecn=ECT)
-        p.meta["k"] = 1
-        c = p.copy()
-        assert c.uid != p.uid
-        c.meta["k"] = 2
-        assert p.meta["k"] == 1
-        assert c.ecn == ECT
-
 
 class TestDropTailQueue:
     def test_fifo_order(self):

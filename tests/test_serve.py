@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import socket
 
 import pytest
 
@@ -441,3 +442,46 @@ class TestServeHttp:
         with pytest.raises(ServeError) as missing:
             client.job("job-999999")
         assert missing.value.status == 404
+
+
+def _raw_request(server, raw: bytes) -> tuple[int, dict]:
+    """Send ``raw`` bytes as-is; return the status and the JSON body."""
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestMalformedRequests:
+    """Bad numbers from the wire are the client's fault: 400, never 500."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        server = ReproServer(port=0, workers=1, cache_dir=tmp_path / "cache")
+        spec = parse_spec(TINY_SWEEP)
+        server.cache.put(spec.config_hash, spec.config, {"kind": "sweep", "points": []})
+        server.start_background()
+        yield server
+        server.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length(self, server, length):
+        status, body = _raw_request(
+            server, f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+        )
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    @pytest.mark.parametrize(
+        "query", ["timeout_s=abc", "timeout_s=nan", "cursor=abc", "cursor=-1"]
+    )
+    def test_bad_long_poll_numbers(self, server, query):
+        job_id = ServeClient(server.host, server.port).submit(TINY_SWEEP)["job_id"]
+        status, body = _raw_request(
+            server, f"GET /jobs/{job_id}?wait=1&{query} HTTP/1.1\r\n\r\n".encode()
+        )
+        assert status == 400
+        assert query.split("=")[0] in body["error"]

@@ -1,37 +1,6 @@
-"""RNG streams and the trace recorder."""
+"""The trace recorder."""
 
-from repro.sim import RngStreams, TraceRecorder
-
-
-class TestRngStreams:
-    def test_same_seed_same_draws(self):
-        a = RngStreams(seed=7).stream("workload")
-        b = RngStreams(seed=7).stream("workload")
-        assert a.random(5).tolist() == b.random(5).tolist()
-
-    def test_different_names_independent(self):
-        streams = RngStreams(seed=7)
-        a = streams.stream("a").random(5)
-        b = streams.stream("b").random(5)
-        assert a.tolist() != b.tolist()
-
-    def test_different_seeds_differ(self):
-        a = RngStreams(seed=1).stream("x").random(5)
-        b = RngStreams(seed=2).stream("x").random(5)
-        assert a.tolist() != b.tolist()
-
-    def test_stream_is_cached(self):
-        streams = RngStreams()
-        assert streams.stream("x") is streams.stream("x")
-
-    def test_new_stream_does_not_perturb_existing(self):
-        streams_a = RngStreams(seed=3)
-        gen = streams_a.stream("main")
-        first = gen.random(3).tolist()
-
-        streams_b = RngStreams(seed=3)
-        streams_b.stream("other")  # created before "main" this time
-        assert streams_b.stream("main").random(3).tolist() == first
+from repro.sim import TraceRecorder
 
 
 class TestTraceRecorder:
@@ -61,14 +30,6 @@ class TestTraceRecorder:
         assert record["alpha"] == 0.5
         assert record.time_ps == 5
 
-    def test_len_and_iter(self):
-        trace = TraceRecorder()
-        trace.log(1, "a", v=1)
-        trace.log(2, "b", v=2)
-        trace.log(3, "a", v=3)
-        assert len(trace) == 3
-        assert [r.time_ps for r in trace] == [1, 3, 2]  # grouped by channel
-
     def test_series_skips_records_without_key(self):
         trace = TraceRecorder()
         trace.log(1, "c", x=1)
@@ -76,53 +37,3 @@ class TestTraceRecorder:
         times, values = trace.series("c", "x")
         assert times == [1]
         assert values == [1]
-
-    def test_records_compat_view(self):
-        trace = TraceRecorder()
-        trace.log(1, "a", v=1)
-        trace.log(2, "b", v=2)
-        records = trace.records
-        assert sorted(records) == ["a", "b"]
-        assert records["a"][0]["v"] == 1
-        assert records["b"][0].channel == "b"
-
-
-class TestTraceGates:
-    def test_master_gate_drops_everything(self):
-        trace = TraceRecorder()
-        trace.log(1, "c", v=1)
-        trace.enabled = False
-        trace.log(2, "c", v=2)
-        trace.log(3, "new", v=3)
-        trace.enabled = True
-        trace.log(4, "c", v=4)
-        assert trace.series("c", "v") == ([1, 4], [1, 4])
-        assert trace.channel("new") == []
-
-    def test_channel_gate_drops_only_that_channel(self):
-        trace = TraceRecorder()
-        trace.set_channel_enabled("noisy", False)
-        trace.log(1, "noisy", v=1)
-        trace.log(1, "kept", v=1)
-        assert not trace.channel_enabled("noisy")
-        assert trace.channel_enabled("kept")
-        assert len(trace) == 1
-        assert trace.series("kept", "v") == ([1], [1])
-
-    def test_disabling_keeps_already_logged_data(self):
-        trace = TraceRecorder()
-        trace.log(1, "c", v=1)
-        trace.set_channel_enabled("c", False)
-        trace.log(2, "c", v=2)  # dropped
-        assert trace.series("c", "v") == ([1], [1])
-        assert "c" in trace.channels()
-        trace.set_channel_enabled("c", True)
-        trace.log(3, "c", v=3)
-        assert trace.series("c", "v") == ([1, 3], [1, 3])
-
-    def test_reenabling_never_logged_channel_is_noop(self):
-        trace = TraceRecorder()
-        trace.set_channel_enabled("ghost", False)
-        trace.set_channel_enabled("ghost", True)
-        trace.log(5, "ghost", v=5)
-        assert trace.series("ghost", "v") == ([5], [5])

@@ -1,34 +1,10 @@
-"""Operator sweep utilities: lossless-rate search and CC parameter grids."""
+"""Operator sweep utilities: CC parameter grids."""
 
 import pytest
 
-from repro.core.sweep import cc_parameter_sweep, max_lossless_rate_bps
+from repro.core.sweep import cc_parameter_sweep
 from repro.errors import ConfigError
 from repro.units import GBPS, MS, RATE_100G
-
-
-class TestMaxLosslessRate:
-    def test_finds_bottleneck_rate(self):
-        rate = max_lossless_rate_bps(
-            bottleneck_rate_bps=RATE_100G,
-            duration_ps=1 * MS,
-            tolerance_bps=2 * GBPS,
-        )
-        # The answer is the port's line rate (the queue absorbs nothing
-        # sustained beyond it): within tolerance + framing margin.
-        assert 0.93 * RATE_100G <= rate <= 1.05 * RATE_100G
-
-    def test_scales_with_bottleneck(self):
-        rate = max_lossless_rate_bps(
-            bottleneck_rate_bps=10 * GBPS,
-            duration_ps=1 * MS,
-            tolerance_bps=1 * GBPS,
-        )
-        assert 0.85 * 10 * GBPS <= rate <= 1.1 * 10 * GBPS
-
-    def test_tolerance_validated(self):
-        with pytest.raises(ConfigError):
-            max_lossless_rate_bps(tolerance_bps=0)
 
 
 class TestCcParameterSweep:

@@ -1,12 +1,11 @@
-"""Chrome trace-event export: constructors, the validator gate, the
-profiler-span bridge, and the campaign results-dir merge."""
+"""Chrome trace-event export: constructors, the validator gate, and the
+campaign results-dir merge."""
 
 import json
 
 import pytest
 
 from repro.obs import flight
-from repro.obs.profile import SimProfiler
 from repro.obs.trace import (
     build_chrome_trace,
     campaign_trace_events,
@@ -14,7 +13,6 @@ from repro.obs.trace import (
     counter_event,
     instant_event,
     metadata_event,
-    spans_to_events,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -102,44 +100,6 @@ class TestValidator:
                                 "pid": 0, "tid": 0}]}
         with pytest.raises(ValueError, match="ts"):
             validate_chrome_trace(bad)
-
-
-def _alpha() -> None:
-    pass
-
-
-def _beta() -> None:
-    pass
-
-
-class TestProfilerSpans:
-    def test_spans_become_complete_events(self):
-        sim = Simulator()
-        profiler = sim.enable_profiling(max_spans=100)
-        sim.at(0, _alpha)
-        sim.at(1000, _beta)
-        sim.run()
-        spans = profiler.spans()
-        assert [owner for owner, _, _ in spans] == ["_alpha", "_beta"]
-        events = spans_to_events(spans, pid=7, tid=3)
-        validate_chrome_trace(build_chrome_trace(events))
-        assert all(e["ph"] == "X" and e["pid"] == 7 for e in events)
-        # Spans are (start, duration) in wall seconds -> microseconds.
-        assert events[0]["ts"] <= events[1]["ts"]
-
-    def test_span_ring_is_bounded(self):
-        sim = Simulator()
-        profiler = sim.enable_profiling(max_spans=4)
-        for i in range(10):
-            sim.at(i * 1000, _alpha)
-        sim.run()
-        assert len(profiler.spans()) == 4
-
-    def test_spans_off_by_default(self):
-        profiler = SimProfiler()
-        profiler.record(_alpha, 0.001)
-        assert profiler.spans() == []
-        assert profiler.rows()[0].calls == 1
 
 
 class TestCampaignMerge:
