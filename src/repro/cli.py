@@ -116,7 +116,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.config is not None:
         import json
 
-        payload = json.loads(Path(args.config).read_text())
+        try:
+            payload = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"--config {args.config}: {exc}") from None
         config = TestConfig.from_dict(payload)
     else:
         config = TestConfig(
@@ -231,9 +234,9 @@ def _print_campaign(spec: CampaignSpec, result: dict[str, Any]) -> None:
                   f"{point['flows_completed']:>6d}")
         return
     print(
-        f"fluid campaign ({config['backend']} backend): {len(points)} cell(s), "
+        f"fluid campaign: {len(points)} cell(s), "
         f"{stats['workers']} worker(s), {stats['campaign_wall_s']:.1f} s wall, "
-        f"{stats['events_total']:,} flow(-step)s"
+        f"{stats['events_total']:,} flow-steps"
     )
     print(f"{'algorithm':10s} {'flows/port':>10s} {'mean':>10s} {'p50':>10s} "
           f"{'p99':>10s} {'per-slot':>12s} {'aggregate':>12s}")
@@ -352,7 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fluid(args: argparse.Namespace) -> int:
-    """Fluid FCT campaign (Figure 10 grid) on either fluid backend."""
+    """Fluid FCT campaign (Figure 10 grid) on the columnar solver."""
     try:
         levels = [int(token) for token in args.flows_per_port.split(",")]
     except ValueError:
@@ -369,7 +372,6 @@ def cmd_fluid(args: argparse.Namespace) -> int:
             "flows_per_port_levels": levels,
             "flows_total": args.flows_total,
             "n_ports": args.ports,
-            "backend": args.backend,
             "seed": args.seed,
         },
         timeseries_dir=args.timeseries_out,
@@ -689,16 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fluid = sub.add_parser(
         "fluid",
-        help="fluid FCT campaign (Figure 10 grid), closed-form or columnar",
+        help="fluid FCT campaign (Figure 10 grid) on the columnar solver",
     )
     p_fluid.add_argument(
         "--algorithms", default="dctcp,dcqcn,ideal",
         help="comma-separated fluid profiles (dctcp, dcqcn, ideal)",
-    )
-    p_fluid.add_argument(
-        "--backend", choices=("closed_form", "columnar"), default="closed_form",
-        help="closed_form: exact per-flow kernel; columnar: time-stepped "
-             "NumPy solver (dynamic feedback, scales to 10^6 flows)",
     )
     p_fluid.add_argument(
         "--flows-per-port", default="8",
@@ -722,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fluid.add_argument(
         "--timeseries-out",
         default=None,
-        help="(columnar only) save per-step per-bottleneck aggregates as "
+        help="save the solver's per-step per-bottleneck aggregates as "
              "one .npz per grid cell into this directory",
     )
     p_fluid.add_argument(

@@ -76,6 +76,10 @@ class TestConfig:
         """Build a config from a dict, rejecting unknown keys."""
         from dataclasses import fields
 
+        if not isinstance(payload, dict):
+            raise ConfigError(
+                f"TestConfig must be a JSON object, got {type(payload).__name__}"
+            )
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:

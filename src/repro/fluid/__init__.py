@@ -1,19 +1,25 @@
 """Flow-level (fluid) simulation for the 65,536-flow comprehensive test.
 
 A packet-level Python simulation of 1.2 Tbps for the durations Figure 10
-needs would require ~10^9 packet events; the fluid layer replaces it with
-per-flow rate profiles (startup ramp + converged fair share) under the
-closed-loop invariant that the per-port flow count is constant.  The
-fluid model is cross-validated against the packet simulator at small
-scale in the integration tests.
+needs would require ~10^9 packet events; the fluid layer replaces it
+with flow-level models of the constant-population closed loop:
+
+* :class:`ColumnarFluidSolver` — the time-stepped solver whose queue and
+  marking feedback emerge per bottleneck; the one engine a fluid
+  campaign (:func:`fluid_fct_campaign`, ``repro fluid``, the serve spec)
+  runs;
+* :class:`FluidSimulator` — the closed form, integrating each flow's
+  startup-ramp + fair-share rate profile exactly; the solver's test
+  oracle and the paper-scale Figure 10 model.
+
+The tests check the closed form against the packet simulator at small
+scale, and the solver against the closed form.
 """
 
 from repro.fluid.campaign import (
-    FLUID_BACKENDS,
     FluidCampaignPoint,
     fluid_fct_campaign,
     run_fluid_point,
-    run_fluid_result,
 )
 from repro.fluid.ideal import ideal_fct_ps, ideal_fct_series_us
 from repro.fluid.model import (
@@ -33,12 +39,10 @@ from repro.fluid.solver import (
 )
 
 __all__ = [
-    "FLUID_BACKENDS",
     "PROFILES",
     "FluidCampaignPoint",
     "fluid_fct_campaign",
     "run_fluid_point",
-    "run_fluid_result",
     "ColumnarFluidSolver",
     "SolverConfig",
     "SolverRunResult",

@@ -3,9 +3,15 @@
 The Figure 10 comprehensive test is a grid — CC algorithm × per-port
 flow count — of *independent* fluid runs, each sampling 10⁴–10⁵ flows.
 :func:`fluid_fct_campaign` maps that grid onto a
-:class:`~repro.parallel.CampaignRunner`, returning compact per-cell
-summaries (workers return summaries rather than raw FCT arrays so a
-large campaign does not ship megabytes of samples through the pipe).
+:class:`~repro.parallel.CampaignRunner`; every cell is one closed-loop
+run of :class:`~repro.fluid.solver.ColumnarFluidSolver`, the one
+campaign engine.  Workers return compact per-cell summaries rather than
+raw FCT arrays, so a large campaign does not ship megabytes of samples
+through the pipe.
+
+The closed-form :class:`~repro.fluid.model.FluidSimulator` is not a
+campaign engine: it is the solver's test oracle and the paper-scale
+Figure 10 model (``benchmarks/bench_fig10_comprehensive.py``).
 
 Per-cell seeds are spawned deterministically from the campaign seed and
 the cell's grid position, so campaign results are bit-identical at any
@@ -21,17 +27,12 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.fluid.model import FluidCcProfile, FluidResult, FluidSimulator
-from repro.fluid.solver import ColumnarFluidSolver, SolverConfig, kernel_for_profile
+from repro.fluid.model import FluidCcProfile, FluidResult
+from repro.fluid.solver import ColumnarFluidSolver, kernel_for_profile
 from repro.obs import flight
 from repro.parallel import CampaignResult, CampaignRunner, derive_task_seed, report_events
 from repro.units import RATE_100G
 from repro.workload.distributions import EmpiricalCdf
-
-#: Fluid execution backends: the closed-form per-flow FCT kernel (exact,
-#: static populations) and the time-stepped columnar solver (dynamic
-#: feedback, 10^5-10^6 concurrent flows per process).
-FLUID_BACKENDS = ("closed_form", "columnar")
 
 
 @dataclass(frozen=True)
@@ -48,117 +49,6 @@ class FluidCampaignPoint:
     throughput_bps: float
 
 
-def _run_columnar(
-    profile: FluidCcProfile,
-    distribution: EmpiricalCdf,
-    *,
-    flows_per_port: int,
-    flows_total: int,
-    n_ports: int,
-    port_capacity_bps: float,
-    seed: int,
-    dt_ps: Optional[int],
-    timeseries_dir: Optional[Union[str, Path]] = None,
-    timeseries_sample_every: int = 1,
-) -> FluidResult:
-    """One closed-loop columnar run shaped like a closed-form one.
-
-    With ``timeseries_dir`` set, per-step bottleneck aggregates are
-    sampled (see :class:`~repro.fluid.solver.SolverTelemetry`) and saved
-    as ``timeseries-<alg>-fpp<N>.npz`` in that directory.  Sampling only
-    reads solver state, so the run stays bit-identical.
-    """
-    config = SolverConfig() if dt_ps is None else SolverConfig(dt_ps=dt_ps)
-    solver = ColumnarFluidSolver(
-        n_bottlenecks=n_ports,
-        capacity_bps=port_capacity_bps,
-        config=config,
-        seed=seed,
-        capacity_hint=n_ports * flows_per_port,
-    )
-    if timeseries_dir is not None:
-        solver.enable_telemetry(sample_every=timeseries_sample_every)
-    flight.attach(solver=solver)
-    bottleneck = np.repeat(
-        np.arange(n_ports, dtype=np.int32), flows_per_port
-    )
-    sizes = distribution.sample_many(solver.rng, bottleneck.size)
-    solver.add_flows(
-        sizes, bottleneck=bottleneck, kernel=kernel_for_profile(profile)
-    )
-    run = solver.run_closed_loop(distribution, flows_total=flows_total)
-    report_events(run.flow_steps)
-    if timeseries_dir is not None and solver.telemetry is not None:
-        out_dir = Path(timeseries_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        solver.telemetry.save(
-            out_dir / f"timeseries-{profile.name}-fpp{flows_per_port}.npz"
-        )
-    return FluidResult(
-        algorithm=profile.name,
-        fcts_us=run.fcts_us,
-        sizes_bytes=run.sizes_bytes,
-        n_flows_per_port=flows_per_port,
-        n_ports=n_ports,
-        capacity_bps=port_capacity_bps,
-    )
-
-
-def run_fluid_result(
-    profile: FluidCcProfile,
-    distribution: EmpiricalCdf,
-    *,
-    flows_per_port: int,
-    flows_total: int,
-    n_ports: int = 12,
-    port_capacity_bps: float = RATE_100G,
-    seed: int = 0,
-    backend: str = "closed_form",
-    dt_ps: Optional[int] = None,
-    timeseries_dir: Optional[Union[str, Path]] = None,
-    timeseries_sample_every: int = 1,
-) -> FluidResult:
-    """One full fluid run on the selected backend, raw FCT arrays and all.
-
-    ``backend="closed_form"`` integrates each flow's rate profile
-    exactly; ``backend="columnar"`` runs the time-stepped columnar
-    solver (dynamic queue/marking feedback, million-flow scale).
-    ``timeseries_dir`` (columnar only) saves per-step bottleneck
-    aggregates as an ``.npz`` timeseries.
-    """
-    if backend not in FLUID_BACKENDS:
-        raise ConfigError(
-            f"unknown fluid backend {backend!r}; choose from {FLUID_BACKENDS}"
-        )
-    if timeseries_dir is not None and backend != "columnar":
-        raise ConfigError(
-            "timeseries output is a columnar-solver feature; "
-            f"backend {backend!r} does not step per-bottleneck state"
-        )
-    if backend == "columnar":
-        return _run_columnar(
-            profile,
-            distribution,
-            flows_per_port=flows_per_port,
-            flows_total=flows_total,
-            n_ports=n_ports,
-            port_capacity_bps=port_capacity_bps,
-            seed=seed,
-            dt_ps=dt_ps,
-            timeseries_dir=timeseries_dir,
-            timeseries_sample_every=timeseries_sample_every,
-        )
-    fluid = FluidSimulator(
-        n_ports=n_ports,
-        flows_per_port=flows_per_port,
-        port_capacity_bps=port_capacity_bps,
-        seed=seed,
-    )
-    result = fluid.run(profile, distribution, flows_total=flows_total)
-    report_events(result.total_flows)
-    return result
-
-
 def run_fluid_point(
     profile: FluidCcProfile,
     distribution: EmpiricalCdf,
@@ -167,32 +57,48 @@ def run_fluid_point(
     flows_per_port: int,
     flows_total: int,
     n_ports: int = 12,
-    port_capacity_bps: float = RATE_100G,
     seed: int = 0,
-    backend: str = "closed_form",
-    dt_ps: Optional[int] = None,
     timeseries_dir: Optional[Union[str, Path]] = None,
     timeseries_sample_every: int = 1,
 ) -> FluidCampaignPoint:
-    """One campaign cell: a full fluid run reduced to its FCT summary.
+    """One campaign cell: a closed-loop columnar run of ``n_ports``
+    100 G bottlenecks × ``flows_per_port`` flows, reduced to its FCT
+    summary.
 
-    Top level and closure-free so it pickles into pool workers; see
-    :func:`run_fluid_result` for the backend semantics (including
-    ``timeseries_dir``, which works pooled because each cell writes its
-    own distinctly named ``.npz``).
+    Top level and closure-free so it pickles into pool workers.  With
+    ``timeseries_dir`` set, per-step bottleneck aggregates are sampled
+    (see :class:`~repro.fluid.solver.SolverTelemetry`) and saved as
+    ``timeseries-<alg>-fpp<N>.npz`` in that directory — one distinctly
+    named file per cell, so it works pooled.  Sampling only reads
+    solver state, so the run stays bit-identical.
     """
-    result = run_fluid_result(
-        profile,
-        distribution,
-        flows_per_port=flows_per_port,
-        flows_total=flows_total,
-        n_ports=n_ports,
-        port_capacity_bps=port_capacity_bps,
+    solver = ColumnarFluidSolver(
+        n_bottlenecks=n_ports,
+        capacity_bps=RATE_100G,
         seed=seed,
-        backend=backend,
-        dt_ps=dt_ps,
-        timeseries_dir=timeseries_dir,
-        timeseries_sample_every=timeseries_sample_every,
+        capacity_hint=n_ports * flows_per_port,
+    )
+    if timeseries_dir is not None:
+        solver.enable_telemetry(sample_every=timeseries_sample_every)
+    flight.attach(solver=solver)
+    bottleneck = np.repeat(np.arange(n_ports, dtype=np.int32), flows_per_port)
+    sizes = distribution.sample_many(solver.rng, bottleneck.size)
+    solver.add_flows(sizes, bottleneck=bottleneck, kernel=kernel_for_profile(profile))
+    run = solver.run_closed_loop(distribution, flows_total=flows_total)
+    report_events(run.flow_steps)
+    if timeseries_dir is not None:
+        out_dir = Path(timeseries_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        solver.telemetry.save(
+            out_dir / f"timeseries-{profile.name}-fpp{flows_per_port}.npz"
+        )
+    result = FluidResult(
+        algorithm=profile.name,
+        fcts_us=run.fcts_us,
+        sizes_bytes=run.sizes_bytes,
+        n_flows_per_port=flows_per_port,
+        n_ports=n_ports,
+        capacity_bps=RATE_100G,
     )
     fcts = result.fcts_us
     return FluidCampaignPoint(
@@ -215,11 +121,9 @@ def fluid_fct_campaign(
     flows_per_port_levels: Sequence[int] = (8,),
     flows_total: int = 50_000,
     n_ports: int = 12,
-    port_capacity_bps: float = RATE_100G,
     workers: int = 1,
     seed: int = 0,
-    backend: str = "closed_form",
-    dt_ps: Optional[int] = None,
+    backend: str = "columnar",
     runner: Optional[CampaignRunner] = None,
     timeseries_dir: Optional[Union[str, Path]] = None,
     timeseries_sample_every: int = 1,
@@ -228,17 +132,23 @@ def fluid_fct_campaign(
     """Run the profile × load grid, sharded across ``workers`` processes.
 
     Cells come back in grid order (profiles major, load levels minor)
-    with the campaign's wall-clock/event statistics alongside.
-    ``backend`` selects the per-cell fluid engine (see
-    :func:`run_fluid_point`).
+    with the campaign's wall-clock/event statistics alongside; each is
+    one :func:`run_fluid_point`.  ``backend`` accepts only
+    ``"columnar"``, the one engine: the keyword stays so callers that
+    still spell it keep working.
     """
     if not profiles:
         raise ConfigError("fluid campaign needs at least one CC profile")
     if not flows_per_port_levels:
         raise ConfigError("fluid campaign needs at least one load level")
-    if backend not in FLUID_BACKENDS:
+    if backend != "columnar":
         raise ConfigError(
-            f"unknown fluid backend {backend!r}; choose from {FLUID_BACKENDS}"
+            f"fluid campaigns run on the columnar solver only, got backend {backend!r}"
+        )
+    if timeseries_sample_every < 1:
+        raise ConfigError(
+            "timeseries_sample_every (--timeseries-every) must be >= 1, "
+            f"got {timeseries_sample_every}"
         )
     tasks = []
     for profile_index, profile in enumerate(profiles):
@@ -251,9 +161,6 @@ def fluid_fct_campaign(
                     "flows_per_port": flows_per_port,
                     "flows_total": flows_total,
                     "n_ports": n_ports,
-                    "port_capacity_bps": port_capacity_bps,
-                    "backend": backend,
-                    "dt_ps": dt_ps,
                     "seed": derive_task_seed(seed, profile_index, level_index),
                     "timeseries_dir": (
                         str(timeseries_dir) if timeseries_dir is not None else None

@@ -45,7 +45,6 @@ _FLUID_DEFAULTS: dict[str, Any] = {
     "flows_per_port_levels": [8],
     "flows_total": 50_000,
     "n_ports": 12,
-    "backend": "closed_form",
     "seed": 0,
 }
 
@@ -100,7 +99,7 @@ class CampaignSpec:
         return (
             f"fluid {','.join(self.config['algorithms'])} "
             f"x{len(self.config['flows_per_port_levels'])} level(s), "
-            f"{self.config['flows_total']} flows ({self.config['backend']})"
+            f"{self.config['flows_total']} flows"
         )
 
     # -- execution -------------------------------------------------------------
@@ -122,10 +121,8 @@ class CampaignSpec:
         import dataclasses
 
         c = self.config
-        if timeseries_dir is not None and c.get("backend") != "columnar":
-            raise ConfigError(
-                "timeseries output needs a fluid campaign with 'backend': 'columnar'"
-            )
+        if timeseries_dir is not None and self.kind != "fluid":
+            raise ConfigError("timeseries output is a fluid campaign feature")
         if self.kind == "sweep":
             from repro.core.sweep import sweep_campaign
 
@@ -153,7 +150,6 @@ class CampaignSpec:
                 flows_total=c["flows_total"],
                 n_ports=c["n_ports"],
                 seed=c["seed"],
-                backend=c["backend"],
                 runner=runner,
                 timeseries_dir=timeseries_dir,
                 timeseries_sample_every=timeseries_sample_every,
@@ -239,7 +235,7 @@ def _parse_fluid(payload: dict[str, Any]) -> CampaignSpec:
         isinstance(algorithms, list) and len(algorithms) >= 1,
         "'algorithms' must be a non-empty list of fluid profile names",
     )
-    from repro.fluid import FLUID_BACKENDS, PROFILES
+    from repro.fluid import PROFILES
     from repro.workload import DISTRIBUTIONS
 
     unknown = sorted(set(algorithms) - set(PROFILES))
@@ -265,12 +261,6 @@ def _parse_fluid(payload: dict[str, Any]) -> CampaignSpec:
     ]
     config["flows_total"] = _as_int(merged["flows_total"], "flows_total", minimum=1)
     config["n_ports"] = _as_int(merged["n_ports"], "n_ports", minimum=1)
-    _require(
-        merged["backend"] in FLUID_BACKENDS,
-        f"'backend' must be one of {list(FLUID_BACKENDS)}, "
-        f"got {merged['backend']!r}",
-    )
-    config["backend"] = merged["backend"]
     config["seed"] = _as_int(merged["seed"], "seed", minimum=0)
     n_tasks = len(algorithms) * len(levels)
     return CampaignSpec(kind="fluid", config=config, n_tasks=n_tasks)

@@ -145,14 +145,14 @@ class TestThreeWays:
 
     def test_fluid_timeseries_stay_outside_the_hashed_config(self, tmp_path, capsys):
         series = tmp_path / "series"
-        argv = ["fluid", "--algorithms", "ideal", "--backend", "columnar",
+        argv = ["fluid", "--algorithms", "ideal",
                 "--flows-per-port", "2", "--flows-total", "50", "--ports", "2",
                 "--timeseries-out", str(series), "--timeseries-every", "4"]
         assert main(argv) == 0
         assert [path.name for path in series.iterdir()] == ["timeseries-ideal-fpp2.npz"]
         assert str(series) in capsys.readouterr().out
         spec = parse_spec({"kind": "fluid", "algorithms": ["ideal"],
-                           "backend": "columnar", "flows_per_port_levels": [2],
+                           "flows_per_port_levels": [2],
                            "flows_total": 50, "n_ports": 2})
         assert "timeseries_dir" not in spec.config
 
@@ -175,7 +175,8 @@ class TestRejectedBeforeAnyWorker:
             (["fluid", "--flows-total", "0"], "flows_total"),
             (["fluid", "--flows-per-port", "8,x"], "--flows-per-port"),
             (["fluid", "--algorithms", "dctcp,martian"], "martian"),
-            (["fluid", "--timeseries-out", "ts"], "columnar"),
+            (["fluid", "--timeseries-out", "ts", "--timeseries-every", "0"],
+             "--timeseries-every"),
         ],
     )
     def test_probe(self, argv, names, monkeypatch, capsys):
@@ -216,6 +217,19 @@ class TestRejectedBeforeAnyWorker:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"repro {argv[0]}: ")
 
+    @pytest.mark.parametrize(
+        "content,names",
+        [(None, "No such file"), ("{not json", "Expecting"), ("[]", "JSON object")],
+    )
+    def test_run_config_file_errors_are_one_line(self, content, names, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: ") and names in err
+        assert len(err.strip().splitlines()) == 1
+
 
 def test_duration_ms_is_rounded_to_picoseconds_not_truncated(monkeypatch):
     # 1.001 ms is not representable: 1.001 * MS == 1000999999.9999999.
@@ -246,8 +260,9 @@ def test_campaign_flags_keep_their_names_and_spec_defaults():
         sweep_spec["seed"], sweep_spec["sim_backend"],
     )
     assert (fluid.workload, [int(fluid.flows_per_port)], fluid.flows_total,
-            fluid.ports, fluid.backend, fluid.seed) == (
+            fluid.ports, fluid.seed) == (
         fluid_spec["workload"], fluid_spec["flows_per_port_levels"],
-        fluid_spec["flows_total"], fluid_spec["n_ports"],
-        fluid_spec["backend"], fluid_spec["seed"],
+        fluid_spec["flows_total"], fluid_spec["n_ports"], fluid_spec["seed"],
     )
+    # The fluid engine is not a knob: no flag and no spec field select it.
+    assert not hasattr(fluid, "backend") and "backend" not in fluid_spec

@@ -7,6 +7,7 @@ import pytest
 from repro import ControlPlane, TestConfig
 from repro.errors import ConfigError
 from repro.fluid import (
+    ColumnarFluidSolver,
     FluidSimulator,
     dcqcn_profile,
     dctcp_profile,
@@ -158,8 +159,9 @@ class TestFluidRun:
 
 
 class TestCrossValidation:
-    """The fluid model must agree with the packet-level tester where both
-    are feasible (the DESIGN.md validation obligation for Figure 10)."""
+    """Both fluid models must agree with the packet-level tester where
+    all three are feasible (the DESIGN.md validation obligation for
+    Figure 10), within stated bands."""
 
     @pytest.mark.slow
     def test_fluid_matches_packet_sim_at_small_scale(self):
@@ -186,5 +188,14 @@ class TestCrossValidation:
             )
             / MICROSECOND
         )
-        # Flow-level vs packet-level within 2x: same order, same regime.
-        assert fluid_fct_us == pytest.approx(packet_mean_us, rel=1.0)
+        solver = ColumnarFluidSolver(n_bottlenecks=1, seed=0)
+        solver.add_flows([size_packets * 1024] * flows_per_port, kernel="dcqcn")
+        while solver.n_active:
+            solver.step(64)
+        columnar_fct_us = float(np.mean(solver.completions().fcts_us))
+        # Measured: closed form 0.86x, columnar 1.05x the packet mean.
+        # The band holds for 4 simultaneous DCQCN starters; at 8 the
+        # columnar kernel's synchronized cuts leave the link idle and
+        # its mean reads 2.8x the packet level.
+        assert fluid_fct_us == pytest.approx(packet_mean_us, rel=0.2)
+        assert columnar_fct_us == pytest.approx(packet_mean_us, rel=0.2)

@@ -42,7 +42,7 @@ class TestParseSpec:
     def test_fluid_defaults_applied(self):
         spec = parse_spec({"kind": "fluid", "algorithms": ["dctcp", "ideal"]})
         assert spec.config["workload"] == "websearch"
-        assert spec.config["backend"] == "closed_form"
+        assert "backend" not in spec.config
         assert spec.n_tasks == 2
 
     def test_seeds_multiply_task_count(self):
