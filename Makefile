@@ -6,9 +6,9 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Build the optional C run-loop backend (repro.sim._cengine) in place.
-## Purely an accelerator: results are bit-identical to the python
-## backend, and everything works without it (auto-detection falls back).
+## Build the C engine (repro.sim._cengine: run loop, port, queue) in place.
+## Built means used: every simulator then runs on it, with results
+## bit-identical to the pure-Python engine.  `make clean` removes it.
 compiled:
 	$(PYTHON) setup.py build_ext --inplace
 

@@ -6,11 +6,11 @@ editable path (which builds an editable wheel) cannot run.  Keeping a
 makes ``pip install -e .`` take the legacy ``setup.py develop`` route,
 which works offline.  All metadata lives in ``pyproject.toml``.
 
-The compiled sim backend (``repro.sim._cengine``) is an *optional*
-extension: ``make compiled`` (or ``python setup.py build_ext
---inplace``) builds it in place, and a missing compiler degrades to a
-warning so pure-Python installs keep working (the engine falls back to
-the ``python`` backend at runtime — see ``repro/sim/backend.py``).
+The C engine (``repro.sim._cengine``) is an *optional* extension:
+``make compiled`` (or ``python setup.py build_ext --inplace``) builds it
+in place, and a missing compiler degrades to a warning so pure-Python
+installs keep working.  Whether it is built is the only switch: when it
+imports, every simulator runs on it (see ``repro/sim/backend.py``).
 """
 
 from setuptools import Extension, setup

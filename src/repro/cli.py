@@ -53,7 +53,6 @@ from repro.obs import (
 )
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.backend import backend_names
 from repro.units import MS, US, format_rate
 
 if TYPE_CHECKING:
@@ -130,7 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             int_enabled=args.int_enabled,
             trace_cc=args.trace,
         )
-    cp = ControlPlane(sim_backend=args.sim_backend)
+    cp = ControlPlane()
     tester = cp.deploy(config)
     cp.wire_loopback_fabric()
     registry = instrument_control_plane(cp) if args.metrics_out else None
@@ -335,7 +334,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "ecn_threshold_bytes": args.ecn_threshold,
             "seeds": args.seeds,
             "seed": args.seed,
-            "sim_backend": args.sim_backend,
         },
         on_heartbeat,
     )
@@ -627,13 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON TestConfig file (overrides the individual options)",
     )
-    p_run.add_argument(
-        "--sim-backend",
-        choices=backend_names(),
-        default=None,
-        help="run-loop backend (default: $REPRO_SIM_BACKEND, else auto); "
-             "backends are bit-identical, this only changes speed",
-    )
 
     p_sweep = sub.add_parser(
         "sweep", help="CC parameter sweep, sharded across a process pool"
@@ -680,13 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write a campaign journal + per-task flight-recorder "
              "post-mortems here (input for `repro trace`)",
-    )
-    p_sweep.add_argument(
-        "--sim-backend",
-        choices=backend_names(),
-        default=None,
-        help="run-loop backend for every task (default: $REPRO_SIM_BACKEND, "
-             "else auto); backends are bit-identical, this only changes speed",
     )
 
     p_fluid = sub.add_parser(

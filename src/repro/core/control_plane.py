@@ -55,10 +55,10 @@ def wire_tester_fabric(
 class ControlPlane:
     """Deploys configurations and orchestrates test runs.
 
-    ``sim_backend`` selects the run-loop backend ("auto", "python",
-    "compiled" — see :mod:`repro.sim.backend`) for the simulator the
-    control plane constructs; it cannot be combined with an explicit
-    ``sim`` (whose backend was fixed at its construction).
+    ``sim_backend`` is only a check on the simulator the control plane
+    constructs (see :mod:`repro.sim.backend`): naming the engine that
+    is not loaded raises.  It cannot be combined with an explicit
+    ``sim``.
     """
 
     def __init__(
@@ -69,8 +69,7 @@ class ControlPlane:
     ) -> None:
         if sim is not None and sim_backend is not None:
             raise ConfigError(
-                "pass either an existing sim or sim_backend, not both "
-                "(the backend of an existing Simulator is already fixed)"
+                "pass either an existing sim or sim_backend, not both"
             )
         self.sim = sim if sim is not None else Simulator(backend=sim_backend)
         self.tester: Optional[MarlinTester] = None

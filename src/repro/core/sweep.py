@@ -83,8 +83,8 @@ def run_sweep_point(
     A pure top-level function (no closures) so it pickles cleanly into
     :class:`~repro.parallel.CampaignRunner` workers; ``seed`` feeds the
     deployed :class:`TestConfig` so replicates are reproducible.
-    ``sim_backend`` picks the run-loop backend per task (backends are
-    bit-identical, so it changes wall-clock speed, never the point).
+    ``sim_backend`` is checked against the engine each task runs on
+    (see :mod:`repro.sim.backend`); it never changes the point.
     """
     params = dict(base_params or {})
     params.update(grid_params)

@@ -17,13 +17,9 @@ from repro.errors import ConfigError
 from repro.net import datapath
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
+from repro.sim.backend import CENGINE as _C
 from repro.sim.engine import Simulator
 from repro.units import RATE_100G, serialization_time_ps
-
-try:  # the compiled port core (see repro.sim._cengine: CPort)
-    from repro.sim import _cengine as _C
-except Exception:  # pragma: no cover - extension not built
-    _C = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
@@ -156,32 +152,17 @@ class _PyPort:
         return f"<Port {self.name} rate={self.rate_bps}>"
 
 
-def _simref_for(sim: Simulator):
-    """A per-simulator SimRef for the C port's direct heap pushes.
-
-    The compiled backend already hangs one off the instance (``_cref``);
-    python-backend simulators get a private one, shared by all their
-    ports.  Either way the pushes are identical to ``sim.at``/``after``,
-    so backend choice and port implementation stay orthogonal."""
-    ref = getattr(sim, "_cref", None)
-    if ref is None:
-        ref = getattr(sim, "_portref", None)
-        if ref is None:
-            ref = _C.SimRef(sim)
-            sim._portref = ref
-    return ref
-
-
 if _C is not None:
     class Port(_C.CPort):
         """One device port: an output queue plus a rate-limited
         transmitter.
 
         Compiled variant: send/transmit/deliver and the PFC park logic
-        live in :class:`repro.sim._cengine.CPort`, scheduling follow-ups
-        by pushing heap entries directly in C.  Event streams and
-        counters are bit-identical to :class:`_PyPort` (the class used
-        when the extension isn't built)."""
+        live in the C extension's ``CPort``, scheduling follow-ups by
+        pushing heap entries directly in C through the simulator's
+        ``SimRef`` (``sim._cref``).  Event streams and counters are
+        bit-identical to :class:`_PyPort` (the class used when the
+        extension isn't built)."""
 
         __slots__ = ()
 
@@ -199,7 +180,7 @@ if _C is not None:
             _C.CPort.__init__(
                 self, device, index, rate_bps, queue, sim, device.receive,
                 datapath.shared().ser_table(rate_bps),
-                serialization_time_ps, _simref_for(sim),
+                serialization_time_ps, sim._cref,
             )
 
         @property

@@ -14,11 +14,7 @@ from collections import deque
 from typing import Optional
 
 from repro.net.packet import Packet
-
-try:  # the compiled queue core (see repro.sim._cengine: CQueue)
-    from repro.sim import _cengine as _C
-except Exception:  # pragma: no cover - extension not built
-    _C = None
+from repro.sim.backend import CENGINE as _C
 
 
 class QueueStats:
@@ -162,7 +158,7 @@ if _C is not None:
         dropped.
 
         Compiled variant: the ring buffer, counters, ECN compare, and
-        the rare-path hooks all live in :class:`repro.sim._cengine.CQueue`
+        the rare-path hooks all live in the C extension's ``CQueue``
         with semantics identical to :class:`_PyDropTailQueue` (which is
         the class you get when the extension isn't built)."""
 

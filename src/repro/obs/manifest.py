@@ -147,8 +147,7 @@ def environment() -> dict[str, Any]:
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        #: What a Simulator constructed in this process would run on:
-        #: requested/effective backend plus any fallback reason.
+        #: The engine a Simulator constructed in this process runs on.
         "sim_backend": _sim_backend.stamp(),
     }
 

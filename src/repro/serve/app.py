@@ -22,6 +22,11 @@ API (all JSON unless noted):
 ``GET /metrics``             Prometheus text: ``repro_serve_*`` counters/gauges
 ``GET /healthz``             liveness + pool/cache facts
 ===========================  ==================================================
+
+Any request: 413 when its body is over ``MAX_BODY_BYTES``, 431 when it
+has more than ``MAX_HEADER_LINES`` header lines; a client that has not
+finished its request line and headers within ``HEAD_TIMEOUT_S`` is
+dropped without a response.
 """
 
 from __future__ import annotations
@@ -47,6 +52,13 @@ from repro.serve.spec import parse_spec
 #: huge body is a mistake or abuse, not a campaign.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Most header lines one request may carry; one more answers 431.
+MAX_HEADER_LINES = 100
+
+#: Seconds a client has to deliver its request line and headers; a
+#: client that stalls longer is dropped without a response.
+HEAD_TIMEOUT_S = 10.0
+
 #: Hard cap on one long-poll wait step, so a vanished client can hold a
 #: connection open for at most this long.
 MAX_WAIT_S = 120.0
@@ -64,6 +76,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -263,20 +276,30 @@ class ReproServer:
     async def _handle_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[bytes]:
-        request_line = await reader.readline()
-        if not request_line:
+        try:
+            async with asyncio.timeout(HEAD_TIMEOUT_S):
+                request_line = await reader.readline()
+                if not request_line:
+                    return None
+                parts = request_line.decode("latin-1").strip().split()
+                if len(parts) != 3:
+                    return _response_bytes(
+                        400, _json_bytes({"error": "malformed request"})
+                    )
+                method, target, _version = parts
+                headers: dict[str, str] = {}
+                for _ in range(MAX_HEADER_LINES + 1):
+                    line = await reader.readline()
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                else:
+                    return _response_bytes(
+                        431, _json_bytes({"error": "too many header lines"})
+                    )
+        except TimeoutError:
             return None
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            return _response_bytes(400, _json_bytes({"error": "malformed request"}))
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
         body = b""
         try:
             length = _non_negative(

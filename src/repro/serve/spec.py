@@ -32,11 +32,12 @@ _SWEEP_DEFAULTS: dict[str, Any] = {
     "ecn_threshold_bytes": 84_000,
     "seeds": None,
     "seed": 0,
-    # Run-loop backend per task.  Normalized into the hashed config:
-    # spelling out "auto" and omitting the field cache identically, but
-    # forcing "python"/"compiled" is a distinct (separately cached)
-    # campaign even though backends are bit-identical — the stats block
-    # in the cached payload records wall-clock facts of that backend.
+    # A check on the engine the tasks run on (see repro.sim.backend):
+    # "python"/"compiled" must name the engine this process loaded.
+    # Normalized into the hashed config: spelling out "auto" and
+    # omitting the field cache identically, while naming the engine is
+    # a distinct (separately cached) campaign — the stats block in the
+    # cached payload records wall-clock facts of that engine.
     "sim_backend": "auto",
 }
 
@@ -134,7 +135,7 @@ class CampaignSpec:
                 ecn_threshold_bytes=c["ecn_threshold_bytes"],
                 seeds=c["seeds"],
                 seed=c["seed"],
-                sim_backend=None if c["sim_backend"] == "auto" else c["sim_backend"],
+                sim_backend=c["sim_backend"],
                 runner=runner,
                 on_heartbeat=on_heartbeat,
             )
@@ -213,13 +214,12 @@ def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
     sim_backend = merged["sim_backend"]
     if sim_backend is None:
         sim_backend = "auto"
-    from repro.sim.backend import backend_names
+    from repro.sim.backend import check
 
-    _require(
-        sim_backend in backend_names(),
-        f"'sim_backend' must be one of {list(backend_names())}, "
-        f"got {sim_backend!r}",
-    )
+    try:
+        check(sim_backend)
+    except ConfigError as exc:
+        raise ConfigError(f"'sim_backend': {exc}") from None
     config["sim_backend"] = sim_backend
     n_tasks = len(grid) * (seeds or 1)
     return CampaignSpec(kind="sweep", config=config, n_tasks=n_tasks)

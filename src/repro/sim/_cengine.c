@@ -1,14 +1,15 @@
-/* Compiled run-loop backend for repro.sim.engine.Simulator.
+/* The C engine of repro.sim: run loop, port and queue.
  *
- * Design contract (see repro/sim/backend.py): ALL authoritative
- * simulator state lives in plain attributes on the Simulator instance —
- * the heap list (`_heap`), the sequence counter (`_seq`), the clock
- * (`now`), the stop flag (`_stopped`), the dead-entry count (`_dead`)
- * and the lifetime event count (`_events_executed`).  This module never
- * keeps shadow copies: it reads and writes the instance __dict__ with
- * interned keys, so the pure-Python handle API (schedule_handle, rearm,
- * step, compaction) interleaves freely with the C fast paths and both
- * backends stay bit-identical.
+ * Used exactly when it is built (see repro/sim/backend.py, the only
+ * Python module that imports it).  ALL authoritative simulator state
+ * lives in plain attributes on the Simulator instance — the heap list
+ * (`_heap`), the sequence counter (`_seq`), the clock (`now`), the stop
+ * flag (`_stopped`), the dead-entry count (`_dead`) and the lifetime
+ * event count (`_events_executed`).  This module never keeps shadow
+ * copies: it reads and writes the instance __dict__ with interned keys,
+ * so the pure-Python scheduling and handle API (schedule/after,
+ * schedule_handle, rearm, step, compaction) interleaves freely with the
+ * C paths and both engines stay bit-identical.
  *
  * Four things are provided:
  *
@@ -19,11 +20,11 @@
  *       counts folded into _events_executed even on callback exceptions.
  *
  *   SimRef(sim)
- *       Per-instance accelerator whose bound methods replace the
- *       fast-path scheduling methods (schedule/at/after/call_now).
- *       They validate like the Python versions (SimulationError on
- *       scheduling into the past / negative delay) and push entries
- *       with C heap sifts.
+ *       Per-simulator state shared by the loop and every CPort of that
+ *       simulator (backend.attach stores it as sim._cref): the heap
+ *       push CPort schedules through, the clock cache the loop
+ *       publishes each timestamp to, and the stop flag behind the
+ *       bound sim.stop().
  *
  *   CQueue(capacity_bytes)
  *       The per-packet queue arithmetic of net.queue.DropTailQueue in
@@ -58,8 +59,7 @@
 
 /* ---- module state (single-phase init; simple C globals) -------------- */
 
-static PyObject *g_handle_marker;   /* repro.sim.engine._HANDLE */
-static PyObject *g_sim_error;       /* repro.errors.SimulationError */
+static PyObject *g_handle_marker;   /* repro.sim.backend.HANDLE */
 static PyObject *g_config_error;    /* repro.errors.ConfigError */
 
 /* ECN constants from repro.net.packet, loaded lazily on the first
@@ -234,12 +234,11 @@ typedef struct {
     PyObject *dict;    /* the Simulator instance __dict__ */
     PyObject *heap;    /* the Simulator's _heap list      */
     /* Clock cache, valid only while run_loop is live on this simulator:
-     * the loop publishes each distinct timestamp here so the scheduling
-     * fast paths skip the `now` dict lookup and int conversion.  The
-     * dict stays authoritative for everything outside the loop. */
+     * the loop publishes each distinct timestamp here so CPort skips
+     * the `now` dict lookup and int conversion.  The dict stays
+     * authoritative for everything outside the loop. */
     int now_valid;
     long long now_ll;
-    PyObject *now_obj; /* owned; the int object matching now_ll */
     /* Mirror of `_stopped`, maintained by the rebound ``stop()`` so the
      * run loop checks a plain int per event instead of a dict lookup.
      * The dict copy is always written too; this flag is just a fast
@@ -287,21 +286,21 @@ cengine_run_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     Py_INCREF(heap);
 
-    /* Publish timestamps into the instance's SimRef (when the compiled
-     * scheduling fast paths are attached) so schedule/after/call_now
-     * skip the clock dict lookup while the loop is live. */
+    /* backend.attach hung the simulator's SimRef off it: the loop
+     * publishes each timestamp there (CPort's clock cache) and reads
+     * the stop flag that the bound stop() sets. */
     {
         PyObject *cref_obj = PyDict_GetItemWithError(dict, k_cref);
-        if (cref_obj == NULL) {
-            if (PyErr_Occurred())
-                goto fail;
+        if (cref_obj == NULL || Py_TYPE(cref_obj) != &SimRefType) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_TypeError,
+                                "simulator has no SimRef in _cref");
+            goto fail;
         }
-        else if (Py_TYPE(cref_obj) == &SimRefType) {
-            cref = (SimRefObject *)cref_obj;
-            Py_INCREF(cref);
-            /* run() cleared sim._stopped just before entering. */
-            cref->stop_flag = 0;
-        }
+        cref = (SimRefObject *)cref_obj;
+        Py_INCREF(cref);
+        /* run() cleared sim._stopped just before entering. */
+        cref->stop_flag = 0;
     }
 
     while (PyList_GET_SIZE(heap) > 0) {
@@ -323,13 +322,8 @@ cengine_run_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         /* sim.now = time_ps (reuse the entry's int object). */
         if (PyDict_SetItem(dict, k_now, PyTuple_GET_ITEM(entry, 0)) < 0)
             goto fail;
-        if (cref != NULL) {
-            PyObject *tobj = PyTuple_GET_ITEM(entry, 0);
-            Py_INCREF(tobj);
-            Py_XSETREF(cref->now_obj, tobj);
-            cref->now_ll = time_ps;
-            cref->now_valid = 1;
-        }
+        cref->now_ll = time_ps;
+        cref->now_valid = 1;
 
         for (;;) {
             PyObject *eargs = PyTuple_GET_ITEM(entry, 3);
@@ -449,26 +443,8 @@ cengine_run_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
             /* Post-event checks: stop()/budget, then same-timestamp
              * batching without re-storing the clock. */
-            {
-                int st;
-                if (cref != NULL)
-                    st = cref->stop_flag;
-                else {
-                    PyObject *stopped =
-                        PyDict_GetItemWithError(dict, k_stopped);
-                    if (stopped == NULL) {
-                        if (!PyErr_Occurred())
-                            PyErr_SetString(PyExc_AttributeError,
-                                            "simulator has no _stopped");
-                        goto fail;
-                    }
-                    st = PyObject_IsTrue(stopped);
-                    if (st < 0)
-                        goto fail;
-                }
-                if (st || executed == limit)
-                    goto done;
-            }
+            if (cref->stop_flag || executed == limit)
+                goto done;
             if (PyList_GET_SIZE(heap) == 0)
                 break;
             {
@@ -496,7 +472,6 @@ done:
     if (cref != NULL) {
         /* The clock cache is only valid while this loop is live. */
         cref->now_valid = 0;
-        Py_CLEAR(cref->now_obj);
         Py_DECREF(cref);
     }
     if (dict != NULL && executed != 0) {
@@ -528,7 +503,6 @@ simref_traverse(SimRefObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->dict);
     Py_VISIT(self->heap);
-    Py_VISIT(self->now_obj);
     return 0;
 }
 
@@ -537,7 +511,6 @@ simref_clear_slots(SimRefObject *self)
 {
     Py_CLEAR(self->dict);
     Py_CLEAR(self->heap);
-    Py_CLEAR(self->now_obj);
     return 0;
 }
 
@@ -583,33 +556,33 @@ simref_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->heap = heap;
     self->now_valid = 0;
     self->now_ll = 0;
-    self->now_obj = NULL;
     self->stop_flag = 0;
     return (PyObject *)self;
 }
 
-/* Shared tail: push (time, seq, fn, args[first..]) and bump _seq.
- * `time_obj` is a borrowed reference. */
-static PyObject *
+/* Push (time, seq, fn, args[0..n)) and bump _seq: the entry
+ * Simulator.at would push.  `time_obj` is a borrowed reference.
+ * 0 on success, -1 on error. */
+static int
 simref_push(SimRefObject *self, PyObject *time_obj, PyObject *fn,
-            PyObject *const *args, Py_ssize_t nargs, Py_ssize_t first)
+            PyObject *const *args, Py_ssize_t n)
 {
     long long seq;
     PyObject *seq_obj, *fnargs, *entry;
-    Py_ssize_t i, n = nargs - first;
+    Py_ssize_t i;
 
     if (dict_get_ll(self->dict, k_seq_ctr, &seq) < 0)
-        return NULL;
+        return -1;
     seq_obj = PyLong_FromLongLong(seq);
     if (seq_obj == NULL)
-        return NULL;
+        return -1;
     fnargs = PyTuple_New(n);
     if (fnargs == NULL) {
         Py_DECREF(seq_obj);
-        return NULL;
+        return -1;
     }
     for (i = 0; i < n; i++) {
-        PyObject *a = args[first + i];
+        PyObject *a = args[i];
         Py_INCREF(a);
         PyTuple_SET_ITEM(fnargs, i, a);
     }
@@ -617,7 +590,7 @@ simref_push(SimRefObject *self, PyObject *time_obj, PyObject *fn,
     if (entry == NULL) {
         Py_DECREF(seq_obj);
         Py_DECREF(fnargs);
-        return NULL;
+        return -1;
     }
     Py_INCREF(time_obj);
     PyTuple_SET_ITEM(entry, 0, time_obj);
@@ -627,99 +600,15 @@ simref_push(SimRefObject *self, PyObject *time_obj, PyObject *fn,
     PyTuple_SET_ITEM(entry, 3, fnargs);     /* stolen */
     if (heap_push(self->heap, entry) < 0) {
         Py_DECREF(entry);
-        return NULL;
+        return -1;
     }
     Py_DECREF(entry);
-    /* _seq += 1: only bump after the push succeeded, mirroring the
-     * Python fast paths. */
-    if (dict_set_ll(self->dict, k_seq_ctr, seq + 1) < 0)
-        return NULL;
-    Py_RETURN_NONE;
+    /* _seq += 1: only bump after the push succeeded, mirroring
+     * Simulator.at. */
+    return dict_set_ll(self->dict, k_seq_ctr, seq + 1);
 }
 
-/* schedule(time_ps, fn, *args) / at(...) */
-static PyObject *
-simref_schedule(SimRefObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    long long t, now;
-    if (nargs < 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "schedule(time_ps, fn, *args) takes at least 2 "
-                        "arguments");
-        return NULL;
-    }
-    t = PyLong_AsLongLong(args[0]);
-    if (t == -1 && PyErr_Occurred())
-        return NULL;
-    if (self->now_valid)
-        now = self->now_ll;
-    else if (dict_get_ll(self->dict, k_now, &now) < 0)
-        return NULL;
-    if (t < now) {
-        PyErr_Format(g_sim_error,
-                     "cannot schedule event at %lld ps; current time is "
-                     "%lld ps", t, now);
-        return NULL;
-    }
-    return simref_push(self, args[0], args[1], args, nargs, 2);
-}
-
-/* after(delay_ps, fn, *args) */
-static PyObject *
-simref_after(SimRefObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    long long delay, now;
-    PyObject *time_obj, *res;
-    if (nargs < 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "after(delay_ps, fn, *args) takes at least 2 "
-                        "arguments");
-        return NULL;
-    }
-    delay = PyLong_AsLongLong(args[0]);
-    if (delay == -1 && PyErr_Occurred())
-        return NULL;
-    if (delay < 0) {
-        PyErr_Format(g_sim_error, "negative delay: %lld ps", delay);
-        return NULL;
-    }
-    if (self->now_valid)
-        now = self->now_ll;
-    else if (dict_get_ll(self->dict, k_now, &now) < 0)
-        return NULL;
-    time_obj = PyLong_FromLongLong(now + delay);
-    if (time_obj == NULL)
-        return NULL;
-    res = simref_push(self, time_obj, args[1], args, nargs, 2);
-    Py_DECREF(time_obj);
-    return res;
-}
-
-/* call_now(fn, *args) */
-static PyObject *
-simref_call_now(SimRefObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *now_obj;
-    if (nargs < 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "call_now(fn, *args) takes at least 1 argument");
-        return NULL;
-    }
-    if (self->now_valid)
-        now_obj = self->now_obj;    /* borrowed; simref_push increfs */
-    else {
-        now_obj = PyDict_GetItemWithError(self->dict, k_now);   /* borrowed */
-        if (now_obj == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_AttributeError, "simulator has no now");
-            return NULL;
-        }
-    }
-    return simref_push(self, now_obj, args[0], args, nargs, 1);
-}
-
-/* stop() — sets the C fast flag AND the dict copy (Python readers,
- * and the python backend should it ever run on this simulator). */
+/* stop() — sets the C fast flag AND the dict copy (Python readers). */
 static PyObject *
 simref_stop(SimRefObject *self, PyObject *Py_UNUSED(ignored))
 {
@@ -732,14 +621,6 @@ simref_stop(SimRefObject *self, PyObject *Py_UNUSED(ignored))
 static PyMethodDef simref_methods[] = {
     {"stop", (PyCFunction)simref_stop,
      METH_NOARGS, "stop() — C fast path"},
-    {"schedule", (PyCFunction)(void (*)(void))simref_schedule,
-     METH_FASTCALL, "schedule(time_ps, fn, *args) — C fast path"},
-    {"at", (PyCFunction)(void (*)(void))simref_schedule,
-     METH_FASTCALL, "at(time_ps, fn, *args) — C fast path"},
-    {"after", (PyCFunction)(void (*)(void))simref_after,
-     METH_FASTCALL, "after(delay_ps, fn, *args) — C fast path"},
-    {"call_now", (PyCFunction)(void (*)(void))simref_call_now,
-     METH_FASTCALL, "call_now(fn, *args) — C fast path"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -748,7 +629,7 @@ static PyTypeObject SimRefType = {
     .tp_name = "repro.sim._cengine.SimRef",
     .tp_basicsize = sizeof(SimRefObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Per-simulator C scheduling fast paths",
+    .tp_doc = "Per-simulator heap push, clock cache and stop flag",
     .tp_new = simref_new,
     .tp_dealloc = (destructor)simref_dealloc,
     .tp_traverse = (traverseproc)simref_traverse,
@@ -1265,20 +1146,13 @@ cport_push(CPortObject *self, long long time_ll, PyObject *fn,
            PyObject *arg /* may be NULL for no-arg events */)
 {
     PyObject *time_obj = PyLong_FromLongLong(time_ll);
-    PyObject *res;
+    int rc;
     if (time_obj == NULL)
         return -1;
-    if (arg == NULL)
-        res = simref_push((SimRefObject *)self->simref, time_obj, fn,
-                          NULL, 0, 0);
-    else
-        res = simref_push((SimRefObject *)self->simref, time_obj, fn,
-                          &arg, 1, 0);
+    rc = simref_push((SimRefObject *)self->simref, time_obj, fn,
+                     &arg, arg == NULL ? 0 : 1);
     Py_DECREF(time_obj);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
+    return rc;
 }
 
 static int
@@ -1673,7 +1547,7 @@ static PyMethodDef cengine_methods[] = {
 static struct PyModuleDef cengine_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._cengine",
-    .m_doc = "C run loop and scheduling fast paths for repro.sim",
+    .m_doc = "C run loop, port and queue for repro.sim",
     .m_size = -1,
     .m_methods = cengine_methods,
 };
@@ -1687,7 +1561,7 @@ intern_or_null(const char *s)
 PyMODINIT_FUNC
 PyInit__cengine(void)
 {
-    PyObject *m = NULL, *engine = NULL, *errors = NULL;
+    PyObject *m = NULL, *backend = NULL, *errors = NULL;
 
     k_heap = intern_or_null("_heap");
     k_seq_ctr = intern_or_null("_seq");
@@ -1706,20 +1580,18 @@ PyInit__cengine(void)
         !a_time_ps || !a_fn || !a_args)
         return NULL;
 
-    /* The marker and exception live in pure-Python modules; importing
-     * them here is safe because _cengine itself is only imported
-     * lazily, after repro.sim.engine has finished loading. */
-    engine = PyImport_ImportModule("repro.sim.engine");
-    if (engine == NULL)
+    /* The marker and exception live in pure-Python modules.  This
+     * module is imported only by repro.sim.backend, which defines
+     * HANDLE before that import, so the partially initialised module
+     * already carries it. */
+    backend = PyImport_ImportModule("repro.sim.backend");
+    if (backend == NULL)
         goto fail;
-    g_handle_marker = PyObject_GetAttrString(engine, "_HANDLE");
+    g_handle_marker = PyObject_GetAttrString(backend, "HANDLE");
     if (g_handle_marker == NULL)
         goto fail;
     errors = PyImport_ImportModule("repro.errors");
     if (errors == NULL)
-        goto fail;
-    g_sim_error = PyObject_GetAttrString(errors, "SimulationError");
-    if (g_sim_error == NULL)
         goto fail;
     g_config_error = PyObject_GetAttrString(errors, "ConfigError");
     if (g_config_error == NULL)
@@ -1747,12 +1619,12 @@ PyInit__cengine(void)
         Py_DECREF(&CPortType);
         goto fail;
     }
-    Py_XDECREF(engine);
+    Py_XDECREF(backend);
     Py_XDECREF(errors);
     return m;
 
 fail:
-    Py_XDECREF(engine);
+    Py_XDECREF(backend);
     Py_XDECREF(errors);
     Py_XDECREF(m);
     return NULL;

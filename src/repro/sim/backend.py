@@ -1,111 +1,109 @@
-"""Swappable run-loop backends for :class:`repro.sim.engine.Simulator`.
+"""The run loop of :class:`repro.sim.engine.Simulator`: the C extension
+when it is built, else Python.
+
+The extension (:mod:`repro.sim._cengine`, ``make compiled``) is an
+accelerator, not an option.  Whether it imports decides, once per
+process, both the run loop and the datapath: ``repro.net.device.Port``
+and ``repro.net.queue.DropTailQueue`` subclass its ``CPort`` and
+``CQueue`` when it is loaded and stay pure Python when it is not.  This
+module is the only one that imports it; everything else reads
+:data:`CENGINE` and :data:`ENGINE`.
 
 The engine is split into two halves:
 
 * **The scheduling/handle API** (``Simulator.schedule`` / ``at`` /
   ``after`` / ``call_now`` / ``schedule_handle`` / ``rearm`` / ``step``)
-  — stable, always available, and the only way model code talks to the
-  event loop.  All authoritative state lives in plain attributes on the
-  ``Simulator`` instance (``_heap``, ``_seq``, ``_dead``, ``now``,
-  ``_stopped``), so every backend reads and writes the *same* storage.
-* **The run loop** — how pending entries are drained.  A backend is a
-  :class:`Backend` record whose ``run_loop(sim, until_ps, max_events,
+  -- pure Python on either engine.  All authoritative state lives in
+  plain attributes on the ``Simulator`` instance (``_heap``, ``_seq``,
+  ``_dead``, ``now``, ``_stopped``), so the C loop and datapath read and
+  write the *same* storage.
+* **The run loop** -- :func:`run_loop` ``(sim, until_ps, max_events,
   dispatch)`` executes events until the queue drains, the horizon is
   reached, the budget is spent, or :meth:`Simulator.stop` is called.
   ``dispatch`` is ``None`` for the inline fast path, or a callable
-  ``dispatch(fn, args)`` (the profiler hook) — one loop serves both, so
-  profiled and unprofiled runs cannot diverge.
+  ``dispatch(fn, args)`` (the profiler hook) -- one loop serves both, so
+  profiled and unprofiled runs cannot diverge.  The Python loop batches
+  same-timestamp dispatch: once an event at time *t* has run, further
+  entries at *t* are popped and dispatched without re-storing the clock
+  or re-checking the horizon; the C loop mirrors it.
 
-Two backends ship:
+Both engines produce bit-identical event streams: same pop order, same
+seq assignment, same clock stores.  ``tests/test_backend.py`` pins this
+by running the same scenarios in a subprocess with the extension
+blocked.
 
-``python``
-    The reference pure-Python loop, with batched same-timestamp
-    dispatch: once an event at time *t* has run, further entries at *t*
-    are popped and dispatched without re-storing the clock or
-    re-checking the horizon.
-
-``compiled``
-    A C-extension loop (:mod:`repro.sim._cengine`) plus C fast-path
-    scheduling methods rebound onto the instance.  Auto-detected: build
-    it with ``make compiled``.  When *requested explicitly* but
-    missing, resolution falls back to ``python`` with a loud
-    once-per-process warning (never an exception) and the reason is
-    recorded so run manifests can stamp it.
-
-Selection precedence: ``Simulator(backend=...)`` argument, then the
-``REPRO_SIM_BACKEND`` environment variable, then ``auto`` (compiled if
-importable, else python — silently).
-
-Both backends are required to produce bit-identical event streams: same
-pop order, same seq assignment, same clock stores.  The cross-backend
-suite in ``tests/test_backend.py`` pins this.
+A backend *name* ("auto", "python", "compiled") is accepted in a few
+places (``Simulator(backend=)``, ``ControlPlane(sim_backend=)``, sweep
+campaigns and their spec) only as a check: ``None`` and ``"auto"``
+accept whatever is loaded, and naming the engine that is not loaded
+raises :class:`~repro.errors.ConfigError` -- it never falls back.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import warnings
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigError
 
 __all__ = [
-    "Backend",
-    "BackendFallbackWarning",
-    "available_backends",
-    "backend_names",
+    "CENGINE",
+    "ENGINE",
+    "HANDLE",
+    "attach",
+    "check",
     "compiled_available",
-    "resolve",
+    "run_loop",
     "stamp",
-    "ENV_VAR",
 ]
-
-#: Environment variable consulted when no explicit backend is passed.
-ENV_VAR = "REPRO_SIM_BACKEND"
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
+#: Marker in slot 3 of a handle entry ``(time_ps, seq, handle, HANDLE)``
+#: (see :mod:`repro.sim.engine`).  Defined before the extension import
+#: below: the extension reads it from this module while it initialises.
+HANDLE = object()
 
-class BackendFallbackWarning(UserWarning):
-    """Emitted (once per process) when ``compiled`` is requested but the
-    extension is unavailable and the run proceeds on ``python``."""
+try:
+    from repro.sim import _cengine as CENGINE  # type: ignore[attr-defined]
+except ImportError:
+    CENGINE = None
+
+#: The engine every simulator in this process runs on.
+ENGINE = "python" if CENGINE is None else "compiled"
+
+_NAMES = ("auto", "python", "compiled")
 
 
-class Backend:
-    """A resolved run-loop backend.
+def compiled_available() -> bool:
+    """True when the C extension is loaded (and therefore used)."""
+    return CENGINE is not None
 
-    ``name`` is the effective backend ("python" or "compiled");
-    ``requested`` is what the caller asked for ("auto", "python",
-    "compiled").  ``fallback_reason`` is non-None when the request could
-    not be honoured and resolution degraded to the reference loop.
-    ``attach(sim)``, when present, is called once from
-    ``Simulator.__init__`` to install per-instance accelerations (the
-    compiled backend rebinds ``schedule``/``at``/``after``/``call_now``
-    to C implementations that share the instance's state).
+
+def check(name: Optional[str]) -> None:
+    """Accept a backend name that agrees with the loaded engine.
+
+    ``None`` and ``"auto"`` accept either engine; ``"python"`` or
+    ``"compiled"`` must name :data:`ENGINE`.
     """
+    if name is None or name == "auto" or name == ENGINE:
+        return
+    if name not in _NAMES:
+        raise ConfigError(
+            f"unknown sim backend {name!r}; expected one of {', '.join(_NAMES)}"
+        )
+    raise ConfigError(
+        f"sim backend {name!r} requested, but this process runs the {ENGINE!r} "
+        "engine (the C extension is used exactly when it is built: "
+        "`make compiled` builds it, `make clean` removes it)"
+    )
 
-    __slots__ = ("name", "requested", "run_loop", "attach", "fallback_reason")
 
-    def __init__(
-        self,
-        name: str,
-        run_loop: Callable[..., int],
-        *,
-        requested: str,
-        attach: Optional[Callable[[Any], None]] = None,
-        fallback_reason: Optional[str] = None,
-    ) -> None:
-        self.name = name
-        self.requested = requested
-        self.run_loop = run_loop
-        self.attach = attach
-        self.fallback_reason = fallback_reason
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        extra = f" fallback={self.fallback_reason!r}" if self.fallback_reason else ""
-        return f"<Backend {self.name} (requested {self.requested}){extra}>"
+def stamp(name: Optional[str] = None) -> dict:
+    """Provenance for manifests: what was asked for and what runs.
+    Never raises, so manifest building cannot fail on a bad name."""
+    return {"requested": "auto" if name is None else name, "name": ENGINE}
 
 
 # -- the reference python loop ---------------------------------------------
@@ -131,7 +129,7 @@ def _python_run_loop(
     heap = sim._heap
     pop = _heappop
     push = _heappush
-    marker = _ENGINE_HANDLE
+    marker = HANDLE
     inline = dispatch is None
     until = (1 << 62) if until_ps is None else until_ps
     limit = -1 if max_events is None else max_events
@@ -196,162 +194,33 @@ def _python_run_loop(
     return executed
 
 
-# Resolved lazily to avoid a circular import with repro.sim.engine.
-_ENGINE_HANDLE: Any = None
+if CENGINE is None:
+    run_loop = _python_run_loop
 
+    def attach(sim: Any) -> None:
+        """Nothing to install: the Python engine keeps the class methods."""
 
-def _init_marker() -> None:
-    global _ENGINE_HANDLE
-    if _ENGINE_HANDLE is None:
-        from repro.sim import engine
+else:
 
-        _ENGINE_HANDLE = engine._HANDLE
+    def run_loop(
+        sim: Any,
+        until_ps: Optional[int],
+        max_events: Optional[int],
+        dispatch: Optional[Callable[[Callable, tuple], None]],
+    ) -> int:
+        until = (1 << 62) if until_ps is None else until_ps
+        limit = -1 if max_events is None else max_events
+        return CENGINE.run_loop(sim, until, limit, dispatch)
 
+    def attach(sim: Any) -> None:
+        """Hang a ``SimRef`` off the simulator and bind ``stop`` to it.
 
-# -- compiled backend detection ---------------------------------------------
-
-_CENGINE: Any = None
-_CENGINE_ERROR: Optional[str] = None
-_PROBED = False
-_WARNED_FALLBACK = False
-
-
-def _probe_cengine() -> Any:
-    """Import the C extension once; remember the failure reason."""
-    global _CENGINE, _CENGINE_ERROR, _PROBED
-    if not _PROBED:
-        _PROBED = True
-        try:
-            from repro.sim import _cengine  # type: ignore[attr-defined]
-
-            _CENGINE = _cengine
-        except ImportError as exc:
-            _CENGINE_ERROR = (
-                f"compiled engine extension not importable ({exc}); "
-                "build it with `make compiled`"
-            )
-    return _CENGINE
-
-
-def compiled_available() -> bool:
-    """True when the ``repro.sim._cengine`` extension imports."""
-    return _probe_cengine() is not None
-
-
-def _compiled_run_loop(sim, until_ps, max_events, dispatch):
-    cengine = _probe_cengine()
-    until = (1 << 62) if until_ps is None else until_ps
-    limit = -1 if max_events is None else max_events
-    return cengine.run_loop(sim, until, limit, dispatch)
-
-
-def _compiled_attach(sim: Any) -> None:
-    """Rebind the fast-path scheduling methods to C implementations.
-
-    The C methods operate directly on the instance's ``__dict__`` and
-    heap list, so the Python handle API (``schedule_handle``,
-    ``rearm``) and the C fast paths interleave without divergence.
-    """
-    cengine = _probe_cengine()
-    ref = cengine.SimRef(sim)
-    sim._cref = ref
-    sim.schedule = ref.schedule
-    sim.at = ref.at
-    sim.after = ref.after
-    sim.call_now = ref.call_now
-    # stop() maintains a C-side flag so the compiled loop checks a
-    # plain int per event instead of a dict lookup (it writes the
-    # ``_stopped`` dict entry too, keeping Python readers correct).
-    sim.stop = ref.stop
-
-
-# -- resolution --------------------------------------------------------------
-
-_VALID = ("auto", "python", "compiled")
-
-
-def backend_names() -> tuple:
-    """Accepted values for ``Simulator(backend=...)`` / ``--sim-backend``."""
-    return _VALID
-
-
-def available_backends() -> dict:
-    """Map of backend name to availability (``auto`` is always true)."""
-    return {
-        "auto": True,
-        "python": True,
-        "compiled": compiled_available(),
-    }
-
-
-def _python_backend(requested: str, fallback_reason: Optional[str] = None) -> Backend:
-    _init_marker()
-    return Backend(
-        "python",
-        _python_run_loop,
-        requested=requested,
-        fallback_reason=fallback_reason,
-    )
-
-
-def _compiled_backend(requested: str) -> Backend:
-    _init_marker()
-    return Backend(
-        "compiled",
-        _compiled_run_loop,
-        requested=requested,
-        attach=_compiled_attach,
-    )
-
-
-def resolve(name: Optional[str] = None) -> Backend:
-    """Resolve a backend request to a concrete :class:`Backend`.
-
-    ``name=None`` consults ``REPRO_SIM_BACKEND``, defaulting to
-    ``auto``.  ``auto`` silently prefers the compiled loop when built.
-    An explicit ``compiled`` request that cannot be honoured warns
-    loudly once per process and returns the python backend with
-    ``fallback_reason`` set (recorded in run manifests) — it never
-    raises, so campaign specs stay portable across machines.
-    """
-    global _WARNED_FALLBACK
-    requested = name if name is not None else os.environ.get(ENV_VAR) or "auto"
-    if requested not in _VALID:
-        raise ConfigError(
-            f"unknown sim backend {requested!r}; expected one of {', '.join(_VALID)}"
-        )
-    if requested == "python":
-        return _python_backend(requested)
-    if compiled_available():
-        return _compiled_backend(requested)
-    if requested == "auto":
-        return _python_backend(requested)
-    # Explicit "compiled" without the extension: loud, once, non-fatal.
-    reason = _CENGINE_ERROR or "compiled engine extension unavailable"
-    if not _WARNED_FALLBACK:
-        _WARNED_FALLBACK = True
-        warnings.warn(
-            f"sim backend 'compiled' requested but unavailable — falling back "
-            f"to 'python': {reason}",
-            BackendFallbackWarning,
-            stacklevel=2,
-        )
-    return _python_backend(requested, fallback_reason=reason)
-
-
-def stamp(name: Optional[str] = None) -> dict:
-    """Provenance for manifests: what a ``Simulator(backend=name)``
-    constructed *now* would run on, without emitting fallback warnings."""
-    requested = name if name is not None else os.environ.get(ENV_VAR) or "auto"
-    if requested not in _VALID:
-        # Stamping must never raise inside manifest building.
-        return {"requested": requested, "name": "python",
-                "fallback_reason": f"unknown backend {requested!r}"}
-    if requested != "python" and compiled_available():
-        effective, reason = "compiled", None
-    else:
-        effective = "python"
-        reason = None if requested in ("python", "auto") else (
-            _CENGINE_ERROR or "compiled engine extension unavailable"
-        )
-    return {"requested": requested, "name": effective, "fallback_reason": reason}
+        ``CPort`` pushes its heap entries and reads the clock through
+        ``sim._cref`` (the C loop publishes each timestamp there), and
+        the C ``stop()`` keeps a flag the loop checks per event instead
+        of a dict lookup (it writes ``_stopped`` too, for Python
+        readers).
+        """
+        ref = CENGINE.SimRef(sim)
+        sim._cref = ref
+        sim.stop = ref.stop

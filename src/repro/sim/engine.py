@@ -37,7 +37,7 @@ COMPACT_MIN_DEAD = 64
 #: Marker in slot 3 of a handle entry ``(time_ps, seq, handle, _HANDLE)``.
 #: Fast entries carry their args tuple there, which is never this object,
 #: so ``entry[3] is _HANDLE`` discriminates without a len() call.
-_HANDLE = object()
+_HANDLE = _backend.HANDLE
 
 _heappush = heapq.heappush
 
@@ -115,11 +115,11 @@ class Simulator:
     to each other exclusively by scheduling callbacks on it.  Time is an
     integer number of picoseconds (see :mod:`repro.units`).
 
-    ``backend`` selects the run-loop implementation (see
-    :mod:`repro.sim.backend`): ``None`` consults ``REPRO_SIM_BACKEND``
-    and defaults to ``auto`` (the compiled loop when built, else the
-    reference python loop).  Every backend shares this instance's state
-    and must produce bit-identical event streams.
+    The run loop is the C extension's when it is built, else Python's
+    (see :mod:`repro.sim.backend`); both share this instance's state and
+    produce bit-identical event streams.  ``backend`` is only a check:
+    ``None`` or ``"auto"`` accept the loaded engine, and naming the
+    other one raises :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(self, backend: Optional[str] = None) -> None:
@@ -142,19 +142,8 @@ class Simulator:
         #: consulted on the rare paths — cancel, re-arm-earlier,
         #: compaction — never in the run loops.
         self._flight = None
-        resolved = _backend.resolve(backend)
-        #: Effective backend name ("python" or "compiled").
-        self.backend_name = resolved.name
-        #: What was asked for ("auto", "python", "compiled").
-        self.backend_requested = resolved.requested
-        #: Why an explicit request degraded to python, or ``None``.
-        self.backend_fallback_reason = resolved.fallback_reason
-        self._run_loop = resolved.run_loop
-        if resolved.attach is not None:
-            # The compiled backend rebinds the fast-path scheduling
-            # methods on the *instance* to C implementations sharing
-            # this object's heap/seq/clock storage.
-            resolved.attach(self)
+        _backend.check(backend)
+        _backend.attach(self)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -272,7 +261,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when none remain.
 
-        One event of the selected backend's run loop, so :meth:`run`
+        One event of the run loop, so :meth:`run`
         semantics apply: reentrant use raises, and a leftover
         :meth:`stop` request from an earlier run is cleared.
         """
@@ -285,10 +274,9 @@ class Simulator:
         When ``until_ps`` is given, the clock is advanced to exactly
         ``until_ps`` on return, and events scheduled later stay queued.
 
-        The loop itself lives in the selected backend (see
-        :mod:`repro.sim.backend`); this method owns the reentrancy
-        guard, the profiler dispatch hook, and the final clock advance.
-        The backend folds partial event counts into
+        The loop itself lives in :mod:`repro.sim.backend`; this method
+        owns the reentrancy guard, the profiler dispatch hook, and the
+        final clock advance.  The loop folds partial event counts into
         ``_events_executed`` even when a callback raises.
         """
         if self._running:
@@ -309,7 +297,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         try:
-            executed = self._run_loop(self, until_ps, max_events, dispatch)
+            executed = _backend.run_loop(self, until_ps, max_events, dispatch)
         finally:
             self._running = False
         if until_ps is not None and not self._stopped and self.now < until_ps:

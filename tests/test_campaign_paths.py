@@ -254,10 +254,10 @@ def test_campaign_flags_keep_their_names_and_spec_defaults():
     sweep_spec = parse_spec({"kind": "sweep", "algorithm": sweep.algorithm}).config
     fluid_spec = parse_spec({"kind": "fluid", "algorithms": fluid.algorithms}).config
     assert (sweep.senders, sweep.duration_ms, sweep.ecn_threshold, sweep.seeds,
-            sweep.seed, sweep.sim_backend or "auto") == (
+            sweep.seed) == (
         sweep_spec["n_senders"], sweep_spec["duration_ms"],
         sweep_spec["ecn_threshold_bytes"], sweep_spec["seeds"],
-        sweep_spec["seed"], sweep_spec["sim_backend"],
+        sweep_spec["seed"],
     )
     assert (fluid.workload, [int(fluid.flows_per_port)], fluid.flows_total,
             fluid.ports, fluid.seed) == (

@@ -159,7 +159,7 @@ class TestManifest:
             "sim_backend",
         }
         assert env["cpu_count"] >= 1
-        assert set(env["sim_backend"]) == {"requested", "name", "fallback_reason"}
+        assert set(env["sim_backend"]) == {"requested", "name"}
 
     def test_build_manifest(self):
         manifest = build_manifest(

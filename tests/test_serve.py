@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import socket
+import threading
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.errors import ConfigError, ReproError
 from repro.obs.export import parse_prometheus_text
 from repro.obs.manifest import CONFIG_HASH_VERSION
 from repro.parallel import CampaignRunner
+from repro.serve import app as serve_app
 from repro.serve import jobs as serve_jobs
 from repro.serve import (
     JobQueue,
@@ -485,3 +488,60 @@ class TestMalformedRequests:
         )
         assert status == 400
         assert query.split("=")[0] in body["error"]
+
+
+class TestBoundedRequestHead:
+    """Oversized or stalled requests cost the daemon a bounded amount of
+    work and time, and it keeps answering afterwards."""
+
+    @pytest.fixture()
+    def server(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serve_app, "HEAD_TIMEOUT_S", 0.5)
+        server = ReproServer(port=0, workers=1, cache_dir=tmp_path / "cache")
+        server.start_background()
+        yield server
+        assert ServeClient(server.host, server.port).health()["ok"] is True
+        server.close()
+
+    def test_body_over_the_cap_is_413(self, server):
+        status, body = _raw_request(
+            server,
+            f"POST /jobs HTTP/1.1\r\nContent-Length: {serve_app.MAX_BODY_BYTES + 1}"
+            "\r\n\r\n".encode(),
+        )
+        assert status == 413
+        assert "too large" in body["error"]
+
+    def test_too_many_header_lines_is_431(self, server):
+        headers = "".join(f"X-H{i}: {i}\r\n" for i in range(10_000))
+        raw = f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode()
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            # The daemon answers after MAX_HEADER_LINES lines and closes,
+            # so the rest of the request may never be read: send it from
+            # a thread and tolerate the reset.
+            def send() -> None:
+                try:
+                    sock.sendall(raw)
+                except OSError:
+                    pass
+
+            sender = threading.Thread(target=send)
+            sender.start()
+            chunks = []
+            try:
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            except ConnectionResetError:
+                pass
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 431
+        assert "header" in json.loads(body)["error"]
+
+    def test_client_stalled_mid_headers_is_dropped(self, server):
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+            start = time.monotonic()
+            assert sock.recv(65536) == b""
+            assert time.monotonic() - start < 5.0
