@@ -1,8 +1,8 @@
 """Shared precomputed tables for the per-packet datapath.
 
-The packet hot path (``Port.send`` → queue → ``Link.carry`` →
-``Port.deliver`` → ``NetworkSwitch.receive``) used to recompute the same
-integer arithmetic for every frame: the serialization delay of a 64 B
+The packet hot path (``Port.send`` → queue → the arrival event on the
+heap → ``NetworkSwitch.receive``) used to recompute the same integer
+arithmetic for every frame: the serialization delay of a 64 B
 ACK on a 100 G port never changes, and neither does the ECMP hash of a
 flow.  :class:`DatapathState` is the small struct those tables hang off:
 one instance is shared process-wide (``shared()``), so every port at the
@@ -11,44 +11,50 @@ across :class:`~repro.core.control_plane.ControlPlane` rebuilds inside a
 campaign worker.
 
 Tables are lazily populated — the first packet of a given size pays the
-:func:`~repro.units.serialization_time_ps` call, every later one is a
-dict hit — so arbitrary frame sizes stay exact, not quantized to size
-classes.
+:func:`~repro.units.serialization_time_ps` call (the table's
+``__missing__``), every later one is a dict hit — so arbitrary frame
+sizes stay exact, not quantized to size classes.
 """
 
 from __future__ import annotations
 
 from repro.units import serialization_time_ps
 
-__all__ = ["DatapathState", "shared"]
+__all__ = ["DatapathState", "SerTable", "shared"]
+
+
+class SerTable(dict):
+    """``{frame_bytes: serialization_ps}`` at one port rate; indexing a
+    size not seen yet computes and stores it."""
+
+    __slots__ = ("rate_bps",)
+
+    def __init__(self, rate_bps: int) -> None:
+        super().__init__()
+        self.rate_bps = rate_bps
+
+    def __missing__(self, size_bytes: int) -> int:
+        ps = self[size_bytes] = serialization_time_ps(size_bytes, self.rate_bps)
+        return ps
 
 
 class DatapathState:
     """Precomputed integer tables shared by the packet datapath.
 
-    ``ser_table(rate_bps)`` returns the per-rate ``{frame_bytes:
-    serialization_ps}`` dict for that port rate.  The dict is the live
-    table — ports cache it and extend it in place on first sight of a
-    new frame size.
+    ``ser_table(rate_bps)`` returns the :class:`SerTable` for that port
+    rate.  It is the live table — ports cache it, and it extends itself
+    in place on first sight of a new frame size.
     """
 
     __slots__ = ("_ser_tables",)
 
-    #: Frame sizes warmed eagerly: control/ACK frames, the common MTU
-    #: payloads, and the full Ethernet frame used by the benches.
-    WARM_FRAME_SIZES = (64, 1024, 1250, 1500, 1518)
-
     def __init__(self) -> None:
-        self._ser_tables: dict[int, dict[int, int]] = {}
+        self._ser_tables: dict[int, SerTable] = {}
 
-    def ser_table(self, rate_bps: int) -> dict[int, int]:
+    def ser_table(self, rate_bps: int) -> SerTable:
         table = self._ser_tables.get(rate_bps)
         if table is None:
-            table = {
-                size: serialization_time_ps(size, rate_bps)
-                for size in self.WARM_FRAME_SIZES
-            }
-            self._ser_tables[rate_bps] = table
+            table = self._ser_tables[rate_bps] = SerTable(rate_bps)
         return table
 
 

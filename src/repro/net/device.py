@@ -11,6 +11,7 @@ elapsed.
 from __future__ import annotations
 
 import itertools
+from heapq import heappush as _heappush
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ConfigError
@@ -19,7 +20,7 @@ from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.backend import CENGINE as _C
 from repro.sim.engine import Simulator
-from repro.units import RATE_100G, serialization_time_ps
+from repro.units import RATE_100G
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
@@ -33,8 +34,8 @@ class _PyPort:
     __slots__ = (
         "device", "index", "rate_bps", "queue", "link",
         "_busy", "_busy_until_ps", "paused", "pause_events",
-        "tx_packets", "tx_bytes", "rx_packets", "rx_bytes",
-        "sim", "_ser_ps", "_receive",
+        "tx_packets", "tx_bytes",
+        "sim", "_heap", "_ser_ps", "_peer", "_peer_receive", "_to_peer_ps",
     )
 
     def __init__(
@@ -61,14 +62,18 @@ class _PyPort:
         self.pause_events = 0
         self.tx_packets = 0
         self.tx_bytes = 0
-        self.rx_packets = 0
-        self.rx_bytes = 0
-        #: Hot-path aliases: the simulator (ports never migrate between
-        #: devices) and the shared per-rate serialization table (see
+        #: Hot-path aliases: the simulator and its heap (ports never
+        #: migrate between devices; the heap list is never replaced) and
+        #: the shared per-rate serialization table (see
         #: :mod:`repro.net.datapath`).
         self.sim: Simulator = device.sim
+        self._heap = device.sim._heap
         self._ser_ps = datapath.shared().ser_table(rate_bps)
-        self._receive = device.receive
+        #: The far end, its device's ``receive`` and the departure-to-
+        #: ``receive`` offset; set by :class:`~repro.net.link.Link`.
+        self._peer: Optional["Port"] = None
+        self._peer_receive = None
+        self._to_peer_ps = 0
 
     @property
     def name(self) -> str:
@@ -77,20 +82,42 @@ class _PyPort:
     # -- transmit path ------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:
-        """Enqueue ``packet`` for transmission; returns False if dropped."""
+        """Enqueue ``packet`` for transmission; returns False if dropped.
+
+        An idle port (no live chain, not paused, empty queue, wire free)
+        cuts through: the frame goes on the wire here, with the queue's
+        admission and the event :meth:`_transmit_next` would have
+        pushed."""
         if self.link is None:
             raise ConfigError(f"port {self.name} is not connected to a link")
-        accepted = self.queue.enqueue(packet)
-        if accepted and not self._busy and not self.paused:
-            if self.sim.now >= self._busy_until_ps:
-                self._transmit_next()
-            else:
-                # The wire is still draining the previous frame (the
-                # chain parked on an empty queue): wake exactly when it
-                # frees instead of having polled at every frame end.
-                self._busy = True
-                self.sim.at(self._busy_until_ps, self._transmit_next)
-        return accepted
+        queue = self.queue
+        sim = self.sim
+        now = sim.now
+        if self._busy or self.paused or queue._queue or now < self._busy_until_ps:
+            accepted = queue.enqueue(packet)
+            if accepted and not self._busy and not self.paused:
+                if now >= self._busy_until_ps:
+                    self._transmit_next()
+                else:
+                    # The wire is still draining the previous frame (the
+                    # chain parked on an empty queue): wake exactly when
+                    # it frees instead of having polled at every frame end.
+                    self._busy = True
+                    sim.at(self._busy_until_ps, self._transmit_next)
+            return accepted
+        if not queue.enqueue(packet, True):
+            return False
+        size = packet.size_bytes
+        depart_ps = now + self._ser_ps[size]
+        self.tx_packets += 1
+        self.tx_bytes += size
+        self._busy_until_ps = depart_ps
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(self._heap, (
+            depart_ps + self._to_peer_ps, seq, self._peer_receive, (packet, self._peer)
+        ))
+        return True
 
     def pause(self) -> None:
         """PFC XOFF: stop dequeuing new frames (the one on the wire
@@ -112,6 +139,9 @@ class _PyPort:
                 self.sim.at(self._busy_until_ps, self._transmit_next)
 
     def _transmit_next(self) -> None:
+        """Serialize the queue's head and push its arrival at the far
+        end (``Device.receive`` at depart + propagation + the peer's
+        ingress latency), then the chain's next wakeup if frames wait."""
         if self.paused:
             self._busy = False
             return
@@ -121,32 +151,27 @@ class _PyPort:
             self._busy = False
             return
         size = packet.size_bytes
-        tx_time = self._ser_ps.get(size)
-        if tx_time is None:
-            tx_time = serialization_time_ps(size, self.rate_bps)
-            self._ser_ps[size] = tx_time
+        sim = self.sim
+        depart_ps = sim.now + self._ser_ps[size]
         self.tx_packets += 1
         self.tx_bytes += size
-        depart_ps = self.sim.now + tx_time
-        self.link.carry(self, packet, depart_ps=depart_ps)
         self._busy_until_ps = depart_ps
+        heap = self._heap
+        seq = sim._seq
+        _heappush(heap, (
+            depart_ps + self._to_peer_ps, seq, self._peer_receive, (packet, self._peer)
+        ))
         if queue._queue:
             # More frames waiting: keep the transmit chain hot.
             self._busy = True
-            self.sim.after(tx_time, self._transmit_next)
+            _heappush(heap, (depart_ps, seq + 1, self._transmit_next, ()))
+            sim._seq = seq + 2
         else:
             # Queue drained: park instead of scheduling a wakeup that
             # would usually find nothing to do.  ``send``/``resume``
             # restart the chain no earlier than ``_busy_until_ps``.
             self._busy = False
-
-    # -- receive path -------------------------------------------------------
-
-    def deliver(self, packet: Packet) -> None:
-        """Called by the link when a packet finishes arriving at this port."""
-        self.rx_packets += 1
-        self.rx_bytes += packet.size_bytes
-        self._receive(packet, self)
+            sim._seq = seq + 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.name} rate={self.rate_bps}>"
@@ -157,10 +182,10 @@ if _C is not None:
         """One device port: an output queue plus a rate-limited
         transmitter.
 
-        Compiled variant: send/transmit/deliver and the PFC park logic
-        live in the C extension's ``CPort``, scheduling follow-ups by
-        pushing heap entries directly in C through the simulator's
-        ``SimRef`` (``sim._cref``).  Event streams and counters are
+        Compiled variant: send/transmit and the PFC park logic live in
+        the C extension's ``CPort``, scheduling follow-ups by pushing
+        heap entries directly in C through the simulator's ``SimRef``
+        (``sim._cref``).  Event streams and counters are
         bit-identical to :class:`_PyPort` (the class used when the
         extension isn't built)."""
 
@@ -178,9 +203,8 @@ if _C is not None:
                 queue = DropTailQueue(capacity_bytes=2**20)
             sim = device.sim
             _C.CPort.__init__(
-                self, device, index, rate_bps, queue, sim, device.receive,
-                datapath.shared().ser_table(rate_bps),
-                serialization_time_ps, sim._cref,
+                self, device, index, rate_bps, queue, sim,
+                datapath.shared().ser_table(rate_bps), sim._cref,
             )
 
         @property

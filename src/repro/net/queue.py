@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.net.packet import Packet
+from repro.net.packet import CE, ECT, Packet
 from repro.sim.backend import CENGINE as _C
 
 
@@ -100,8 +100,15 @@ class _PyDropTailQueue:
     def empty(self) -> bool:
         return not self._queue
 
-    def enqueue(self, packet: Packet) -> bool:
-        """Append ``packet``; returns False (and counts a drop) when full."""
+    def enqueue(self, packet: Packet, through: bool = False) -> bool:
+        """Append ``packet``; returns False (and counts a drop) when full.
+
+        This is the one admission routine -- capacity drop, CE mark,
+        enqueue counters, ``max_backlog_bytes``, flight notes and
+        ``on_backlog_change`` -- for both ways into the queue.
+        ``through=True`` is an idle port's cut-through (see
+        ``Port.send``): the packet leaves at once, counted as
+        :meth:`dequeue` would count it, and the FIFO never holds it."""
         size = packet.size_bytes
         backlog = self.backlog_bytes + size
         if backlog > self.capacity_bytes:
@@ -116,27 +123,35 @@ class _PyDropTailQueue:
                     flow=packet.flow_id,
                 )
             return False
-        self._queue.append(packet)
+        if not through:
+            self._queue.append(packet)
         self.backlog_bytes = backlog
         threshold = self.ecn_threshold_bytes
-        if threshold is not None and backlog >= threshold:
-            before = packet.ce_marked
-            packet.mark_ce()
-            if packet.ce_marked and not before:
-                self.ecn_marked_packets += 1
-                if self._flight is not None:
-                    self._flight.note(
-                        "queue", "ecn_mark",
-                        queue=self.flight_label,
-                        backlog_bytes=backlog,
-                        flow=packet.flow_id,
-                    )
+        if threshold is not None and backlog >= threshold and packet.ecn == ECT:
+            # Only an ECT -> CE transition marks (and counts).
+            packet.ecn = CE
+            self.ecn_marked_packets += 1
+            if self._flight is not None:
+                self._flight.note(
+                    "queue", "ecn_mark",
+                    queue=self.flight_label,
+                    backlog_bytes=backlog,
+                    flow=packet.flow_id,
+                )
         self.enqueued_packets += 1
         self.enqueued_bytes += size
         if backlog > self.max_backlog_bytes:
             self.max_backlog_bytes = backlog
-        if self.on_backlog_change is not None:
-            self.on_backlog_change(backlog)
+        observer = self.on_backlog_change
+        if observer is not None:
+            observer(backlog)
+        if through:
+            backlog -= size
+            self.backlog_bytes = backlog
+            self.dequeued_packets += 1
+            self.dequeued_bytes += size
+            if observer is not None:
+                observer(backlog)
         return True
 
     def dequeue(self) -> Optional[Packet]:

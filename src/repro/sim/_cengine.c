@@ -34,14 +34,13 @@
  *       subclasses it into DropTailQueue/EcnQueue when the extension
  *       imports, and keeps the pure-Python classes as the fallback.
  *
- *   CPort(device, index, rate_bps, queue, sim, receive, ser_table,
- *         ser_fallback, simref)
- *       The transmit/receive chain of net.device.Port in C: send ->
- *       enqueue -> serialize (precomputed per-size table) -> inline
- *       link carry -> deliver, scheduling follow-ups by pushing heap
- *       entries directly through the SimRef push.  Event entries,
- *       counter updates, and PFC pause/park semantics are
- *       bit-identical to the Python Port (same push order, same seq
+ *   CPort(device, index, rate_bps, queue, sim, ser_table, simref)
+ *       The transmit chain of net.device.Port in C: send -> enqueue ->
+ *       serialize (per-size table) -> the arrival entry, which calls
+ *       the peer device's receive(packet, peer) directly, scheduling
+ *       follow-ups by pushing heap entries through the SimRef push.
+ *       Event entries, counter updates, and PFC pause/park semantics
+ *       are bit-identical to the Python Port (same push order, same seq
  *       consumption), so simulations agree packet-for-packet whether
  *       or not the extension is present.  CPort calls the C queue
  *       implementation directly — Python-level overrides of
@@ -66,7 +65,6 @@ static PyObject *g_config_error;    /* repro.errors.ConfigError */
  * threshold crossing (by which point the packet module is necessarily
  * imported — a Packet instance is in hand — so no import cycles). */
 static PyObject *g_ce_obj;          /* packet.CE as a Python int */
-static PyObject *g_packet_type;     /* the Packet class */
 static long long g_ect_ll;
 
 static PyObject *k_heap, *k_seq_ctr, *k_now, *k_stopped, *k_dead,
@@ -667,7 +665,7 @@ static PyTypeObject CQueueType;
 static int
 ensure_ecn_consts(void)
 {
-    PyObject *m, *ect, *ce, *ptype;
+    PyObject *m, *ect, *ce;
     if (g_ce_obj != NULL)
         return 0;
     m = PyImport_ImportModule("repro.net.packet");
@@ -675,22 +673,18 @@ ensure_ecn_consts(void)
         return -1;
     ect = PyObject_GetAttrString(m, "ECT");
     ce = PyObject_GetAttrString(m, "CE");
-    ptype = PyObject_GetAttrString(m, "Packet");
     Py_DECREF(m);
-    if (ect == NULL || ce == NULL || ptype == NULL) {
+    if (ect == NULL || ce == NULL) {
         Py_XDECREF(ect);
         Py_XDECREF(ce);
-        Py_XDECREF(ptype);
         return -1;
     }
     g_ect_ll = PyLong_AsLongLong(ect);
     Py_DECREF(ect);
     if (g_ect_ll == -1 && PyErr_Occurred()) {
         Py_DECREF(ce);
-        Py_DECREF(ptype);
         return -1;
     }
-    g_packet_type = ptype;
     g_ce_obj = ce;                  /* publish last: the readiness flag */
     return 0;
 }
@@ -802,48 +796,17 @@ cq_enqueue_impl(CQueueObject *q, PyObject *packet)
     if (q->ecn_on && backlog >= q->ecn_thr) {
         if (ensure_ecn_consts() < 0)
             return -1;
-        if (Py_TYPE(packet) == (PyTypeObject *)g_packet_type) {
-            /* Inline mark_ce: only ECT -> CE transitions count. */
-            long long ecn;
-            if (attr_as_ll(packet, "ecn", &ecn) < 0)
+        /* Only an ECT -> CE transition marks (and counts). */
+        long long ecn;
+        if (attr_as_ll(packet, "ecn", &ecn) < 0)
+            return -1;
+        if (ecn == g_ect_ll) {
+            if (PyObject_SetAttrString(packet, "ecn", g_ce_obj) < 0)
                 return -1;
-            if (ecn == g_ect_ll) {
-                if (PyObject_SetAttrString(packet, "ecn", g_ce_obj) < 0)
-                    return -1;
-                q->ecn_marked_packets += 1;
-                if (q->flight != Py_None && q->flight != NULL &&
-                    cq_flight_note(q, "ecn_mark", 0, 0, backlog, packet) < 0)
-                    return -1;
-            }
-        }
-        else {
-            /* Packet subclass: defer to its methods like Python does. */
-            PyObject *before = PyObject_GetAttrString(packet, "ce_marked");
-            PyObject *after, *res;
-            int b, a;
-            if (before == NULL)
+            q->ecn_marked_packets += 1;
+            if (q->flight != Py_None && q->flight != NULL &&
+                cq_flight_note(q, "ecn_mark", 0, 0, backlog, packet) < 0)
                 return -1;
-            b = PyObject_IsTrue(before);
-            Py_DECREF(before);
-            if (b < 0)
-                return -1;
-            res = PyObject_CallMethod(packet, "mark_ce", NULL);
-            if (res == NULL)
-                return -1;
-            Py_DECREF(res);
-            after = PyObject_GetAttrString(packet, "ce_marked");
-            if (after == NULL)
-                return -1;
-            a = PyObject_IsTrue(after);
-            Py_DECREF(after);
-            if (a < 0)
-                return -1;
-            if (a && !b) {
-                q->ecn_marked_packets += 1;
-                if (q->flight != Py_None && q->flight != NULL &&
-                    cq_flight_note(q, "ecn_mark", 0, 0, backlog, packet) < 0)
-                    return -1;
-            }
         }
     }
     q->enqueued_packets += 1;
@@ -1099,30 +1062,28 @@ static PyTypeObject CQueueType = {
     .tp_as_sequence = &cqueue_as_sequence,
 };
 
-/* ---- CPort: the Port transmit/receive chain in C ----------------------- */
+/* ---- CPort: the Port transmit chain in C -------------------------------- */
 
 typedef struct {
     PyObject_HEAD
     PyObject *device;
     Py_ssize_t index;
     long long rate_bps;
-    PyObject *rate_obj;             /* rate_bps as a Python int        */
     PyObject *queue;                /* CQueue (or subclass) instance   */
     PyObject *link;                 /* None until a Link attaches      */
     PyObject *sim;
-    PyObject *receive;              /* device.receive, bound at init   */
-    PyObject *ser_table;            /* {size_bytes: serialization_ps}  */
-    PyObject *ser_fallback;         /* serialization_time_ps           */
+    PyObject *ser_table;            /* datapath.SerTable of the rate   */
     PyObject *simref;               /* SimRef used for heap pushes     */
     PyObject *tx_cb;                /* bound self._transmit_next       */
-    /* Inline-carry cache, built on first transmit (links attach once
-     * and never re-attach — Link.__init__ enforces it). */
-    PyObject *peer_deliver;
-    long long link_offset_ps;       /* Link.to_{a,b}_ps toward the peer */
+    /* Set by Link.__init__: the far end, its device's receive, and the
+     * departure-to-receive offset (propagation + its rx latency). */
+    PyObject *peer;
+    PyObject *peer_receive;
+    long long to_peer_ps;
     char busy, paused;
     long long busy_until_ps;
     long long pause_events;
-    long long tx_packets, tx_bytes, rx_packets, rx_bytes;
+    long long tx_packets, tx_bytes;
 } CPortObject;
 
 static PyTypeObject CPortType;
@@ -1138,62 +1099,21 @@ cport_now(CPortObject *self, long long *now)
     return dict_get_ll(sr->dict, k_now, now);
 }
 
-/* Push (time, seq, fn, args...) through the shared SimRef tail.  The
- * entries are identical to what sim.at/after would have pushed, so the
- * event stream matches the pure-Python Port bit for bit. */
+/* Push (time, seq, fn, args) through the shared SimRef tail.  The
+ * entries are identical to what the pure-Python Port pushes, so the
+ * event stream matches it bit for bit. */
 static int
 cport_push(CPortObject *self, long long time_ll, PyObject *fn,
-           PyObject *arg /* may be NULL for no-arg events */)
+           PyObject **args, Py_ssize_t nargs)
 {
     PyObject *time_obj = PyLong_FromLongLong(time_ll);
     int rc;
     if (time_obj == NULL)
         return -1;
-    rc = simref_push((SimRefObject *)self->simref, time_obj, fn,
-                     &arg, arg == NULL ? 0 : 1);
+    rc = simref_push((SimRefObject *)self->simref, time_obj, fn, args,
+                     nargs);
     Py_DECREF(time_obj);
     return rc;
-}
-
-static int
-cport_ensure_carry_cache(CPortObject *self)
-{
-    PyObject *a = NULL, *b = NULL, *peer = NULL;
-    const char *offset_name;
-    if (self->peer_deliver != NULL)
-        return 0;
-    a = PyObject_GetAttrString(self->link, "a");
-    if (a == NULL)
-        return -1;
-    b = PyObject_GetAttrString(self->link, "b");
-    if (b == NULL) {
-        Py_DECREF(a);
-        return -1;
-    }
-    if (a == (PyObject *)self) {
-        peer = b;
-        offset_name = "to_b_ps";
-    }
-    else if (b == (PyObject *)self) {
-        peer = a;
-        offset_name = "to_a_ps";
-    }
-    else {
-        Py_DECREF(a);
-        Py_DECREF(b);
-        PyErr_SetString(g_config_error,
-                        "port is not attached to its own link");
-        return -1;
-    }
-    if (attr_as_ll(self->link, offset_name, &self->link_offset_ps) < 0) {
-        Py_DECREF(a);
-        Py_DECREF(b);
-        return -1;
-    }
-    self->peer_deliver = PyObject_GetAttrString(peer, "deliver");
-    Py_DECREF(a);
-    Py_DECREF(b);
-    return self->peer_deliver == NULL ? -1 : 0;
 }
 
 /* The Port._transmit_next body.  Mirrors the Python implementation
@@ -1225,21 +1145,12 @@ cport_transmit_impl(CPortObject *self)
     size_obj = PyLong_FromLongLong(size);
     if (size_obj == NULL)
         goto fail;
-    tx_obj = PyDict_GetItemWithError(self->ser_table, size_obj); /* borrowed */
-    if (tx_obj == NULL) {
-        if (PyErr_Occurred())
-            goto fail;
-        tx_obj = PyObject_CallFunctionObjArgs(self->ser_fallback, size_obj,
-                                              self->rate_obj, NULL);
-        if (tx_obj == NULL)
-            goto fail;
-        if (PyDict_SetItem(self->ser_table, size_obj, tx_obj) < 0) {
-            Py_DECREF(tx_obj);
-            goto fail;
-        }
-        Py_DECREF(tx_obj);   /* the table keeps it alive (borrowed now) */
-    }
+    /* The first frame of a size fills the table through __missing__. */
+    tx_obj = PyObject_GetItem(self->ser_table, size_obj);
+    if (tx_obj == NULL)
+        goto fail;
     tx_time = PyLong_AsLongLong(tx_obj);
+    Py_DECREF(tx_obj);
     if (tx_time == -1 && PyErr_Occurred())
         goto fail;
     self->tx_packets += 1;
@@ -1247,38 +1158,22 @@ cport_transmit_impl(CPortObject *self)
     if (cport_now(self, &now) < 0)
         goto fail;
     depart = now + tx_time;
-    /* Inline Link.carry: counters, then the deliver event at
-     * depart + propagation + the peer device's ingress latency. */
-    if (cport_ensure_carry_cache(self) < 0)
+    /* The arrival: the peer device's receive(packet, peer) at depart +
+     * propagation + its ingress latency, straight onto the heap. */
+    if (self->peer_receive == NULL || self->peer == NULL) {
+        PyErr_SetString(g_config_error, "port is not connected to a link");
         goto fail;
-    {
-        long long carried;
-        if (attr_as_ll(self->link, "carried_packets", &carried) < 0)
-            goto fail;
-        PyObject *v = PyLong_FromLongLong(carried + 1);
-        if (v == NULL ||
-            PyObject_SetAttrString(self->link, "carried_packets", v) < 0) {
-            Py_XDECREF(v);
-            goto fail;
-        }
-        Py_DECREF(v);
-        if (attr_as_ll(self->link, "carried_bytes", &carried) < 0)
-            goto fail;
-        v = PyLong_FromLongLong(carried + size);
-        if (v == NULL ||
-            PyObject_SetAttrString(self->link, "carried_bytes", v) < 0) {
-            Py_XDECREF(v);
-            goto fail;
-        }
-        Py_DECREF(v);
     }
-    if (cport_push(self, depart + self->link_offset_ps, self->peer_deliver,
-                   packet) < 0)
-        goto fail;
+    {
+        PyObject *arrival[2] = {packet, self->peer};
+        if (cport_push(self, depart + self->to_peer_ps, self->peer_receive,
+                       arrival, 2) < 0)
+            goto fail;
+    }
     self->busy_until_ps = depart;
     if (q->count > 0) {
         self->busy = 1;
-        if (cport_push(self, depart, self->tx_cb, NULL) < 0)
+        if (cport_push(self, depart, self->tx_cb, NULL, 0) < 0)
             goto fail;
     }
     else
@@ -1311,7 +1206,7 @@ cport_kick(CPortObject *self)
     if (now >= self->busy_until_ps)
         return cport_transmit_impl(self);
     self->busy = 1;
-    return cport_push(self, self->busy_until_ps, self->tx_cb, NULL);
+    return cport_push(self, self->busy_until_ps, self->tx_cb, NULL, 0);
 }
 
 static PyObject *
@@ -1365,38 +1260,20 @@ cport_resume(CPortObject *self, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
-static PyObject *
-cport_deliver(CPortObject *self, PyObject *packet)
-{
-    long long size;
-    PyObject *res;
-    if (attr_as_ll(packet, "size_bytes", &size) < 0)
-        return NULL;
-    self->rx_packets += 1;
-    self->rx_bytes += size;
-    res = PyObject_CallFunctionObjArgs(self->receive, packet,
-                                       (PyObject *)self, NULL);
-    if (res == NULL)
-        return NULL;
-    Py_DECREF(res);
-    Py_RETURN_NONE;
-}
-
 static int
 cport_init(CPortObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *device, *queue, *sim, *receive, *ser_table, *ser_fallback,
-        *simref;
+    PyObject *device, *queue, *sim, *ser_table, *simref;
     Py_ssize_t index;
     long long rate_bps;
     static char *kwlist[] = {
-        "device", "index", "rate_bps", "queue", "sim", "receive",
-        "ser_table", "ser_fallback", "simref", NULL,
+        "device", "index", "rate_bps", "queue", "sim", "ser_table",
+        "simref", NULL,
     };
 
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OnLOOOOOO", kwlist, &device, &index, &rate_bps,
-            &queue, &sim, &receive, &ser_table, &ser_fallback, &simref))
+            args, kwds, "OnLOOOO", kwlist, &device, &index, &rate_bps,
+            &queue, &sim, &ser_table, &simref))
         return -1;
     if (!PyObject_TypeCheck(queue, &CQueueType)) {
         PyErr_SetString(PyExc_TypeError,
@@ -1407,15 +1284,8 @@ cport_init(CPortObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "simref must be a SimRef");
         return -1;
     }
-    if (!PyDict_Check(ser_table)) {
-        PyErr_SetString(PyExc_TypeError, "ser_table must be a dict");
-        return -1;
-    }
     self->index = index;
     self->rate_bps = rate_bps;
-    Py_XSETREF(self->rate_obj, PyLong_FromLongLong(rate_bps));
-    if (self->rate_obj == NULL)
-        return -1;
     Py_INCREF(device);
     Py_XSETREF(self->device, device);
     Py_INCREF(queue);
@@ -1423,12 +1293,8 @@ cport_init(CPortObject *self, PyObject *args, PyObject *kwds)
     Py_XSETREF(self->link, Py_NewRef(Py_None));
     Py_INCREF(sim);
     Py_XSETREF(self->sim, sim);
-    Py_INCREF(receive);
-    Py_XSETREF(self->receive, receive);
     Py_INCREF(ser_table);
     Py_XSETREF(self->ser_table, ser_table);
-    Py_INCREF(ser_fallback);
-    Py_XSETREF(self->ser_fallback, ser_fallback);
     Py_INCREF(simref);
     Py_XSETREF(self->simref, simref);
     Py_XSETREF(self->tx_cb,
@@ -1445,16 +1311,14 @@ static int
 cport_traverse(CPortObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->device);
-    Py_VISIT(self->rate_obj);
     Py_VISIT(self->queue);
     Py_VISIT(self->link);
     Py_VISIT(self->sim);
-    Py_VISIT(self->receive);
     Py_VISIT(self->ser_table);
-    Py_VISIT(self->ser_fallback);
     Py_VISIT(self->simref);
     Py_VISIT(self->tx_cb);
-    Py_VISIT(self->peer_deliver);
+    Py_VISIT(self->peer);
+    Py_VISIT(self->peer_receive);
     return 0;
 }
 
@@ -1462,16 +1326,14 @@ static int
 cport_clear(CPortObject *self)
 {
     Py_CLEAR(self->device);
-    Py_CLEAR(self->rate_obj);
     Py_CLEAR(self->queue);
     Py_CLEAR(self->link);
     Py_CLEAR(self->sim);
-    Py_CLEAR(self->receive);
     Py_CLEAR(self->ser_table);
-    Py_CLEAR(self->ser_fallback);
     Py_CLEAR(self->simref);
     Py_CLEAR(self->tx_cb);
-    Py_CLEAR(self->peer_deliver);
+    Py_CLEAR(self->peer);
+    Py_CLEAR(self->peer_receive);
     return 0;
 }
 
@@ -1492,7 +1354,6 @@ static PyMemberDef cport_members[] = {
     {"link", T_OBJECT, offsetof(CPortObject, link), 0,
      "the attached Link, or None"},
     {"sim", T_OBJECT, offsetof(CPortObject, sim), 0, NULL},
-    {"_receive", T_OBJECT, offsetof(CPortObject, receive), 0, NULL},
     {"_ser_ps", T_OBJECT, offsetof(CPortObject, ser_table), 0, NULL},
     {"_busy", T_BOOL, offsetof(CPortObject, busy), 0, NULL},
     {"_busy_until_ps", T_LONGLONG, offsetof(CPortObject, busy_until_ps),
@@ -1502,8 +1363,11 @@ static PyMemberDef cport_members[] = {
      NULL},
     {"tx_packets", T_LONGLONG, offsetof(CPortObject, tx_packets), 0, NULL},
     {"tx_bytes", T_LONGLONG, offsetof(CPortObject, tx_bytes), 0, NULL},
-    {"rx_packets", T_LONGLONG, offsetof(CPortObject, rx_packets), 0, NULL},
-    {"rx_bytes", T_LONGLONG, offsetof(CPortObject, rx_bytes), 0, NULL},
+    {"_peer", T_OBJECT, offsetof(CPortObject, peer), 0, NULL},
+    {"_peer_receive", T_OBJECT, offsetof(CPortObject, peer_receive), 0,
+     NULL},
+    {"_to_peer_ps", T_LONGLONG, offsetof(CPortObject, to_peer_ps), 0,
+     NULL},
     {NULL, 0, 0, 0, NULL},
 };
 
@@ -1512,8 +1376,6 @@ static PyMethodDef cport_methods[] = {
      "send(packet) -> bool — enqueue for transmission"},
     {"pause", (PyCFunction)cport_pause, METH_NOARGS, "PFC XOFF"},
     {"resume", (PyCFunction)cport_resume, METH_NOARGS, "PFC XON"},
-    {"deliver", (PyCFunction)cport_deliver, METH_O,
-     "link-side delivery of an arriving packet"},
     {"_transmit_next", (PyCFunction)cport_transmit_next, METH_NOARGS,
      "dequeue and serialize the next frame"},
     {NULL, NULL, 0, NULL},
@@ -1525,7 +1387,7 @@ static PyTypeObject CPortType = {
     .tp_basicsize = sizeof(CPortObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
                 Py_TPFLAGS_BASETYPE,
-    .tp_doc = "C port transmit/receive chain (subclassed by net.device)",
+    .tp_doc = "C port transmit chain (subclassed by net.device)",
     .tp_new = PyType_GenericNew,
     .tp_init = (initproc)cport_init,
     .tp_dealloc = (destructor)cport_dealloc,

@@ -1,6 +1,8 @@
 """Links, ports, devices, the network switch, and the n-cast-1 topology."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.net import (
@@ -12,6 +14,9 @@ from repro.net import (
     n_cast_1,
 )
 from repro.net.device import Device, Port
+from repro.net.packet import ECT
+from repro.net.queue import EcnQueue
+from repro.obs.flight import FlightRecorder, attach
 from repro.sim import Simulator
 from repro.units import GBPS, MICROSECOND, RATE_100G, serialization_time_ps
 
@@ -102,10 +107,121 @@ class TestLink:
     def test_port_counters(self):
         sim = Simulator()
         a, b, pa, pb = wire_pair(sim)
-        pa.send(Packet("DATA", 1, 2, 500))
+        packet = Packet("DATA", 1, 2, 500)
+        pa.send(packet)
         sim.run()
         assert pa.tx_packets == 1 and pa.tx_bytes == 500
-        assert pb.rx_packets == 1 and pb.rx_bytes == 500
+        # What arrived is what the receiving device got: one 500 B
+        # packet, after serialization plus the 1000 ps propagation.
+        assert b.received == [(serialization_time_ps(500, RATE_100G) + 1000, packet)]
+        assert a.received == []
+
+
+class _QueueThenDrain(Port):
+    """The reference port: every frame goes into the queue and leaves
+    through ``_transmit_next`` (``Port.send`` without its idle
+    cut-through)."""
+
+    __slots__ = ()
+
+    def send(self, packet):
+        accepted = self.queue.enqueue(packet)
+        if accepted and not self._busy and not self.paused:
+            if self.sim.now >= self._busy_until_ps:
+                self._transmit_next()
+            else:
+                self._busy = True
+                self.sim.at(self._busy_until_ps, self._transmit_next)
+        return accepted
+
+
+_SENDS = st.lists(
+    st.tuples(st.integers(0, 6 * MICROSECOND), st.integers(64, 3200)),
+    min_size=1, max_size=24,
+)
+_PAUSES = st.lists(
+    st.tuples(st.integers(0, 6 * MICROSECOND), st.integers(0, 3 * MICROSECOND)),
+    max_size=3,
+)
+
+
+class TestIdlePathIsBusyPath:
+    """``Port.send`` puts a frame on the wire itself when the port is
+    idle; everything observable must equal enqueue-then-dequeue."""
+
+    @staticmethod
+    def run(port_class, capacity, threshold, sends, pauses):
+        sim = Simulator()
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        queue = EcnQueue(capacity, threshold)
+        queue.flight_label = "a:p0"
+        port = port_class(a, 0, rate_bps=10 * GBPS, queue=queue)
+        a.ports.append(port)
+        Link(port, b.add_port(), delay_ps=1000)
+        recorder = FlightRecorder(clock=lambda: 0.0)
+        attach(sim=sim, queues=[queue], recorder=recorder)
+        backlogs = []
+        queue.on_backlog_change = lambda backlog: backlogs.append((sim.now, backlog))
+        accepted = []
+        packets = []
+        for i, (time_ps, size) in enumerate(sends):
+            packet = Packet("DATA", 1, 2, size, flow_id=i, ecn=ECT)
+            packets.append(packet)
+            sim.at(time_ps, lambda p=packet: accepted.append(port.send(p)))
+        for start_ps, length_ps in pauses:
+            sim.at(start_ps, port.pause)
+            sim.at(start_ps + length_ps, port.resume)
+        sim.run()
+        stats = queue.stats
+        return {
+            "stats": [getattr(stats, name) for name in (
+                "enqueued_packets", "enqueued_bytes", "dequeued_packets",
+                "dequeued_bytes", "dropped_packets", "dropped_bytes",
+                "ecn_marked_packets", "max_backlog_bytes",
+            )],
+            "tx": (port.tx_packets, port.tx_bytes, port.pause_events),
+            "accepted": accepted,
+            "ce": [p.ce_marked for p in packets],
+            "backlogs": backlogs,
+            "flight": [
+                (e["time_ps"], e["category"], e["name"], e["fields"])
+                for e in recorder.events()
+            ],
+            "arrivals": [(t, p.flow_id) for t, p in b.received],
+            "events": sim.events_executed,
+        }
+
+    @given(
+        capacity=st.integers(100, 3000),
+        threshold_frac=st.floats(0.0, 1.0),
+        sends=_SENDS,
+        pauses=_PAUSES,
+    )
+    @example(  # an idle drop, an idle CE mark, then a queue under PAUSE
+        capacity=1000, threshold_frac=0.05,
+        sends=[(0, 1500), (0, 500), (100, 400), (2000, 600), (2000, 64)],
+        pauses=[(1000, 3000)],
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_enqueue_then_dequeue(self, capacity, threshold_frac, sends, pauses):
+        # Thresholds at or below one frame mark even an idle port's
+        # frame; sizes above the capacity are dropped at an idle port.
+        threshold = max(1, round(threshold_frac * capacity))
+        got = self.run(Port, capacity, threshold, sends, pauses)
+        want = self.run(_QueueThenDrain, capacity, threshold, sends, pauses)
+        assert got == want
+
+    def test_idle_send_pushes_one_entry(self):
+        sim = Simulator()
+        a, b, pa, pb = wire_pair(sim, delay=1000)
+        packet = Packet("DATA", 1, 2, 500)
+        pa.send(packet)
+        # The arrival itself, calling the receiving device directly.
+        assert sim.pending_events == 1
+        ((time_ps, _, fn, args),) = sim._heap
+        assert time_ps == serialization_time_ps(500, RATE_100G) + 1000
+        assert (fn, args) == (b.receive, (packet, pb))
+        assert pa.queue.stats.dequeued_packets == 1 and len(pa.queue) == 0
 
 
 class TestNetworkSwitch:
