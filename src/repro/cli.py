@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
@@ -46,13 +47,11 @@ from repro.measure.export import (
 )
 from repro.obs import (
     build_manifest,
-    instrument_control_plane,
-    sanitize_metric_name,
+    counters_registry,
     write_manifest,
     write_metrics,
 )
 from repro.obs.heartbeat import Heartbeat
-from repro.obs.metrics import MetricsRegistry
 from repro.units import MS, US, format_rate
 
 if TYPE_CHECKING:
@@ -132,7 +131,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     cp = ControlPlane()
     tester = cp.deploy(config)
     cp.wire_loopback_fabric()
-    registry = instrument_control_plane(cp) if args.metrics_out else None
     sampler = tester.enable_rate_sampling(period_ps=500 * US)
     if args.workload == "fixed":
         cp.start_flows(size_packets=args.size_packets, pattern=args.pattern)
@@ -165,8 +163,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  {counters_to_json(counters, out / 'counters.json')}")
         if config.trace_cc:
             print(f"  {trace_to_json(tester.nic.logger.trace, out / 'trace.json')}")
-    if registry is not None:
-        print(f"wrote {write_metrics(registry, args.metrics_out)}")
+    if args.metrics_out is not None:
+        print(f"wrote {write_metrics(counters_registry(counters), args.metrics_out)}")
     return 0
 
 
@@ -283,35 +281,6 @@ def _run_campaign(
     return spec, result
 
 
-def _campaign_metrics_registry(
-    final_beats: dict[int, Heartbeat], stats: dict
-) -> MetricsRegistry:
-    """Fold a campaign's final heartbeat counters plus its wall-clock
-    statistics into one exportable registry."""
-    registry = MetricsRegistry()
-    registry.counter("repro_campaign_tasks_total").value = stats["tasks"]
-    registry.counter("repro_campaign_tasks_failed_total").value = stats["failed"]
-    registry.counter("repro_campaign_events_total").value = stats["events_total"]
-    registry.counter("repro_campaign_retries_total").value = stats["retries_total"]
-    registry.counter("repro_campaign_timeouts_total").value = stats["timeouts"]
-    registry.counter("repro_campaign_crashes_total").value = stats["crashes"]
-    registry.counter("repro_campaign_task_exceptions_total").value = (
-        stats["task_exceptions"]
-    )
-    registry.gauge("repro_campaign_workers").value = stats["workers"]
-    registry.gauge("repro_campaign_wall_seconds").value = stats["campaign_wall_s"]
-    registry.gauge("repro_campaign_tasks_per_second").value = stats["tasks_per_sec"]
-    totals: dict[str, float] = {}
-    for beat in final_beats.values():
-        for key, value in beat.counters.items():
-            if isinstance(value, (int, float)):
-                totals[key] = totals.get(key, 0) + value
-    for key in sorted(totals):
-        name = sanitize_metric_name(f"repro_sweep_{key}_total")
-        registry.counter(name).value = totals[key]
-    return registry
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.serve.jobs import beat_row
 
@@ -338,7 +307,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         on_heartbeat,
     )
     if args.metrics_out is not None or args.manifest is not None:
-        registry = _campaign_metrics_registry(final_beats, result["stats"])
+        totals: Counter[str] = Counter()
+        for beat in final_beats.values():
+            totals.update(beat.counters)
+        registry = counters_registry(totals, result["stats"])
         if args.metrics_out is not None:
             print(f"wrote {write_metrics(registry, args.metrics_out)}")
         if args.manifest is not None:
@@ -391,14 +363,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
     )
     cp.wire_loopback_fabric(ecn_threshold_bytes=args.ecn_threshold)
-    registry = instrument_control_plane(cp)
     cp.sim.enable_profiling()
     cp.start_flows(size_packets=args.size_packets, pattern="fan_in")
     cp.run(duration_ps=round(args.duration_ms * MS))
     profile = cp.sim.profile()
+    counters = cp.read_measurements()
+    queues = [port.queue.stats for port in cp.fabric.ports]
 
-    def family(name: str) -> float:
-        return sum(s.value for s in registry.collect() if s.name == name)
+    def queue_total(name: str) -> int:
+        return sum(getattr(stats, name) for stats in queues)
 
     print(
         f"profiled {args.algorithm} fan-in ({args.senders} senders, "
@@ -409,26 +382,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(profile.table(top_n=args.top))
     print()
     print("fabric queues (all ports):")
-    print(f"  enqueued  : {family('repro_queue_enqueued_packets_total'):,.0f} packets "
-          f"/ {family('repro_queue_enqueued_bytes_total'):,.0f} B")
-    print(f"  dropped   : {family('repro_queue_dropped_packets_total'):,.0f} packets "
-          f"/ {family('repro_queue_dropped_bytes_total'):,.0f} B")
-    print(f"  ECN marks : {family('repro_queue_ecn_marked_packets_total'):,.0f}")
+    print(f"  enqueued  : {queue_total('enqueued_packets'):,} packets "
+          f"/ {queue_total('enqueued_bytes'):,} B")
+    print(f"  dropped   : {queue_total('dropped_packets'):,} packets "
+          f"/ {queue_total('dropped_bytes'):,} B")
+    print(f"  ECN marks : {queue_total('ecn_marked_packets'):,}")
     print("amplification path:")
-    print(f"  SCHE accepted/dropped : "
-          f"{family('repro_pswitch_sche_accepted_total'):,.0f} / "
-          f"{family('repro_pswitch_sche_dropped_total'):,.0f}")
-    print(f"  DATA generated        : "
-          f"{family('repro_pswitch_data_generated_total'):,.0f}")
-    print(f"  ACKs compressed       : "
-          f"{family('repro_pswitch_acks_compressed_total'):,.0f} -> "
-          f"{family('repro_pswitch_infos_generated_total'):,.0f} INFOs")
+    print(f"  SCHE accepted/dropped : {counters['switch.sche_accepted']:,} / "
+          f"{counters['switch.sche_dropped']:,}")
+    print(f"  DATA generated        : {counters['switch.data_generated']:,}")
+    print(f"  ACKs / INFOs generated: {counters['switch.acks_generated']:,} / "
+          f"{counters['switch.infos_generated']:,}")
     print("engine:")
-    print(f"  events executed/cancelled : "
-          f"{family('repro_sim_events_executed_total'):,.0f} / "
-          f"{family('repro_sim_events_cancelled_total'):,.0f}")
+    print(f"  events executed/cancelled : {cp.sim.events_executed:,} / "
+          f"{cp.sim.events_cancelled:,}")
     if args.metrics_out is not None:
-        print(f"wrote {write_metrics(registry, args.metrics_out)}")
+        print(f"wrote {write_metrics(counters_registry(counters), args.metrics_out)}")
     return 0
 
 

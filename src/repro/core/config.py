@@ -44,8 +44,6 @@ class TestConfig:
     queue_capacity: int = 128
     #: Tofino-class pipeline transit latency.
     pipeline_latency_ps: int = 400 * NANOSECOND
-    #: FPGA <-> switch cable propagation delay.
-    internal_link_delay_ps: int = 50 * NANOSECOND
     #: Record every window/rate change via the QDMA logger.
     trace_cc: bool = False
     #: Stamp in-band telemetry on DATA and echo it to the CC module
@@ -58,8 +56,6 @@ class TestConfig:
     #: Figure 2 dashed path: run receiver logic on the FPGA instead of
     #: the switch (one extra port on each device; Section 4.1).
     receiver_logic_on_fpga: bool = False
-    #: RX timer period override, ps (0 = match the TX timer).
-    rx_interval_override_ps: int = 0
     #: Record probed RTT samples at the FPGA (latency analysis).
     sample_rtt: bool = False
     #: RNG seed for workloads.

@@ -29,6 +29,10 @@ from repro.net.packet import Packet
 from repro.pswitch.module_a import ReceiverMode
 from repro.pswitch.switch import MarlinSwitch, MarlinSwitchConfig
 from repro.sim.engine import Simulator
+from repro.units import NANOSECOND
+
+#: FPGA <-> switch cable propagation delay.
+CABLE_DELAY_PS = 50 * NANOSECOND
 
 
 class MarlinTester:
@@ -80,7 +84,6 @@ class MarlinTester:
                 trace_cc=cfg.trace_cc,
                 strict_bram=cfg.strict,
                 disable_rx_timer=cfg.disable_rx_timer,
-                rx_interval_override_ps=cfg.rx_interval_override_ps,
                 receiver_on_fpga=cfg.receiver_logic_on_fpga,
                 fpga_receiver_mode=receiver_mode,
                 cnp_interval_ps=cfg.cnp_interval_ps,
@@ -91,7 +94,7 @@ class MarlinTester:
         self.internal_link = Link(
             self.nic.port,
             self.switch.fpga_port,
-            delay_ps=cfg.internal_link_delay_ps,
+            delay_ps=CABLE_DELAY_PS,
             name=f"{name}-cable",
         )
         self.receiver_link: Optional[Link] = None
@@ -101,7 +104,7 @@ class MarlinTester:
             self.receiver_link = Link(
                 self.nic.receiver_port,
                 self.switch.receiver_port,
-                delay_ps=cfg.internal_link_delay_ps,
+                delay_ps=CABLE_DELAY_PS,
                 name=f"{name}-receiver-cable",
             )
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import CCModuleError
-from repro.obs.metrics import Histogram
 from repro.sim.trace import TraceRecorder
 
 #: Per-record payload budget (excluding the hardware timestamp).
@@ -36,12 +35,10 @@ class QdmaLogger:
     Upload accounting mirrors what the host's DPDK receive loop would
     see: ``uploads`` counts packets, ``upload_bytes`` counts payload
     bytes (full batches carry :data:`UPLOAD_PACKET_BYTES`; a flushed
-    partial batch carries only its records), and ``batch_records`` is a
-    log2 histogram of records per upload.  Partial-batch state is
-    exposed via :attr:`pending_records` / :attr:`pending_bytes` (and the
-    metrics registry through
-    :func:`repro.obs.instrument.instrument_qdma`) rather than being a
-    private bare int.  ``flush()`` on an empty logger uploads nothing.
+    partial batch carries only its records).  Partial-batch state is
+    exposed via :attr:`pending_records` / :attr:`pending_bytes` rather
+    than being a private bare int.  ``flush()`` on an empty logger
+    uploads nothing.
     """
 
     def __init__(self) -> None:
@@ -49,7 +46,6 @@ class QdmaLogger:
         self.records_logged = 0
         self.uploads = 0
         self.upload_bytes = 0
-        self.batch_records = Histogram("repro_qdma_batch_records", {}, n_buckets=8)
         self._pending_records = 0
 
     @property
@@ -85,7 +81,6 @@ class QdmaLogger:
         self._pending_records = 0
         self.uploads += 1
         self.upload_bytes += n_records * RECORD_BYTES
-        self.batch_records.observe(n_records)
 
     def series(self, channel: str, key: str) -> tuple[list[int], list[Any]]:
         """Convenience passthrough to the backing trace."""

@@ -69,8 +69,6 @@ class FpgaNicConfig:
     strict_bram: bool = False
     #: Verify the Table 3 contract on every invocation (slower; tests).
     check_contracts: bool = False
-    #: Override the RX timer period (0: match TX; see FrequencyControl).
-    rx_interval_override_ps: int = 0
     #: Ablation: bypass RX timers and process INFO on arrival, exposing
     #: the Section 5.3 read-write conflicts.
     disable_rx_timer: bool = False
@@ -125,7 +123,6 @@ class FpgaNic(Device):
             cfg.template_bytes,
             cfg.n_test_ports,
             cfg.port_rate_bps,
-            rx_interval_override_ps=cfg.rx_interval_override_ps,
         )
         self.bram = FlowBram(strict=cfg.strict_bram)
         self.cc_runtime = CCModuleRuntime(

@@ -42,7 +42,7 @@ class FrequencyControl:
     port_rate_bps: int = RATE_100G
     #: Override the RX period; 0 means "same as TX" (the default and the
     #: paper's recommendation).  Setting it above the TX period is the
-    #: misconfiguration the ablation bench demonstrates.
+    #: misconfiguration :meth:`validate` flags.
     rx_interval_override_ps: int = 0
 
     @property

@@ -2,11 +2,12 @@
 
 Marlin's control plane exists to "retrieve data ... to evaluate the
 network performance" (paper Section 3.2); ``repro.obs`` is that
-retrieval layer for the tester *itself*.  Three pillars:
+retrieval layer for the tester *itself*:
 
-* :mod:`repro.obs.metrics` — a Counter/Gauge/Histogram registry with
-  lazy attribute bindings, so instrumentation costs the hot path
-  nothing (guarded by the ``obs_overhead`` bench);
+* :mod:`repro.obs.metrics` — a Counter/Gauge registry with lazy
+  bindings; the tester's registers enter it once, after a run, through
+  :func:`repro.obs.export.counters_registry` (the ``obs_overhead``
+  bench guards what that costs);
 * :mod:`repro.obs.profile` — opt-in wall-clock attribution per event
   callback owner (``sim.enable_profiling()`` / ``sim.profile()`` /
   ``repro report``);
@@ -18,6 +19,7 @@ Export formats (JSON / Prometheus text) live in :mod:`repro.obs.export`.
 """
 
 from repro.obs.export import (
+    counters_registry,
     parse_prometheus_text,
     sanitize_metric_name,
     to_json,
@@ -26,24 +28,13 @@ from repro.obs.export import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.heartbeat import Heartbeat, run_with_heartbeats
-from repro.obs.instrument import (
-    instrument_control_plane,
-    instrument_engine,
-    instrument_fifo,
-    instrument_network_switch,
-    instrument_packet_pool,
-    instrument_qdma,
-    instrument_queue,
-    instrument_tester,
-)
 from repro.obs.manifest import build_manifest, config_hash, environment, write_manifest
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Sample
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Sample
 from repro.obs.profile import ProfileReport, ProfileRow, SimProfiler
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Sample",
     "SimProfiler",
@@ -52,6 +43,7 @@ __all__ = [
     "FlightRecorder",
     "Heartbeat",
     "run_with_heartbeats",
+    "counters_registry",
     "to_prometheus",
     "to_json",
     "write_metrics",
@@ -61,12 +53,4 @@ __all__ = [
     "write_manifest",
     "config_hash",
     "environment",
-    "instrument_control_plane",
-    "instrument_engine",
-    "instrument_fifo",
-    "instrument_network_switch",
-    "instrument_packet_pool",
-    "instrument_qdma",
-    "instrument_queue",
-    "instrument_tester",
 ]

@@ -1,11 +1,14 @@
-"""Metric export: JSON and Prometheus text exposition format.
+"""Metric export: the tester's registers, JSON and Prometheus text.
 
-``to_prometheus`` emits the text format scrapers understand
-(`# TYPE` comments plus ``name{label="value"} number`` samples);
-``parse_prometheus_text`` is the matching grammar-level parser, used by
-the tests to prove the output round-trips and available to callers that
-want to diff two snapshots.  ``write_metrics`` picks the format from the
-file suffix, which is what backs the CLI ``--metrics-out`` flag.
+``counters_registry`` is the one place a tester register gets a metric
+name: every ``--metrics-out`` and manifest folds ``read_counters()``
+through it.  ``to_prometheus`` emits the text format scrapers understand
+(`# TYPE` comments plus ``name number`` samples);
+``parse_prometheus_text`` is a grammar-level parser of the full format,
+labels included, used by the tests to prove the output round-trips and
+to validate text from elsewhere.  ``write_metrics`` picks the format
+from the file suffix, which is what backs the CLI ``--metrics-out``
+flag.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Union
+from typing import Mapping, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, Number
 
@@ -39,8 +42,43 @@ def sanitize_metric_name(raw: str) -> str:
     return name
 
 
-def _escape_label_value(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+#: A campaign's statistics as exported beside its registers:
+#: ``(series, key in CampaignSpec.run's "stats", kind)``.
+_CAMPAIGN_SERIES = (
+    ("repro_campaign_tasks_total", "tasks", "counter"),
+    ("repro_campaign_tasks_failed_total", "failed", "counter"),
+    ("repro_campaign_events_total", "events_total", "counter"),
+    ("repro_campaign_retries_total", "retries_total", "counter"),
+    ("repro_campaign_timeouts_total", "timeouts", "counter"),
+    ("repro_campaign_crashes_total", "crashes", "counter"),
+    ("repro_campaign_task_exceptions_total", "task_exceptions", "counter"),
+    ("repro_campaign_workers", "workers", "gauge"),
+    ("repro_campaign_wall_seconds", "campaign_wall_s", "gauge"),
+    ("repro_campaign_tasks_per_second", "tasks_per_sec", "gauge"),
+)
+
+
+def counters_registry(
+    counters: Mapping[str, Number],
+    campaign: Optional[Mapping[str, Number]] = None,
+) -> MetricsRegistry:
+    """Fold a tester's registers into one exportable registry.
+
+    ``counters`` is :meth:`MarlinTester.read_counters` (or a campaign's
+    per-key sum of it); each key becomes the counter
+    ``repro_<key>_total``, sanitised, so ``fpga.rmw_conflicts`` is
+    ``repro_fpga_rmw_conflicts_total`` in every export.  ``campaign``
+    (the ``stats`` of a finished campaign) adds the ``repro_campaign_*``
+    series.
+    """
+    registry = MetricsRegistry()
+    for key, value in counters.items():
+        registry.counter(sanitize_metric_name(f"repro_{key}_total")).value = value
+    if campaign is not None:
+        for name, key, kind in _CAMPAIGN_SERIES:
+            make = registry.counter if kind == "counter" else registry.gauge
+            make(name).value = campaign[key]
+    return registry
 
 
 def _unescape_label_value(value: str) -> str:
@@ -61,27 +99,10 @@ def _format_value(value: Number) -> str:
 
 def to_prometheus(registry: MetricsRegistry) -> str:
     """The registry's current state in Prometheus text exposition format."""
-    kinds = registry.kinds()
     lines: list[str] = []
-    seen_type: set[str] = set()
     for sample in registry.collect():
-        family = sample.name
-        if sample.kind == "histogram":
-            for suffix in ("_bucket", "_sum", "_count"):
-                if family.endswith(suffix):
-                    family = family[: -len(suffix)]
-                    break
-        if family not in seen_type:
-            seen_type.add(family)
-            lines.append(f"# TYPE {family} {kinds.get(family, sample.kind)}")
-        if sample.labels:
-            label_text = ",".join(
-                f'{key}="{_escape_label_value(str(value))}"'
-                for key, value in sorted(sample.labels.items())
-            )
-            lines.append(f"{sample.name}{{{label_text}}} {_format_value(sample.value)}")
-        else:
-            lines.append(f"{sample.name} {_format_value(sample.value)}")
+        lines.append(f"# TYPE {sample.name} {sample.kind}")
+        lines.append(f"{sample.name} {_format_value(sample.value)}")
     return "\n".join(lines) + "\n"
 
 

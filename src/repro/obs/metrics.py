@@ -1,21 +1,19 @@
-"""The metrics registry: counters, gauges, and log2 histograms.
+"""The metrics registry: named counters and gauges.
 
-Design constraints (ISSUE 3 / docs/OBSERVABILITY.md):
+Design constraints (docs/OBSERVABILITY.md):
 
 * **Near-zero hot-path cost.**  An instrument is a plain object with a
   ``value`` slot; incrementing is ``counter.value += 1`` — one attribute
   store, no dict lookup, no lock (simulations are single-threaded per
-  process).  Even cheaper, most of the model's existing counters stay
-  plain ``int`` attributes on their components and are *bound* into the
-  registry lazily: :meth:`MetricsRegistry.bind` stores a callable that
-  is only evaluated at collection time, so an instrumented simulation
-  executes the exact same bytecode per event as an uninstrumented one.
+  process).  A value that already lives elsewhere is *bound* instead:
+  :meth:`MetricsRegistry.bind` stores a callable that is only evaluated
+  at collection time.
 * **Determinism.**  Nothing here schedules events or mutates model
-  state; enabling metrics must never perturb a simulation (the property
+  state; exporting metrics must never perturb a simulation (the property
   test in ``tests/test_obs.py`` holds runs event-for-event identical).
-* **Labels.**  Instruments carry a frozen label mapping (e.g.
-  ``port="3"``); the same metric name may exist once per label set,
-  which is how per-port/per-queue families are modelled.
+* **One series per name.**  The tester's registers are folded into a
+  registry by :func:`repro.obs.export.counters_registry`, one series per
+  ``read_counters()`` key, so no series needs labels.
 
 Export to JSON and Prometheus text format lives in
 :mod:`repro.obs.export`.
@@ -23,18 +21,9 @@ Export to JSON and Prometheus text format lives in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 Number = Union[int, float]
-
-#: Histogram bucket upper bounds are ``2**i`` for ``i in range(N_BUCKETS)``
-#: plus a final +Inf bucket — 1, 2, 4, ... 2**23 (~8.4M) covers queue
-#: depths, batch sizes, and byte counts seen in practice.
-DEFAULT_HISTOGRAM_BUCKETS = 24
-
-
-def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(labels.items()))
 
 
 class Counter:
@@ -44,12 +33,11 @@ class Counter:
     form for cold paths.
     """
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "value")
     kind = "counter"
 
-    def __init__(self, name: str, labels: dict[str, str]) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.labels = labels
         self.value: Number = 0
 
     def inc(self, amount: Number = 1) -> None:
@@ -59,18 +47,17 @@ class Counter:
         return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Counter {self.name}{self.labels} {self.value}>"
+        return f"<Counter {self.name} {self.value}>"
 
 
 class Gauge:
     """A value that can go up and down (backlogs, occupancies)."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "value")
     kind = "gauge"
 
-    def __init__(self, name: str, labels: dict[str, str]) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.labels = labels
         self.value: Number = 0
 
     def set(self, value: Number) -> None:
@@ -86,247 +73,90 @@ class Gauge:
         return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.name}{self.labels} {self.value}>"
-
-
-class Histogram:
-    """A log2-bucketed histogram.
-
-    Bucket ``i`` counts observations with ``value <= 2**i``; values past
-    the last power of two land in the +Inf bucket.  Power-of-two bounds
-    make :meth:`observe` one ``bit_length()`` call — no bisection, no
-    float math — which is what lets the QDMA batch and task-wall
-    histograms sit on warm paths.
-    """
-
-    __slots__ = ("name", "labels", "counts", "sum", "count", "_n_buckets")
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        labels: dict[str, str],
-        *,
-        n_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
-    ) -> None:
-        if n_buckets < 1:
-            raise ValueError(f"histogram needs >= 1 bucket, got {n_buckets}")
-        self.name = name
-        self.labels = labels
-        self._n_buckets = n_buckets
-        #: counts[i] for bucket le=2**i; counts[n_buckets] is +Inf.
-        self.counts: list[int] = [0] * (n_buckets + 1)
-        self.sum: Number = 0
-        self.count: int = 0
-
-    def observe(self, value: Number) -> None:
-        self.count += 1
-        self.sum += value
-        if value <= 1:
-            self.counts[0] += 1
-            return
-        ceiling = int(value)
-        if ceiling < value:
-            ceiling += 1
-        index = (ceiling - 1).bit_length()
-        if index >= self._n_buckets:
-            index = self._n_buckets
-        self.counts[index] += 1
-
-    def bucket_bounds(self) -> list[float]:
-        """Upper bounds, one per bucket, ending with +Inf."""
-        return [float(1 << i) for i in range(self._n_buckets)] + [float("inf")]
-
-    def cumulative_counts(self) -> list[int]:
-        """Prometheus-style cumulative bucket counts (ends at ``count``)."""
-        out: list[int] = []
-        total = 0
-        for value in self.counts:
-            total += value
-            out.append(total)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Histogram {self.name}{self.labels} n={self.count} sum={self.sum}>"
-
-
-Instrument = Union[Counter, Gauge, Histogram]
+        return f"<Gauge {self.name} {self.value}>"
 
 
 class _Binding:
-    """A lazily-evaluated metric: a callable read at collection time.
+    """A lazily-evaluated metric: a callable read at collection time."""
 
-    This is how the model's existing plain-``int`` component counters
-    (queue stats, FIFO stats, scheduler counters, pool stats) join the
-    registry without adding a single instruction to their hot paths.
-    """
+    __slots__ = ("name", "fn", "kind")
 
-    __slots__ = ("name", "labels", "fn", "kind")
-
-    def __init__(
-        self, name: str, labels: dict[str, str], fn: Callable[[], Number], kind: str
-    ) -> None:
+    def __init__(self, name: str, fn: Callable[[], Number], kind: str) -> None:
         self.name = name
-        self.labels = labels
         self.fn = fn
         self.kind = kind
 
+    @property
+    def value(self) -> Number:
+        return self.fn()
+
 
 class Sample:
-    """One collected value: ``(name, labels, value, kind)``."""
+    """One collected value: ``(name, value, kind)``."""
 
-    __slots__ = ("name", "labels", "value", "kind")
+    __slots__ = ("name", "value", "kind")
 
-    def __init__(
-        self, name: str, labels: dict[str, str], value: Number, kind: str
-    ) -> None:
+    def __init__(self, name: str, value: Number, kind: str) -> None:
         self.name = name
-        self.labels = labels
         self.value = value
         self.kind = kind
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Sample {self.name}{self.labels} {self.value}>"
+        return f"<Sample {self.name} {self.value}>"
 
 
 class MetricsRegistry:
     """Owns instruments and lazy bindings; produces samples on demand.
 
-    Creation methods are get-or-create on ``(name, labels)``, so
-    instrumentation helpers can be re-run idempotently.  Asking for an
-    existing name with a different instrument kind raises.
+    Creation methods are get-or-create on the name, so registering code
+    can be re-run idempotently.  Asking for an existing name with a
+    different instrument kind raises.
     """
 
     def __init__(self) -> None:
-        self._instruments: dict[tuple[str, tuple[tuple[str, str], ...]], Any] = {}
-        self._kinds: dict[str, str] = {}
+        self._instruments: dict[str, Union[Counter, Gauge, _Binding]] = {}
 
-    # -- creation --------------------------------------------------------------
+    def _get_or_create(self, cls: type, name: str) -> Union[Counter, Gauge]:
+        existing = self._instruments.get(name)
+        if existing is None:
+            existing = self._instruments[name] = cls(name)
+        elif not isinstance(existing, cls):
+            raise ValueError(f"metric {name!r} already registered as {existing.kind}")
+        return existing
 
-    def _get_or_create(
-        self, cls: type, name: str, labels: dict[str, str], **kwargs: Any
-    ) -> Any:
-        self._check_kind(name, cls.kind)
-        key = (name, _label_key(labels))
-        existing = self._instruments.get(key)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise ValueError(
-                    f"metric {name!r} already registered as {existing.kind}"
-                )
-            return existing
-        instrument = cls(name, labels, **kwargs)
-        self._instruments[key] = instrument
-        return instrument
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(Counter, name)
 
-    def counter(self, name: str, **labels: str) -> Counter:
-        return self._get_or_create(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
-
-    def histogram(
-        self,
-        name: str,
-        *,
-        n_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
-        **labels: str,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, labels, n_buckets=n_buckets)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(Gauge, name)
 
     def bind(
-        self,
-        name: str,
-        fn: Callable[[], Number],
-        *,
-        kind: str = "counter",
-        **labels: str,
+        self, name: str, fn: Callable[[], Number], *, kind: str = "counter"
     ) -> None:
         """Register a lazily-read metric: ``fn`` is called at collection
-        time only.  Re-binding the same ``(name, labels)`` replaces the
-        callable (instrumentation helpers stay idempotent)."""
+        time only.  Re-binding the same name replaces the callable."""
         if kind not in ("counter", "gauge"):
             raise ValueError(f"bind() supports counter/gauge, not {kind!r}")
-        self._check_kind(name, kind)
-        self._instruments[(name, _label_key(labels))] = _Binding(
-            name, labels, fn, kind
-        )
-
-    def attach(self, instrument: Instrument) -> None:
-        """Adopt an externally-created instrument (e.g. a component that
-        owns its Histogram) into this registry's collection set."""
-        self._check_kind(instrument.name, instrument.kind)
-        self._instruments[(instrument.name, _label_key(instrument.labels))] = (
-            instrument
-        )
-
-    def _check_kind(self, name: str, kind: str) -> None:
-        existing = self._kinds.get(name)
-        if existing is None:
-            self._kinds[name] = kind
-        elif existing != kind:
-            raise ValueError(
-                f"metric {name!r} already registered as {existing}, not {kind}"
-            )
-
-    # -- collection ------------------------------------------------------------
-
-    def kinds(self) -> dict[str, str]:
-        """Metric name -> instrument kind (for # TYPE export lines)."""
-        return dict(self._kinds)
+        existing = self._instruments.get(name)
+        if existing is not None and existing.kind != kind:
+            raise ValueError(f"metric {name!r} already registered as {existing.kind}")
+        self._instruments[name] = _Binding(name, fn, kind)
 
     def collect(self) -> Iterator[Sample]:
-        """Flat samples for every instrument, histograms expanded into
-        ``_bucket``/``_sum``/``_count`` series (Prometheus convention)."""
-        for (name, _), instrument in sorted(
-            self._instruments.items(), key=lambda item: item[0]
-        ):
-            if isinstance(instrument, Histogram):
-                bounds = instrument.bucket_bounds()
-                for bound, cumulative in zip(
-                    bounds, instrument.cumulative_counts()
-                ):
-                    label_text = "+Inf" if bound == float("inf") else _format_le(bound)
-                    yield Sample(
-                        f"{name}_bucket",
-                        {**instrument.labels, "le": label_text},
-                        cumulative,
-                        "histogram",
-                    )
-                yield Sample(f"{name}_sum", instrument.labels, instrument.sum, "histogram")
-                yield Sample(f"{name}_count", instrument.labels, instrument.count, "histogram")
-            elif isinstance(instrument, _Binding):
-                yield Sample(name, instrument.labels, instrument.fn(), instrument.kind)
-            else:
-                yield Sample(name, instrument.labels, instrument.value, instrument.kind)
+        """One sample per series, in name order."""
+        for name in sorted(self._instruments):
+            instrument = self._instruments[name]
+            yield Sample(name, instrument.value, instrument.kind)
 
     def snapshot(self) -> dict[str, Number]:
-        """A flat ``{series: value}`` dict (labels folded into the key),
-        suitable for JSON heartbeats and manifests."""
-        out: dict[str, Number] = {}
-        for sample in self.collect():
-            if sample.labels:
-                labels = ",".join(f"{k}={v}" for k, v in sorted(sample.labels.items()))
-                out[f"{sample.name}{{{labels}}}"] = sample.value
-            else:
-                out[sample.name] = sample.value
-        return out
+        """A flat ``{series: value}`` dict, suitable for JSON heartbeats
+        and manifests."""
+        return {sample.name: sample.value for sample in self.collect()}
 
-    def find(self, name: str, **labels: str) -> Optional[Number]:
+    def find(self, name: str) -> Optional[Number]:
         """The current value of one series, or None if absent."""
-        instrument = self._instruments.get((name, _label_key(labels)))
-        if instrument is None:
-            return None
-        if isinstance(instrument, _Binding):
-            return instrument.fn()
-        if isinstance(instrument, Histogram):
-            return instrument.count
-        return instrument.value
+        instrument = self._instruments.get(name)
+        return None if instrument is None else instrument.value
 
     def __len__(self) -> int:
         return len(self._instruments)
-
-
-def _format_le(bound: float) -> str:
-    """Bucket bounds are exact powers of two: print them as integers."""
-    return str(int(bound))

@@ -133,21 +133,23 @@ def bench_fluid_1m(
 
 
 def bench_obs_overhead(n_events: int = 20_000, repeats: int = 5) -> dict[str, Any]:
-    """Metrics-on vs metrics-off cost of the instrumented event loop.
+    """Exported vs bare cost of the event loop (the 5% obs budget).
 
     Variants of the same self-rescheduling tick chain, rounds mirrored
     within each repeat so machine drift hits all variants equally:
 
-    * ``off``  — the plain engine, nothing bound;
-    * ``on``   — the obs design point: a registry of lazy bindings over
-      engine state, collected once at the end (exactly what
-      ``--metrics-out`` does).  The guarded ``overhead_frac`` compares
-      this against ``off`` — lazy bindings must not slow the loop
-      (baseline budget ``max_overhead_frac``, ISSUE acceptance <= 5%);
+    * ``off``  — the plain engine, nothing exported;
+    * ``on``   — the obs design point, exactly what ``--metrics-out``
+      does: run the chain, then fold the counters into a registry once
+      (:func:`~repro.obs.export.counters_registry`) and render it.  The
+      guarded ``overhead_frac`` compares this against ``off`` — exporting
+      must not slow the loop (baseline budget ``max_overhead_frac``,
+      <= 5%);
     * ``live`` — additionally increments one ``Counter`` inside the
-      callback.  Reported unguarded as ``live_counter_overhead_frac``:
-      it prices a single attribute store against a *degenerate* empty
-      callback, the worst case a warm-path counter can ever hit;
+      callback, then folds it with the rest.  Reported unguarded as
+      ``live_counter_overhead_frac``: it prices a single attribute store
+      against a *degenerate* empty callback, the worst case a warm-path
+      counter can ever hit;
     * ``flight`` — the plain chain with a
       :class:`~repro.obs.flight.FlightRecorder` attached.  The recorder
       only hooks rare branches (cancel/rearm/compact/drop/mark), none of
@@ -156,8 +158,8 @@ def bench_obs_overhead(n_events: int = 20_000, repeats: int = 5) -> dict[str, An
       event loop.
     """
     from repro.obs import flight as flight_mod
-    from repro.obs.instrument import instrument_engine
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.export import counters_registry, to_prometheus
+    from repro.obs.metrics import Counter
     from repro.sim import Simulator
 
     horizon = n_events * 1000
@@ -192,27 +194,27 @@ def bench_obs_overhead(n_events: int = 20_000, repeats: int = 5) -> dict[str, An
         chain(sim)
         return timed_run(sim)
 
+    def export(counters: dict[str, int]) -> None:
+        # One end-of-run fold and render, like --metrics-out.
+        to_prometheus(counters_registry(counters))
+
     def round_on() -> tuple[int, float]:
         sim = Simulator()
-        registry = MetricsRegistry()
-        instrument_engine(sim, registry)
         chain(sim)
         result = timed_run(sim)
-        list(registry.collect())  # one end-of-run scrape, like --metrics-out
+        export({"sim.events_executed": sim.events_executed})
         return result
 
     def round_live() -> tuple[int, float]:
         sim = Simulator()
-        registry = MetricsRegistry()
-        instrument_engine(sim, registry)
-        ticks = registry.counter("bench_ticks_total")
+        ticks = Counter("bench_ticks_total")
 
         def bump() -> None:
             ticks.value += 1
 
         chain(sim, bump)
         result = timed_run(sim)
-        list(registry.collect())
+        export({"sim.events_executed": sim.events_executed, "bench.ticks": ticks.value})
         return result
 
     def round_flight() -> tuple[int, float]:
@@ -254,7 +256,7 @@ def bench_obs_overhead(n_events: int = 20_000, repeats: int = 5) -> dict[str, An
         ]
         if not ratios:
             return 0.0
-        # Clamp at 0 so a faster instrumented round never goes negative.
+        # Clamp at 0 so a faster variant round never goes negative.
         return max(statistics.median(ratios), 0.0)
 
     return {

@@ -152,6 +152,10 @@ class TestConfigSerialization:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             TestConfig.from_dict({"cc_algorithm": "reno", "bogus": 1})
+        # Removed fields are unknown keys now, not silently ignored.
+        for removed in ("rx_interval_override_ps", "internal_link_delay_ps"):
+            with pytest.raises(ConfigError, match=removed):
+                TestConfig.from_dict({removed: 0})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):

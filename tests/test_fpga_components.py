@@ -10,7 +10,13 @@ from repro.fpga.bram import FlowBram
 from repro.fpga.clock import cycles_to_ps, ps_to_cycles
 from repro.fpga.fifos import Fifo
 from repro.fpga.hls import algorithm_cycles, estimate_cycles
-from repro.fpga.logger import MAX_VALUES_PER_RECORD, QdmaLogger, RECORDS_PER_UPLOAD
+from repro.fpga.logger import (
+    MAX_VALUES_PER_RECORD,
+    RECORD_BYTES,
+    RECORDS_PER_UPLOAD,
+    UPLOAD_PACKET_BYTES,
+    QdmaLogger,
+)
 from repro.fpga.resources import (
     MAX_FLOWS,
     PAPER_TABLE4,
@@ -189,10 +195,15 @@ class TestQdmaLogger:
         for i in range(RECORDS_PER_UPLOAD):
             logger.log(i, "c", v=i)
         assert logger.uploads == 1
+        assert logger.upload_bytes == UPLOAD_PACKET_BYTES  # one full batch
         logger.log(999, "c", v=0)
         assert logger.uploads == 1
+        assert logger.pending_records == 1
         logger.flush()
         assert logger.uploads == 2
+        # The flushed partial batch carries only its one record.
+        assert logger.upload_bytes == UPLOAD_PACKET_BYTES + RECORD_BYTES
+        assert logger.records_logged == RECORDS_PER_UPLOAD + 1
 
     def test_flush_empty_is_noop(self):
         logger = QdmaLogger()

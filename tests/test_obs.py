@@ -1,8 +1,8 @@
 """Observability layer: metrics registry, export formats, profiler.
 
-The load-bearing property here is the last class: metrics and profiling
-must never perturb a simulation (ISSUE acceptance criterion — runs are
-event-for-event identical with observability on or off).
+The load-bearing property here is the last class: exporting metrics and
+profiling must never perturb a simulation (runs are event-for-event
+identical with observability on or off).
 """
 
 import math
@@ -11,12 +11,8 @@ import pytest
 
 from repro.core import ControlPlane, TestConfig
 from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
-    instrument_control_plane,
-    instrument_engine,
+    counters_registry,
     parse_prometheus_text,
     sanitize_metric_name,
     to_json,
@@ -30,19 +26,20 @@ from repro.units import MS, US
 class TestRegistry:
     def test_counter_get_or_create(self):
         registry = MetricsRegistry()
-        c1 = registry.counter("hits_total", port="1")
-        c2 = registry.counter("hits_total", port="1")
+        c1 = registry.counter("hits_total")
+        c2 = registry.counter("hits_total")
         assert c1 is c2
         c1.inc()
         c1.value += 2
-        assert registry.find("hits_total", port="1") == 3
+        assert registry.find("hits_total") == 3
 
-    def test_label_sets_are_distinct_series(self):
+    def test_names_are_distinct_series(self):
         registry = MetricsRegistry()
-        registry.counter("hits_total", port="1").inc(5)
-        registry.counter("hits_total", port="2").inc(7)
-        assert registry.find("hits_total", port="1") == 5
-        assert registry.find("hits_total", port="2") == 7
+        registry.counter("port1_hits_total").inc(5)
+        registry.counter("port2_hits_total").inc(7)
+        assert registry.find("port1_hits_total") == 5
+        assert registry.find("port2_hits_total") == 7
+        assert registry.find("port3_hits_total") is None
         assert len(registry) == 2
 
     def test_kind_conflict_rejected(self):
@@ -69,61 +66,39 @@ class TestRegistry:
         assert registry.find("lazy_total") == 42
         assert len(registry) == 1
 
-    def test_snapshot_folds_labels(self):
+    def test_snapshot_is_flat(self):
         registry = MetricsRegistry()
-        registry.counter("hits_total", port="3", switch="s0").inc(9)
-        snap = registry.snapshot()
-        assert snap == {"hits_total{port=3,switch=s0}": 9}
-
-
-class TestHistogram:
-    def test_log2_bucket_boundaries(self):
-        h = Histogram("h", {}, n_buckets=4)  # bounds 1, 2, 4, 8, +Inf
-        for value, bucket in [(0, 0), (1, 0), (1.5, 1), (2, 1), (3, 2),
-                              (4, 2), (5, 3), (8, 3), (9, 4), (1000, 4)]:
-            before = list(h.counts)
-            h.observe(value)
-            changed = [i for i in range(5) if h.counts[i] != before[i]]
-            assert changed == [bucket], f"value {value} landed in {changed}"
-        assert h.count == 10
-        assert h.sum == pytest.approx(sum([0, 1, 1.5, 2, 3, 4, 5, 8, 9, 1000]))
-
-    def test_cumulative_ends_at_count(self):
-        h = Histogram("h", {}, n_buckets=3)
-        for value in (1, 2, 100):
-            h.observe(value)
-        assert h.cumulative_counts()[-1] == h.count == 3
-        assert h.bucket_bounds() == [1.0, 2.0, 4.0, math.inf]
+        registry.counter("hits_total").inc(9)
+        registry.gauge("depth").set(3)
+        registry.bind("lazy_total", lambda: 4)
+        assert registry.snapshot() == {"depth": 3, "hits_total": 9, "lazy_total": 4}
 
 
 class TestExport:
     def _registry(self):
         registry = MetricsRegistry()
-        registry.counter("repro_hits_total", port="1").inc(5)
-        registry.counter("repro_hits_total", port="2").inc(2)
+        registry.counter("repro_hits_total").inc(5)
+        registry.counter("repro_misses_total").inc(2)
         registry.gauge("repro_depth").set(7)
-        h = registry.histogram("repro_batch", n_buckets=3)
-        h.observe(1)
-        h.observe(3)
+        registry.bind("repro_ratio", lambda: 0.25, kind="gauge")
         return registry
 
     def test_prometheus_round_trip(self):
         text = to_prometheus(self._registry())
         samples = parse_prometheus_text(text)
-        by_key = {(name, tuple(sorted(labels.items()))): value
-                  for name, labels, value in samples}
-        assert by_key[("repro_hits_total", (("port", "1"),))] == 5
-        assert by_key[("repro_depth", ())] == 7
-        assert by_key[("repro_batch_count", ())] == 2
-        assert by_key[("repro_batch_bucket", (("le", "+Inf"),))] == 2
-        assert by_key[("repro_batch_bucket", (("le", "1"),))] == 1
+        assert samples == [
+            ("repro_depth", {}, 7.0),
+            ("repro_hits_total", {}, 5.0),
+            ("repro_misses_total", {}, 2.0),
+            ("repro_ratio", {}, 0.25),
+        ]
 
     def test_type_lines_once_per_family(self):
         text = to_prometheus(self._registry())
         type_lines = [l for l in text.splitlines() if l.startswith("# TYPE")]
         assert "# TYPE repro_hits_total counter" in type_lines
-        assert "# TYPE repro_batch histogram" in type_lines
-        assert len(type_lines) == len(set(type_lines))
+        assert "# TYPE repro_ratio gauge" in type_lines
+        assert len(type_lines) == len(set(type_lines)) == 4
 
     def test_empty_registry_exports(self):
         assert to_prometheus(MetricsRegistry()) == "\n"
@@ -145,6 +120,14 @@ class TestExport:
         with pytest.raises(ValueError):
             parse_prometheus_text(bad)
 
+    def test_parser_keeps_label_grammar(self):
+        # Nothing here exports labels, but the parser validates text from
+        # elsewhere (a scraped daemon, a hand-edited file).
+        text = 'a_total{port="1",name="q\\"x\\\\y",} 3\n'
+        assert parse_prometheus_text(text) == [
+            ("a_total", {"port": "1", "name": 'q"x\\y'}, 3.0)
+        ]
+
     def test_parser_accepts_inf_nan(self):
         samples = parse_prometheus_text("a_bucket{le=\"+Inf\"} 3\nb NaN\n")
         assert samples[0][2] == 3.0
@@ -158,16 +141,48 @@ class TestExport:
 
 class TestEngineInstrumentation:
     def test_engine_binding_tracks_counters(self):
+        """The engine counters ``repro report`` prints, bound lazily: a
+        binding made before the run reads the values at collection."""
         sim = Simulator()
         registry = MetricsRegistry()
-        instrument_engine(sim, registry)
+        registry.bind("sim_events_executed_total", lambda: sim.events_executed)
+        registry.bind("sim_events_cancelled_total", lambda: sim.events_cancelled)
+        registry.bind("sim_time_ps", lambda: sim.now, kind="gauge")
         handle = sim.schedule_handle(500, lambda: None)
         handle.cancel()
         sim.at(100, lambda: None)
         sim.run(until_ps=1000)
-        assert registry.find("repro_sim_events_executed_total") == 1
-        assert registry.find("repro_sim_events_cancelled_total") == 1
-        assert registry.find("repro_sim_time_ps") == 1000
+        assert registry.snapshot() == {
+            "sim_events_cancelled_total": 1,
+            "sim_events_executed_total": 1,
+            "sim_time_ps": 1000,
+        }
+
+
+class TestCountersRegistry:
+    def test_one_series_per_register(self):
+        registry = counters_registry(
+            {"switch.data_generated": 7, "fpga.rmw_conflicts": 0}
+        )
+        assert registry.snapshot() == {
+            "repro_fpga_rmw_conflicts_total": 0,
+            "repro_switch_data_generated_total": 7,
+        }
+        assert "# TYPE repro_fpga_rmw_conflicts_total counter" in to_prometheus(
+            registry
+        )
+
+    def test_campaign_stats_keep_their_names(self):
+        stats = {
+            "tasks": 2, "failed": 0, "events_total": 10, "retries_total": 0,
+            "timeouts": 0, "crashes": 0, "task_exceptions": 0, "workers": 1,
+            "campaign_wall_s": 0.5, "tasks_per_sec": 4.0,
+        }
+        snapshot = counters_registry({"switch.data_generated": 3}, stats).snapshot()
+        assert snapshot["repro_switch_data_generated_total"] == 3
+        assert snapshot["repro_campaign_tasks_total"] == 2
+        assert snapshot["repro_campaign_wall_seconds"] == 0.5
+        assert len(snapshot) == 1 + len(stats)
 
 
 class TestProfiler:
@@ -241,15 +256,24 @@ class TestProfiler:
 
 
 class TestObservabilityIsInert:
-    """ISSUE property test: metrics-on == metrics-off, event for event."""
+    """Exporting == not exporting, event for event."""
 
-    def _scenario(self, instrumented):
+    def _scenario(self, exported):
         cp = ControlPlane()
         cp.deploy(TestConfig(cc_algorithm="dcqcn", n_test_ports=4, seed=7))
         cp.wire_loopback_fabric(ecn_threshold_bytes=84_000)
-        registry = instrument_control_plane(cp) if instrumented else None
         cp.start_flows(size_packets=10**9, pattern="fan_in")
-        cp.run(duration_ps=1 * MS)
+        registry = None
+        if exported:
+            # Fold and render mid-run too, as a heartbeat reads the
+            # registers while the simulation is still going.
+            cp.run(duration_ps=MS // 2)
+            to_prometheus(counters_registry(cp.read_measurements()))
+            cp.run(duration_ps=MS // 2)
+            registry = counters_registry(cp.read_measurements())
+            to_prometheus(registry)
+        else:
+            cp.run(duration_ps=1 * MS)
         fingerprint = (
             cp.sim.events_executed,
             cp.sim.now,
@@ -258,17 +282,23 @@ class TestObservabilityIsInert:
         return fingerprint, registry
 
     def test_metrics_do_not_perturb_simulation(self):
-        bare, _ = self._scenario(instrumented=False)
-        observed, registry = self._scenario(instrumented=True)
+        bare, _ = self._scenario(exported=False)
+        observed, registry = self._scenario(exported=True)
         assert bare == observed
-        # ... and the registry actually observed the run.
-        assert registry.find("repro_sim_events_executed_total") == bare[0]
-        assert registry.find("repro_pswitch_data_generated_total") > 0
+        # ... and the registry holds the run's registers.
+        counters = dict(bare[2])
+        assert counters["switch.data_generated"] > 0
+        assert registry.find("repro_switch_data_generated_total") == (
+            counters["switch.data_generated"]
+        )
+        assert registry.find("repro_fpga_rmw_conflicts_total") == (
+            counters["fpga.rmw_conflicts"]
+        )
 
     def test_prometheus_snapshot_of_real_run_parses(self):
-        _, registry = self._scenario(instrumented=True)
+        fingerprint, registry = self._scenario(exported=True)
         samples = parse_prometheus_text(to_prometheus(registry))
-        names = {name for name, _, _ in samples}
-        assert "repro_sim_events_executed_total" in names
-        assert "repro_queue_ecn_marked_packets_total" in names
-        assert "repro_qdma_batch_records_bucket" in names
+        assert {name: value for name, _, value in samples} == {
+            f"repro_{key.replace('.', '_')}_total": value
+            for key, value in fingerprint[2]
+        }

@@ -1,9 +1,9 @@
 """Campaign telemetry: heartbeats, manifests, and the CLI surface.
 
-Covers the ISSUE acceptance path: ``repro sweep --workers 2
---metrics-out m.prom`` must stream live heartbeats and write a
-grammar-valid Prometheus file, and ``repro report`` must print the
-per-component profile plus queue/drop/ECN counters.
+``repro sweep --workers 2 --metrics-out m.prom`` must stream live
+heartbeats and write a grammar-valid Prometheus file, ``repro report``
+must print the per-component profile plus queue/drop/ECN counters, and
+every export names each tester register once, the same way.
 """
 
 import dataclasses
@@ -13,6 +13,7 @@ import subprocess
 import pytest
 
 from repro.cli import main
+from repro.core import ControlPlane, TestConfig
 from repro.obs import parse_prometheus_text
 from repro.obs.heartbeat import (
     Heartbeat,
@@ -23,6 +24,20 @@ from repro.obs.heartbeat import (
 from repro.obs.manifest import build_manifest, config_hash, environment
 from repro.sim import Simulator
 from repro.units import MS
+
+
+def register_series() -> set[str]:
+    """``repro_<key>_total`` for every register ``read_measurements()``
+    returns (the key set does not depend on the run)."""
+    cp = ControlPlane()
+    cp.deploy(TestConfig(cc_algorithm="dcqcn", n_test_ports=2))
+    return {
+        f"repro_{key.replace('.', '_')}_total" for key in cp.read_measurements()
+    }
+
+
+def prom_names(path) -> set[str]:
+    return {name for name, _, _ in parse_prometheus_text(path.read_text())}
 
 
 @pytest.fixture(autouse=True)
@@ -209,10 +224,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[hb] task 0" in out and "[hb] task 1" in out
         assert "done" in out
-        samples = parse_prometheus_text(prom.read_text())
-        names = {name for name, _, _ in samples}
+        names = prom_names(prom)
         assert "repro_campaign_tasks_total" in names
-        assert "repro_sweep_switch_data_generated_total" in names
+        assert "repro_switch_data_generated_total" in names
         payload = json.loads(manifest.read_text())
         assert payload["config"]["algorithm"] == "dctcp"
         assert payload["campaign"]["tasks"] == 2
@@ -238,7 +252,8 @@ class TestCli:
         assert "ECN marks" in out
         assert "dropped" in out
         assert "SCHE accepted/dropped" in out
-        assert parse_prometheus_text(prom.read_text())
+        assert "events executed/cancelled" in out
+        assert prom_names(prom) == register_series()
 
     def test_run_metrics_out(self, tmp_path, capsys):
         prom = tmp_path / "run.prom"
@@ -247,6 +262,32 @@ class TestCli:
             "--metrics-out", str(prom),
         ])
         assert rc == 0
-        names = {name for name, _, _ in parse_prometheus_text(prom.read_text())}
-        assert "repro_sim_events_executed_total" in names
-        assert "repro_fifo_pushed_total" in names
+        names = prom_names(prom)
+        assert names == register_series()
+        assert "repro_fpga_rmw_conflicts_total" in names
+
+    def test_one_name_per_register_everywhere(self, tmp_path, capsys):
+        """``run``'s export, ``sweep``'s export and the sweep manifest
+        name each register ``repro_<key>_total``, and nothing else."""
+        run_prom = tmp_path / "run.prom"
+        sweep_prom = tmp_path / "sweep.prom"
+        manifest = tmp_path / "manifest.json"
+        assert main([
+            "run", "--algorithm", "dcqcn", "--ports", "2",
+            "--duration-ms", "0.5", "--metrics-out", str(run_prom),
+        ]) == 0
+        assert main([
+            "sweep", "--algorithm", "dcqcn", "--param", "rate_ai_bps=1e9",
+            "--senders", "2", "--duration-ms", "0.5", "--no-progress",
+            "--metrics-out", str(sweep_prom), "--manifest", str(manifest),
+        ]) == 0
+        expected = register_series()
+        assert "repro_fpga_rmw_conflicts_total" in expected
+        artefacts = {
+            "run": prom_names(run_prom),
+            "sweep": prom_names(sweep_prom),
+            "manifest": set(json.loads(manifest.read_text())["metrics"]),
+        }
+        for where, names in artefacts.items():
+            tester = {n for n in names if not n.startswith("repro_campaign_")}
+            assert tester == expected, where
