@@ -39,12 +39,7 @@ from repro.errors import ConfigError, ReproError
 from repro.fpga.hls import algorithm_cycles
 from repro.fpga.resources import estimate_resources
 from repro.fpga.timers import FrequencyControl
-from repro.measure.export import (
-    counters_to_json,
-    fct_to_csv,
-    throughput_to_csv,
-    trace_to_json,
-)
+from repro.measure.export import fct_to_csv, throughput_to_csv, trace_to_json
 from repro.obs import (
     build_manifest,
     counters_registry,
@@ -160,7 +155,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("exported:")
         print(f"  {fct_to_csv(tester.fct, out / 'fct.csv')}")
         print(f"  {throughput_to_csv(sampler, out / 'throughput.csv')}")
-        print(f"  {counters_to_json(counters, out / 'counters.json')}")
+        print(f"  {write_metrics(counters_registry(counters), out / 'counters.json')}")
         if config.trace_cc:
             print(f"  {trace_to_json(tester.nic.logger.trace, out / 'trace.json')}")
     if args.metrics_out is not None:
@@ -282,15 +277,13 @@ def _run_campaign(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.serve.jobs import beat_row
-
     final_beats: dict[int, Heartbeat] = {}
 
     def on_heartbeat(beat: Heartbeat) -> None:
         if beat.final:
             final_beats[beat.task_id] = beat
         if not args.no_progress:
-            _render_heartbeat(beat_row(beat))
+            _render_heartbeat(beat.row())
 
     spec, result = _run_campaign(
         args,
@@ -355,13 +348,7 @@ def cmd_fluid(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     """Profile-and-counters report for one demo congestion scenario."""
     cp = ControlPlane()
-    cp.deploy(
-        TestConfig(
-            cc_algorithm=args.algorithm,
-            n_test_ports=args.senders + 1,
-            seed=args.seed,
-        )
-    )
+    cp.deploy(TestConfig(cc_algorithm=args.algorithm, n_test_ports=args.senders + 1))
     cp.wire_loopback_fabric(ecn_threshold_bytes=args.ecn_threshold)
     cp.sim.enable_profiling()
     cp.start_flows(size_packets=args.size_packets, pattern="fan_in")
@@ -529,7 +516,7 @@ def _start_closed_loop(args: argparse.Namespace, tester) -> None:
         for _ in range(args.flows_per_port)
     ]
     generator = ClosedLoopGenerator(
-        tester, base, slots, rng=np.random.default_rng(0)
+        tester, base, slots, rng=np.random.default_rng(tester.config.seed)
     )
     generator.start()
     # Keep a reference alive for the duration of the run.
@@ -691,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--size-packets", type=int, default=10**9)
     p_report.add_argument("--duration-ms", type=float, default=2.0)
     p_report.add_argument("--ecn-threshold", type=int, default=84_000)
-    p_report.add_argument("--seed", type=int, default=0)
     p_report.add_argument("--top", type=int, default=12,
                           help="profile rows to print")
     p_report.add_argument(

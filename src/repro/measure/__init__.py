@@ -9,7 +9,6 @@ from repro.measure.throughput import RateMeter, ThroughputSampler
 from repro.measure.fct import FctCollector, FctStats, cdf_points
 from repro.measure.fairness import jain_index
 from repro.measure.export import (
-    counters_to_json,
     fct_to_csv,
     throughput_to_csv,
     trace_to_json,
@@ -23,7 +22,6 @@ __all__ = [
     "FctStats",
     "cdf_points",
     "jain_index",
-    "counters_to_json",
     "fct_to_csv",
     "throughput_to_csv",
     "trace_to_json",

@@ -84,12 +84,3 @@ def trace_to_json(trace: TraceRecorder, path: PathLike) -> Path:
     }
     path.write_text(json.dumps(payload, indent=1, default=_json_default) + "\n")
     return path
-
-
-def counters_to_json(counters: dict[str, int], path: PathLike) -> Path:
-    """The merged hardware-register snapshot."""
-    path = Path(path)
-    path.write_text(
-        json.dumps(counters, indent=1, sort_keys=True, default=_json_default) + "\n"
-    )
-    return path

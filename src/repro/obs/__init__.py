@@ -6,8 +6,9 @@ retrieval layer for the tester *itself*:
 
 * :mod:`repro.obs.metrics` — a Counter/Gauge registry with lazy
   bindings; the tester's registers enter it once, after a run, through
-  :func:`repro.obs.export.counters_registry` (the ``obs_overhead``
-  bench guards what that costs);
+  :func:`repro.obs.export.counters_registry`, so an exported run
+  executes the same event loop as a bare one
+  (``tests/test_obs.py::TestObservabilityIsInert``);
 * :mod:`repro.obs.profile` — opt-in wall-clock attribution per event
   callback owner (``sim.enable_profiling()`` / ``sim.profile()`` /
   ``repro report``);

@@ -69,6 +69,21 @@ class Heartbeat:
             return 1.0 if self.final else 0.0
         return min(self.sim_now_ps / self.sim_until_ps, 1.0)
 
+    def row(self) -> dict[str, Any]:
+        """The beat as the JSON-safe row the campaign journal records and
+        the daemon serves, stamped ``recv_unix`` as it is received."""
+        return {
+            "task_id": self.task_id,
+            "pid": self.pid,
+            "recv_unix": time.time(),
+            "sim_now_ps": self.sim_now_ps,
+            "sim_until_ps": self.sim_until_ps,
+            "events_executed": self.events_executed,
+            "wall_s": self.wall_s,
+            "progress": self.progress,
+            "final": self.final,
+        }
+
 
 # -- worker-side configuration --------------------------------------------------
 

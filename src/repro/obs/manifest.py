@@ -1,11 +1,11 @@
-"""Run manifests: who/what/where for every campaign and bench artifact.
+"""Run manifests: who/what/where for every campaign and ledger report.
 
 A manifest makes two runs comparable: it stamps the exact configuration
 (hashed canonically), the code version (git SHA), and the execution
 environment (python version, platform, CPU count).  ``repro sweep``
-writes one per campaign; the perf suite embeds the same environment
-block in every BENCH_*.json so rate trajectories can be attributed to
-the right machine.
+writes one per campaign; the cost ledger stamps the same environment
+block into its report, so a timing can be attributed to the machine it
+was read on.
 """
 
 from __future__ import annotations
@@ -135,10 +135,10 @@ def _git_sha(cwd: str) -> Optional[str]:
 
 
 def environment() -> dict[str, Any]:
-    """The execution-environment block shared by manifests and bench
-    reports (satellite: BENCH_*.json comparability across machines)."""
+    """The execution-environment block shared by manifests and the cost
+    ledger's reports."""
     # Imported lazily: manifests are built from contexts (serve workers,
-    # bench harnesses) that must not pay the sim import unless asked.
+    # the ledger) that must not pay the sim import unless asked.
     from repro.sim import backend as _sim_backend
 
     return {

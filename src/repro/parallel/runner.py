@@ -509,7 +509,7 @@ class CampaignRunner:
             user_cb = on_heartbeat
 
             def on_heartbeat(beat: Heartbeat) -> None:
-                beats_log.append(_journal_beat(beat))
+                beats_log.append(beat.row())
                 if user_cb is not None:
                     user_cb(beat)
 
@@ -707,18 +707,3 @@ class CampaignRunner:
             for worker in [w for w in self._pool if w.spec is not None]:
                 self._discard(worker)
         return [final[spec.index] for spec in specs]
-
-
-def _journal_beat(beat: Heartbeat) -> dict[str, Any]:
-    """A heartbeat as a JSON-safe journal row, stamped as the listener
-    gets it."""
-    return {
-        "task_id": beat.task_id,
-        "pid": beat.pid,
-        "recv_unix": time.time(),
-        "sim_now_ps": beat.sim_now_ps,
-        "sim_until_ps": beat.sim_until_ps,
-        "events_executed": beat.events_executed,
-        "wall_s": beat.wall_s,
-        "final": beat.final,
-    }

@@ -44,22 +44,6 @@ STATES = ("queued", "running", "done", "failed")
 MAX_FINISHED_JOBS = 1024
 
 
-def beat_row(beat: Heartbeat) -> dict[str, Any]:
-    """One heartbeat as the JSON-safe row the API streams (the same
-    vocabulary as the campaign journal, plus derived progress)."""
-    return {
-        "task_id": beat.task_id,
-        "pid": beat.pid,
-        "recv_unix": time.time(),
-        "sim_now_ps": beat.sim_now_ps,
-        "sim_until_ps": beat.sim_until_ps,
-        "events_executed": beat.events_executed,
-        "wall_s": beat.wall_s,
-        "progress": beat.progress,
-        "final": beat.final,
-    }
-
-
 @dataclass
 class Job:
     """One submitted campaign and everything observable about it."""
@@ -280,7 +264,7 @@ class JobQueue:
 
     def _run_job(self, job: Job) -> None:
         def on_heartbeat(beat: Heartbeat) -> None:
-            row = beat_row(beat)
+            row = beat.row()
             with self._cond:
                 job.beats.append(row)
                 if beat.final and beat.task_id >= 0:

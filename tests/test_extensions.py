@@ -13,12 +13,8 @@ from repro.core.multi_pipeline import (
     scaling_table,
 )
 from repro.errors import ConfigError
-from repro.measure.export import (
-    counters_to_json,
-    fct_to_csv,
-    throughput_to_csv,
-    trace_to_json,
-)
+from repro.measure.export import fct_to_csv, throughput_to_csv, trace_to_json
+from repro.obs import counters_registry, write_metrics
 from repro.sim import Simulator, TraceRecorder
 from repro.units import GBPS, MS, TBPS, US
 
@@ -188,9 +184,9 @@ class TestExport:
 
     def test_counters_json(self, tmp_path):
         cp, tester, sampler = self.run_small()
-        path = counters_to_json(cp.read_measurements(), tmp_path / "c.json")
-        payload = json.loads(path.read_text())
-        assert payload["switch.data_generated"] == 500
+        registry = counters_registry(cp.read_measurements())
+        payload = json.loads(write_metrics(registry, tmp_path / "c.json").read_text())
+        assert payload["repro_switch_data_generated_total"] == 500
 
     def test_empty_trace_exports(self, tmp_path):
         path = trace_to_json(TraceRecorder(), tmp_path / "empty.json")
@@ -237,7 +233,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "flows completed : 1" in out
         assert (tmp_path / "fct.csv").exists()
-        assert (tmp_path / "counters.json").exists()
+        counters = json.loads((tmp_path / "counters.json").read_text())
+        # The registers under the names every metrics export uses.
+        assert counters["repro_fpga_flows_completed_total"] == 1
+        assert "repro_fpga_rmw_conflicts_total" in counters
         assert not (tmp_path / "trace.json").exists()  # --trace is off
 
     def test_run_trace_export_matches_qdma_log(self, tmp_path, monkeypatch):
@@ -286,6 +285,28 @@ class TestCli:
         # Closed loop: many flows complete within the window.
         completed = int(out.split("flows completed :")[1].split()[0])
         assert completed > 10
+
+    def test_run_config_seed_draws_the_closed_loop(self, tmp_path):
+        """The closed loop's flow sizes come from the config's seed."""
+
+        def fct_rows(seed):
+            config = tmp_path / f"seed{seed}.json"
+            config.write_text(json.dumps(
+                {"cc_algorithm": "dcqcn", "n_test_ports": 2, "seed": seed}
+            ))
+            out = tmp_path / f"out{seed}"
+            code = cli_main(
+                ["run", "--config", str(config), "--workload", "websearch",
+                 "--size-scale", "50", "--flows-per-port", "4",
+                 "--duration-ms", "1", "--export-dir", str(out)]
+            )
+            assert code == 0
+            return (out / "fct.csv").read_text().splitlines()
+
+        first, other = fct_rows(0), fct_rows(987654321)
+        assert len(first) > 1 and len(other) > 1  # flows completed in both
+        assert first != other
+        assert fct_rows(0) == first
 
     def test_run_fan_in(self, capsys):
         code = cli_main(

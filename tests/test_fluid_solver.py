@@ -410,6 +410,39 @@ def test_open_loop_conservation(sizes, seed):
     assert np.all(np.diff(finish[by_size]) >= -1e-6)
 
 
+def test_million_rows_conserve_capacity():
+    """2**20 concurrent flows, half DCTCP and half DCQCN over 16
+    bottlenecks: the population the solver is sized for, checked by its
+    invariants (about a second, under 200 MB).  A bottleneck serves at most
+    ``capacity x dt`` a step, because each flow gets ``min(1, C/offered)``
+    of its rate; none of the 10 MB flows can finish in 10 steps."""
+    n_flows, n_bottlenecks, steps = 2**20, 16, 10
+    bottleneck = np.arange(n_flows) % n_bottlenecks
+    half = n_flows // 2
+    solver = ColumnarFluidSolver(
+        n_bottlenecks=n_bottlenecks, seed=1, capacity_hint=n_flows
+    )
+    solver.add_flows(
+        np.full(half, 10_000_000), bottleneck=bottleneck[:half], kernel="dctcp"
+    )
+    solver.add_flows(
+        np.full(n_flows - half, 10_000_000),
+        bottleneck=bottleneck[half:],
+        kernel="dcqcn",
+    )
+    solver.step(steps)
+
+    assert solver.flow_steps == n_flows * steps
+    rate = solver.rate_bps[:n_flows]
+    assert np.all(np.isfinite(rate)) and np.all(rate >= 0.0)
+    sent = solver.size_bits[:n_flows] - solver.remaining_bits[:n_flows]
+    assert np.all(sent >= 0.0)
+    delivered = np.bincount(bottleneck, weights=sent, minlength=n_bottlenecks)
+    budget = solver.capacity_bps * (solver.config.dt_ps / 1e12) * steps
+    assert np.all(delivered > 0.0)
+    assert np.all(delivered <= budget * (1 + 1e-9)), delivered / budget
+
+
 # -- bit identity: the contract of any solver optimisation --------------------
 
 def _feed(digest, array):

@@ -1,4 +1,5 @@
-"""Round-trip tests for every measure.export writer.
+"""Round-trip tests for every measure.export writer, and for the
+register snapshot ``repro run --export-dir`` writes beside them.
 
 Each artifact is written, re-read, and compared against the collector
 that produced it; every writer is also exercised on an *empty*
@@ -12,12 +13,8 @@ import json
 import pytest
 
 from repro.measure import FctCollector, ThroughputSampler
-from repro.measure.export import (
-    counters_to_json,
-    fct_to_csv,
-    throughput_to_csv,
-    trace_to_json,
-)
+from repro.measure.export import fct_to_csv, throughput_to_csv, trace_to_json
+from repro.obs import counters_registry, write_metrics
 from repro.sim import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -99,12 +96,17 @@ class TestTraceJson:
 
 
 class TestCountersJson:
+    """``counters.json``: the registers under their one exported name."""
+
     def test_round_trip(self, tmp_path):
         counters = {"switch.data_generated": 42, "fpga.flows_completed": 3}
-        path = counters_to_json(counters, tmp_path / "c.json")
-        assert json.loads(path.read_text()) == counters
+        path = write_metrics(counters_registry(counters), tmp_path / "c.json")
+        assert json.loads(path.read_text()) == {
+            "repro_switch_data_generated_total": 42,
+            "repro_fpga_flows_completed_total": 3,
+        }
 
     def test_empty_counters(self, tmp_path):
-        path = counters_to_json({}, tmp_path / "c.json")
+        path = write_metrics(counters_registry({}), tmp_path / "c.json")
         assert json.loads(path.read_text()) == {}
         assert path.read_text().endswith("\n")

@@ -262,6 +262,27 @@ class TestJobQueue:
         finally:
             queue.close()
 
+    def test_journal_and_served_rows_agree(self, tmp_path):
+        """A beat is one row: the campaign journal records what the
+        daemon serves, under the same keys."""
+        queue = JobQueue(
+            CampaignRunner(workers=1, results_dir=tmp_path / "results"),
+            ResultCache(tmp_path / "cache"),
+        )
+        queue.start()
+        try:
+            job = self._wait_done(queue, queue.submit(parse_spec(TINY_SWEEP)).id)
+            assert job.state == "done"
+        finally:
+            queue.close()
+        journal = json.loads((tmp_path / "results" / "campaign.json").read_text())
+        journaled = journal["heartbeats"]
+        assert journaled and len(journaled) == len(job.beats)
+        for written, served in zip(journaled, job.beats):
+            assert written.keys() == served.keys()
+            assert "progress" in written
+            assert {**written, "recv_unix": 0} == {**served, "recv_unix": 0}
+
     def test_submit_while_inflight_shares_the_job(self, tmp_path):
         queue = JobQueue(CampaignRunner(workers=1), ResultCache(tmp_path / "c"))
         queue.start()
