@@ -33,7 +33,7 @@ from repro.cc.kernels import (
     fluid_kernel,
     kernel_name,
 )
-from repro.cc.registry import available, create, lookup, register
+from repro.cc.registry import available, create, register
 
 __all__ = [
     "CCAlgorithm",
@@ -66,7 +66,6 @@ __all__ = [
     "SwiftState",
     "available",
     "create",
-    "lookup",
     "register",
     "KERNEL_IDEAL",
     "KERNEL_SLOW_START",

@@ -2,18 +2,13 @@
 
 The columnar fluid solver (:mod:`repro.fluid.solver`) advances every
 flow with one of four vectorized update kernels.  This module is the
-single source of truth for the kernel codes and for how a congestion
-control algorithm — a registered :class:`~repro.cc.base.CCAlgorithm`
-name or a fluid profile name — selects its kernel:
-
-* explicitly named algorithms get their dedicated kernel (DCTCP's
-  alpha-filtered window cut, DCQCN's line-rate decay/recovery);
-* every other registered *window*-mode algorithm falls back to the
-  generic slow-start/AIMD window kernel;
-* every other registered *rate*-mode algorithm (TIMELY, HPCC, Swift)
-  falls back to the DCQCN-style rate kernel — the closest fluid
-  abstraction of "rate controlled by congestion feedback";
-* ``ideal`` is the equal-share reference of Figure 10.
+single source of truth for the kernel codes and the five names that
+select them: ``dctcp`` (alpha-filtered window cut), ``dcqcn`` (line-rate
+decay/recovery), ``slow_start`` (generic slow-start/AIMD window), and
+``ideal`` / ``constant`` (the equal-share reference of Figure 10).  No
+other CC algorithm has a fluid kernel: a TIMELY, HPCC, Swift, Reno or
+Cubic population would silently run another algorithm's dynamics, so
+naming one is a :class:`~repro.errors.ConfigError`.
 
 Kernel codes are small ints so a million-flow population stores its
 per-flow kernel selection in one ``int8`` column.
@@ -21,8 +16,6 @@ per-flow kernel selection in one ``int8`` column.
 
 from __future__ import annotations
 
-from repro.cc.base import CCMode
-from repro.cc.registry import lookup
 from repro.errors import ConfigError
 
 #: Equal-share reference: rate == capacity / active flows, always.
@@ -38,7 +31,7 @@ KERNEL_DCQCN = 3
 #: All kernel codes, in code order (index == code).
 KERNEL_NAMES = ("ideal", "slow_start", "dctcp", "dcqcn")
 
-#: Names whose kernel is not derived from the registry's mode.
+#: The names that select a kernel.
 _EXPLICIT: dict[str, int] = {
     "ideal": KERNEL_IDEAL,
     "constant": KERNEL_IDEAL,
@@ -49,19 +42,13 @@ _EXPLICIT: dict[str, int] = {
 
 
 def fluid_kernel(name: str) -> int:
-    """Kernel code for an algorithm or profile name.
-
-    Accepts the explicit kernel names above, or any algorithm registered
-    in :mod:`repro.cc.registry` (falls back on the algorithm's mode:
-    window -> :data:`KERNEL_SLOW_START`, rate -> :data:`KERNEL_DCQCN`).
-    """
-    key = name.lower()
-    if key in _EXPLICIT:
-        return _EXPLICIT[key]
-    cls = lookup(key)  # raises ConfigError for unknown names
-    if cls.mode is CCMode.WINDOW:
-        return KERNEL_SLOW_START
-    return KERNEL_DCQCN
+    """Kernel code for one of the five kernel names (case-insensitive)."""
+    try:
+        return _EXPLICIT[name.lower()]
+    except KeyError:
+        raise ConfigError(
+            f"no fluid kernel for {name!r}; choose from {sorted(_EXPLICIT)}"
+        ) from None
 
 
 def kernel_name(code: int) -> str:

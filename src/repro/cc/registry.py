@@ -48,16 +48,6 @@ def create(name: str, **params: Any) -> CCAlgorithm:
     return algorithm
 
 
-def lookup(name: str) -> Type[CCAlgorithm]:
-    """The registered class for ``name`` (no instantiation)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown CC algorithm {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
 def available() -> list[str]:
     """Names of all registered algorithms."""
     return sorted(_REGISTRY)

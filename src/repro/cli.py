@@ -29,12 +29,15 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import repro.cc as cc
 from repro.core import (
-    ControlPlane,
+    Scenario,
     TestConfig,
     amplification_report,
+    deploy_scenario,
     device_characteristics_table,
     tester_requirements_table,
 )
+from repro.core.control_plane import PATTERNS
+from repro.core.scenario import WORKLOADS
 from repro.errors import ConfigError, ReproError
 from repro.fpga.hls import algorithm_cycles
 from repro.fpga.resources import estimate_resources
@@ -47,7 +50,7 @@ from repro.obs import (
     write_metrics,
 )
 from repro.obs.heartbeat import Heartbeat
-from repro.units import MS, US, format_rate
+from repro.units import MS, format_rate
 
 if TYPE_CHECKING:
     from repro.serve.spec import CampaignSpec
@@ -123,18 +126,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             int_enabled=args.int_enabled,
             trace_cc=args.trace,
         )
-    cp = ControlPlane()
-    tester = cp.deploy(config)
-    cp.wire_loopback_fabric()
-    sampler = tester.enable_rate_sampling(period_ps=500 * US)
-    if args.workload == "fixed":
-        cp.start_flows(size_packets=args.size_packets, pattern=args.pattern)
-    else:
-        _start_closed_loop(args, tester)
-    cp.run(duration_ps=round(args.duration_ms * MS))
+    scenario = Scenario(
+        config,
+        duration_ps=round(args.duration_ms * MS),
+        pattern=args.pattern,
+        workload=args.workload,
+        size_packets=args.size_packets,
+        size_scale=args.size_scale,
+    )
+    cp, sampler, _ = deploy_scenario(scenario)
+    tester = cp.require_tester()
+    cp.run(duration_ps=scenario.duration_ps)
 
     counters = cp.read_measurements()
-    print(f"ran {args.algorithm} for {args.duration_ms} ms "
+    print(f"ran {config.cc_algorithm} for {args.duration_ms} ms "
           f"({args.pattern}, {tester.n_test_ports} ports)")
     print(f"  flows completed : {counters['fpga.flows_completed']}")
     print(f"  DATA generated  : {counters['switch.data_generated']}")
@@ -294,7 +299,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "n_senders": args.senders,
             "duration_ms": args.duration_ms,
             "ecn_threshold_bytes": args.ecn_threshold,
-            "seeds": args.seeds,
             "seed": args.seed,
         },
         on_heartbeat,
@@ -347,12 +351,16 @@ def cmd_fluid(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Profile-and-counters report for one demo congestion scenario."""
-    cp = ControlPlane()
-    cp.deploy(TestConfig(cc_algorithm=args.algorithm, n_test_ports=args.senders + 1))
-    cp.wire_loopback_fabric(ecn_threshold_bytes=args.ecn_threshold)
+    scenario = Scenario(
+        TestConfig(cc_algorithm=args.algorithm, n_test_ports=args.senders + 1),
+        duration_ps=round(args.duration_ms * MS),
+        pattern="fan_in",
+        size_packets=args.size_packets,
+        ecn_threshold_bytes=args.ecn_threshold,
+    )
+    cp, _, _ = deploy_scenario(scenario)
     cp.sim.enable_profiling()
-    cp.start_flows(size_packets=args.size_packets, pattern="fan_in")
-    cp.run(duration_ps=round(args.duration_ms * MS))
+    cp.run(duration_ps=scenario.duration_ps)
     profile = cp.sim.profile()
     counters = cp.read_measurements()
     queues = [port.queue.stats for port in cp.fabric.ports]
@@ -492,37 +500,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _start_closed_loop(args: argparse.Namespace, tester) -> None:
-    """Closed-loop generation from a named traffic model (Section 7.5)."""
-    import numpy as np
-
-    from repro.workload import DISTRIBUTIONS, ClosedLoopGenerator, FlowSlot
-    from repro.workload.distributions import EmpiricalCdf
-
-    base = DISTRIBUTIONS[args.workload]()
-    if args.size_scale != 1:
-        base = EmpiricalCdf(
-            tuple(
-                (max(int(size) // args.size_scale, 1), prob)
-                for size, prob in zip(base.sizes, base.probs)
-            )
-        )
-    n = tester.n_test_ports
-    if n % 2 != 0:
-        raise ConfigError("closed-loop workloads need an even port count")
-    slots = [
-        FlowSlot(src, src + n // 2)
-        for src in range(n // 2)
-        for _ in range(args.flows_per_port)
-    ]
-    generator = ClosedLoopGenerator(
-        tester, base, slots, rng=np.random.default_rng(tester.config.seed)
-    )
-    generator.start()
-    # Keep a reference alive for the duration of the run.
-    tester._cli_generator = generator
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Marlin-reproduction control plane CLI"
@@ -546,12 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--ports", type=int, default=2)
     p_run.add_argument("--flows-per-port", type=int, default=1)
     p_run.add_argument("--mtu", type=int, default=1024)
-    p_run.add_argument("--pattern", choices=("pairs", "fan_in"), default="pairs")
+    p_run.add_argument("--pattern", choices=tuple(PATTERNS), default="pairs")
     p_run.add_argument(
         "--workload",
-        choices=("fixed", "websearch", "hadoop"),
+        choices=WORKLOADS,
         default="fixed",
-        help="fixed sizes, or a closed-loop traffic model (pairs pattern)",
+        help="fixed sizes, or a closed-loop traffic model",
     )
     p_run.add_argument(
         "--size-scale",
@@ -597,10 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--workers", type=int, default=1,
         help="process-pool width (1 = serial; results are identical)",
-    )
-    p_sweep.add_argument(
-        "--seeds", type=int, default=None,
-        help="seed replicates per grid point (aggregated into each row)",
     )
     p_sweep.add_argument("--seed", type=int, default=0, help="campaign seed")
     p_sweep.add_argument("--senders", type=int, default=3)

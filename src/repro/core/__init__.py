@@ -17,6 +17,7 @@ from repro.core.capabilities import (
     tester_requirements_table,
 )
 from repro.core.multi_pipeline import MultiPipelineTester, scaling_table
+from repro.core.scenario import Scenario, deploy_scenario
 from repro.core.sweep import (
     SweepPoint,
     cc_parameter_sweep,
@@ -37,6 +38,8 @@ __all__ = [
     "tester_requirements_table",
     "MultiPipelineTester",
     "scaling_table",
+    "Scenario",
+    "deploy_scenario",
     "SweepPoint",
     "cc_parameter_sweep",
     "run_sweep_point",

@@ -6,14 +6,13 @@ port), the control plane generates device configurations and deploys them
 then starts traffic and retrieves measurements (port/flow rates, packet
 loss, CC parameter traces).
 
-It also provides the standard experiment wiring: connecting the tester's
-test ports through an intermediate switch in the pass-through, one-to-one
-and fan-in shapes the evaluation section uses.
+It also provides the standard experiment wiring: the tester's test ports
+through an intermediate switch, sending in the :data:`PATTERNS` shapes.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.config import TestConfig
 from repro.core.tester import MarlinTester
@@ -50,6 +49,29 @@ def wire_tester_fabric(
         fabric.set_route(address, fabric_port)
         tester.assign_port_address(index, address)
     return topo, fabric
+
+
+#: Traffic patterns over ``n`` test ports: name -> (src, dst) port pairs.
+#:
+#: * ``pairs``  -- port i sends to port i + n/2 (Figures 6/7 shape; n even);
+#: * ``fan_in`` -- every port except the last sends to the last port
+#:   (Figure 8's congestion shape);
+#: * ``ring``   -- port i sends to port i + 1 mod n, so every port sends
+#:   and every port receives (the paper's all-ports headline).
+PATTERNS: dict[str, Callable[[int], list[tuple[int, int]]]] = {
+    "pairs": lambda n: [(i, i + n // 2) for i in range(n // 2)],
+    "fan_in": lambda n: [(i, n - 1) for i in range(n - 1)],
+    "ring": lambda n: [(i, (i + 1) % n) for i in range(n)],
+}
+
+
+def pattern_pairs(pattern: str, n_ports: int) -> list[tuple[int, int]]:
+    """The ``(src, dst)`` test-port pairs of a named pattern."""
+    if pattern not in PATTERNS:
+        raise ConfigError(f"unknown pattern {pattern!r}; choose from {sorted(PATTERNS)}")
+    if pattern == "pairs" and n_ports % 2 != 0:
+        raise ConfigError(f"pairs pattern needs an even port count, got {n_ports}")
+    return PATTERNS[pattern](n_ports)
 
 
 class ControlPlane:
@@ -92,33 +114,21 @@ class ControlPlane:
 
     # -- standard testbed wiring -----------------------------------------------------
 
-    def wire_loopback_fabric(
-        self,
-        *,
-        delay_ps: int = DEFAULT_LINK_DELAY_PS,
-        ecn_threshold_bytes: int = 84_000,
-        queue_capacity_bytes: int = 2**22,
-    ) -> NetworkSwitch:
+    def wire_loopback_fabric(self, **options: int) -> NetworkSwitch:
         """Connect every test port to an intermediate switch and give each
-        port an address routed straight back to it.
+        port an address routed straight back to it (``options``: those of
+        :func:`wire_tester_fabric`).
 
         This is the paper's testbed shape ("sender and receiver are
         connected with a programmable switch via twelve 100 Gbps links
         each"): any test port can then send to any other test port's
-        address, and the experiment chooses pass-through, one-to-one or
-        fan-in patterns purely by its choice of destination addresses.
+        address, and the experiment picks a :data:`PATTERNS` row purely
+        by its choice of destination addresses.
         """
-        tester = self.require_tester()
-        topo, fabric = wire_tester_fabric(
-            self.sim,
-            tester,
-            delay_ps=delay_ps,
-            ecn_threshold_bytes=ecn_threshold_bytes,
-            queue_capacity_bytes=queue_capacity_bytes,
+        self.topology, self.fabric = wire_tester_fabric(
+            self.sim, self.require_tester(), **options
         )
-        self.topology = topo
-        self.fabric = fabric
-        return fabric
+        return self.fabric
 
     # -- test execution ------------------------------------------------------------------
 
@@ -129,30 +139,13 @@ class ControlPlane:
         size_packets: int,
         pattern: str = "pairs",
     ) -> list[int]:
-        """Start the configured number of flows on each sending port.
-
-        Patterns over ``n`` test ports (which must be even for "pairs"):
-
-        * ``pairs``   — port i sends to port i + n/2 (Figures 6/7 shape);
-        * ``fan_in``  — every port except the last sends to the last port
-          (Figure 8's congestion shape).
-
-        Returns the started flow ids.
-        """
+        """Start the configured number of flows on each sending port of
+        ``pattern`` (see :data:`PATTERNS`).  Returns the started flow ids."""
         tester = self.require_tester()
         if flows_per_port is None:
             flows_per_port = tester.config.flows_per_port
-        n = tester.n_test_ports
         flow_ids: list[int] = []
-        if pattern == "pairs":
-            if n % 2 != 0:
-                raise ConfigError(f"pairs pattern needs an even port count, got {n}")
-            senders = [(i, i + n // 2) for i in range(n // 2)]
-        elif pattern == "fan_in":
-            senders = [(i, n - 1) for i in range(n - 1)]
-        else:
-            raise ConfigError(f"unknown pattern {pattern!r}")
-        for src, dst in senders:
+        for src, dst in pattern_pairs(pattern, tester.n_test_ports):
             for _ in range(flows_per_port):
                 flow = tester.start_flow(
                     port_index=src, dst_port_index=dst, size_packets=size_packets

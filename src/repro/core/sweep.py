@@ -8,26 +8,27 @@ report throughput/fairness/queue metrics for each (the "find the optimal
 configuration" loop).
 
 Sweeps are campaigns of independent simulations, so they shard across a
-:class:`~repro.parallel.CampaignRunner` process pool (``workers=``),
-optionally with deterministic seed replicates per grid point
-(``seeds=``); :func:`sweep_campaign` additionally returns the campaign's
-wall-clock/event statistics.
+:class:`~repro.parallel.CampaignRunner` process pool (``workers=``);
+:func:`sweep_campaign` additionally returns the campaign's
+wall-clock/event statistics.  A point is a fixed-size fan-in, which
+draws nothing from its seed, so there are no seed replicates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.core.config import TestConfig
-from repro.core.control_plane import ControlPlane
+from repro.core.scenario import Scenario, deploy_scenario
 from repro.errors import ConfigError
 from repro.measure.fairness import jain_index
 from repro.measure.throughput import ThroughputSampler
 from repro.obs import flight
 from repro.obs.heartbeat import Heartbeat, run_with_heartbeats
-from repro.parallel import CampaignResult, CampaignRunner, derive_task_seed, report_events
-from repro.units import MS, US
+from repro.parallel import CampaignResult, CampaignRunner, report_events
+from repro.sim import backend
+from repro.units import MS
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class SweepPoint:
     fairness: float
     peak_queue_bytes: int
     flows_completed: int
-    #: Seed replicates aggregated into this point (1 = a single run).
+    #: Always 1: a point is one run (kept until the config-hash bump).
     n_seeds: int = 1
 
 
@@ -81,25 +82,27 @@ def run_sweep_point(
     """One grid point: a fan-in congestion scenario under one setting.
 
     A pure top-level function (no closures) so it pickles cleanly into
-    :class:`~repro.parallel.CampaignRunner` workers; ``seed`` feeds the
-    deployed :class:`TestConfig` so replicates are reproducible.
-    ``sim_backend`` is checked against the engine each task runs on
-    (see :mod:`repro.sim.backend`); it never changes the point.
+    :class:`~repro.parallel.CampaignRunner` workers.  ``seed`` feeds
+    the deployed :class:`TestConfig`; a fixed-size fan-in draws nothing
+    from it.  ``sim_backend`` is checked against the engine each task
+    runs on (see :mod:`repro.sim.backend`); it never changes the point.
     """
-    params = dict(base_params or {})
-    params.update(grid_params)
-    cp = ControlPlane(sim_backend=sim_backend)
-    tester = cp.deploy(
-        TestConfig(
-            cc_algorithm=algorithm,
-            n_test_ports=n_senders + 1,
-            cc_params=params,
-            seed=seed,
+    backend.check(sim_backend)
+    params = {**(base_params or {}), **grid_params}
+    cp, sampler, _ = deploy_scenario(
+        Scenario(
+            TestConfig(
+                cc_algorithm=algorithm,
+                n_test_ports=n_senders + 1,
+                cc_params=params,
+                seed=seed,
+            ),
+            duration_ps=duration_ps,
+            pattern="fan_in",
+            size_packets=size_packets,
+            ecn_threshold_bytes=ecn_threshold_bytes,
         )
     )
-    cp.wire_loopback_fabric(ecn_threshold_bytes=ecn_threshold_bytes)
-    sampler = tester.enable_rate_sampling(period_ps=500 * US)
-    cp.start_flows(size_packets=size_packets, pattern="fan_in")
     # Flight-recorder hookup: a no-op unless the campaign runner armed a
     # per-task recorder (results_dir campaigns); recording only reads
     # model state, so the event stream is identical either way.
@@ -109,46 +112,13 @@ def run_sweep_point(
     # configured sink this is exactly ``cp.run(duration_ps=...)``.
     run_with_heartbeats(cp.sim, duration_ps, counters_fn=cp.read_measurements)
     rates = steady_state_flow_rates(sampler)
-    if cp.fabric is None:
-        raise ConfigError("sweep scenario has no fabric wired")
-    bottleneck = cp.fabric.ports[n_senders]
     report_events(cp.sim.events_executed)
     return SweepPoint(
         params=grid_params,
         throughput_bps=sum(rates),
         fairness=jain_index(rates) if rates else 1.0,
-        peak_queue_bytes=bottleneck.queue.stats.max_backlog_bytes,
-        flows_completed=len(tester.fct),
-    )
-
-
-def _replicate_seeds(
-    seeds: Union[int, Sequence[int], None], campaign_seed: int
-) -> list[int]:
-    """Seed list for one grid point's replicates."""
-    if seeds is None:
-        return [campaign_seed]
-    if isinstance(seeds, int):
-        if seeds < 1:
-            raise ConfigError(f"seeds must be >= 1, got {seeds}")
-        return [derive_task_seed(campaign_seed, replicate) for replicate in range(seeds)]
-    if not seeds:
-        raise ConfigError("seeds sequence must not be empty")
-    return [int(value) for value in seeds]
-
-
-def _aggregate_replicates(points: list[SweepPoint]) -> SweepPoint:
-    """Mean rates/fairness, worst-case queue, over one point's replicates."""
-    if len(points) == 1:
-        return points[0]
-    n = len(points)
-    return replace(
-        points[0],
-        throughput_bps=sum(p.throughput_bps for p in points) / n,
-        fairness=sum(p.fairness for p in points) / n,
-        peak_queue_bytes=max(p.peak_queue_bytes for p in points),
-        flows_completed=round(sum(p.flows_completed for p in points) / n),
-        n_seeds=n,
+        peak_queue_bytes=cp.fabric.ports[n_senders].queue.stats.max_backlog_bytes,
+        flows_completed=len(cp.require_tester().fct),
     )
 
 
@@ -162,7 +132,6 @@ def sweep_campaign(
     ecn_threshold_bytes: int = 84_000,
     base_params: Optional[dict[str, Any]] = None,
     workers: int = 1,
-    seeds: Union[int, Sequence[int], None] = None,
     seed: int = 0,
     sim_backend: Optional[str] = None,
     runner: Optional[CampaignRunner] = None,
@@ -171,17 +140,14 @@ def sweep_campaign(
     """One fan-in congestion scenario per parameter setting, plus the
     underlying campaign statistics.
 
-    Tasks are one simulation per ``(grid point, seed replicate)`` pair,
-    sharded across ``workers`` processes; replicate seeds are spawned
-    deterministically from ``seed`` (or taken verbatim from a ``seeds``
-    sequence), so any worker count produces bit-identical points.
+    Tasks are one simulation per grid point, sharded across ``workers``
+    processes; any worker count produces bit-identical points.
     ``on_heartbeat`` streams live :class:`Heartbeat` progress snapshots
     from running tasks (rendered by ``repro sweep``); heartbeats never
     alter the simulated event stream, so results are unchanged.
     """
     if not param_grid:
         raise ConfigError("param_grid must contain at least one setting")
-    replicate_seeds = _replicate_seeds(seeds, seed)
     tasks = [
         (
             algorithm,
@@ -192,12 +158,11 @@ def sweep_campaign(
                 "duration_ps": duration_ps,
                 "ecn_threshold_bytes": ecn_threshold_bytes,
                 "base_params": base_params,
-                "seed": replicate_seed,
+                "seed": seed,
                 "sim_backend": sim_backend,
             },
         )
         for grid_params in param_grid
-        for replicate_seed in replicate_seeds
     ]
     own_runner = runner is None
     active = runner if runner is not None else CampaignRunner(workers=workers)
@@ -206,13 +171,7 @@ def sweep_campaign(
     finally:
         if own_runner:
             active.close()
-    values = campaign.values()
-    n_reps = len(replicate_seeds)
-    points = [
-        _aggregate_replicates(values[index * n_reps : (index + 1) * n_reps])
-        for index in range(len(param_grid))
-    ]
-    return points, campaign
+    return campaign.values(), campaign
 
 
 def _sweep_task(

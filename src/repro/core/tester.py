@@ -115,7 +115,6 @@ class MarlinTester:
         #: ``port_addresses[i]`` is how the tested network routes traffic
         #: back to test port i.
         self.port_addresses: dict[int, int] = {}
-        self._sampler: Optional[ThroughputSampler] = None
 
     # -- topology helpers -------------------------------------------------------
 
@@ -193,7 +192,6 @@ class MarlinTester:
     def enable_rate_sampling(self, period_ps: int) -> ThroughputSampler:
         """Meter per-flow and per-port DATA rates on a fixed period."""
         sampler = ThroughputSampler(self.sim, period_ps)
-        self._sampler = sampler
 
         def on_generate(port_index: int, packet: Packet) -> None:
             sampler.meter(f"flow{packet.flow_id}").count(packet.size_bytes)

@@ -85,8 +85,7 @@ def kernel_for_profile(profile) -> int:
     """Kernel code for a :class:`~repro.fluid.model.FluidCcProfile`.
 
     Maps on the profile's *startup* shape (the property the closed-form
-    model distinguishes algorithms by), falling back to the algorithm
-    name for registered CC algorithms.
+    model distinguishes algorithms by), else on its name.
     """
     startup = getattr(profile, "startup", None)
     if startup == "constant":
@@ -94,7 +93,7 @@ def kernel_for_profile(profile) -> int:
     if startup == "line_rate_decay":
         return KERNEL_DCQCN
     if startup == "slow_start":
-        return fluid_kernel(profile.name) if profile.name == "dctcp" else KERNEL_DCTCP
+        return KERNEL_DCTCP
     return fluid_kernel(profile.name)
 
 

@@ -133,7 +133,6 @@ class CampaignSpec:
                 n_senders=c["n_senders"],
                 duration_ps=round(c["duration_ms"] * MS),
                 ecn_threshold_bytes=c["ecn_threshold_bytes"],
-                seeds=c["seeds"],
                 seed=c["seed"],
                 sim_backend=c["sim_backend"],
                 runner=runner,
@@ -206,9 +205,15 @@ def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
     config["ecn_threshold_bytes"] = _as_int(
         merged["ecn_threshold_bytes"], "ecn_threshold_bytes", minimum=1
     )
+    # A point is a fixed-size fan-in that draws nothing from its seed,
+    # so replicates would be identical runs.  The field stays only so
+    # that config_hash does not move.
     seeds = merged["seeds"]
-    if seeds is not None:
-        seeds = _as_int(seeds, "seeds", minimum=1)
+    _require(
+        seeds is None or _as_int(seeds, "seeds") == 1,
+        f"'seeds' must be null or 1, got {seeds!r}: a sweep point draws "
+        "nothing from its seed, so replicates would be identical runs",
+    )
     config["seeds"] = seeds
     config["seed"] = _as_int(merged["seed"], "seed", minimum=0)
     sim_backend = merged["sim_backend"]
@@ -221,8 +226,7 @@ def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
     except ConfigError as exc:
         raise ConfigError(f"'sim_backend': {exc}") from None
     config["sim_backend"] = sim_backend
-    n_tasks = len(grid) * (seeds or 1)
-    return CampaignSpec(kind="sweep", config=config, n_tasks=n_tasks)
+    return CampaignSpec(kind="sweep", config=config, n_tasks=len(grid))
 
 
 def _parse_fluid(payload: dict[str, Any]) -> CampaignSpec:

@@ -94,7 +94,7 @@ def counters() -> list:
 
 def campaign(workers: int) -> list:
     points, _ = sweep_campaign("dctcp", [{}, {"g": 0.0625}], duration_ps=MS,
-                               seeds=2, workers=workers)
+                               workers=workers)
     return [dataclasses.asdict(point) for point in points]
 
 

@@ -185,4 +185,6 @@ class TestConfigSerialization:
             ]
         )
         assert code == 0
-        assert "flows completed : 1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("ran dcqcn ")  # the file's algorithm, not the flag's
+        assert "flows completed : 1" in out

@@ -166,7 +166,7 @@ class TestRejectedBeforeAnyWorker:
         [
             (["sweep", "--senders", "1"], "n_senders"),
             (["sweep", "--duration-ms", "0"], "duration_ms"),
-            (["sweep", "--seeds", "0"], "seeds"),
+            (["sweep", "--seed", "-1"], "seed"),
             (["sweep", "--ecn-threshold", "0"], "ecn_threshold_bytes"),
             (["sweep", "--param", "g=abc"], "'g': 'abc'"),
             (["sweep", "--param", "no_such_knob=1"], "no_such_knob"),
@@ -253,11 +253,10 @@ def test_campaign_flags_keep_their_names_and_spec_defaults():
     fluid = parser.parse_args(["fluid"])
     sweep_spec = parse_spec({"kind": "sweep", "algorithm": sweep.algorithm}).config
     fluid_spec = parse_spec({"kind": "fluid", "algorithms": fluid.algorithms}).config
-    assert (sweep.senders, sweep.duration_ms, sweep.ecn_threshold, sweep.seeds,
+    assert (sweep.senders, sweep.duration_ms, sweep.ecn_threshold,
             sweep.seed) == (
         sweep_spec["n_senders"], sweep_spec["duration_ms"],
-        sweep_spec["ecn_threshold_bytes"], sweep_spec["seeds"],
-        sweep_spec["seed"],
+        sweep_spec["ecn_threshold_bytes"], sweep_spec["seed"],
     )
     assert (fluid.workload, [int(fluid.flows_per_port)], fluid.flows_total,
             fluid.ports, fluid.seed) == (

@@ -240,16 +240,16 @@ class TestCli:
         assert not (tmp_path / "trace.json").exists()  # --trace is off
 
     def test_run_trace_export_matches_qdma_log(self, tmp_path, monkeypatch):
-        import repro.cli as cli
+        import repro.core.scenario as scenario
 
         planes = []
 
-        class RecordingControlPlane(cli.ControlPlane):
+        class RecordingControlPlane(scenario.ControlPlane):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 planes.append(self)
 
-        monkeypatch.setattr(cli, "ControlPlane", RecordingControlPlane)
+        monkeypatch.setattr(scenario, "ControlPlane", RecordingControlPlane)
         code = cli_main(
             ["run", "--algorithm", "dctcp", "--duration-ms", "1",
              "--size-packets", "200", "--trace", "--export-dir", str(tmp_path)]

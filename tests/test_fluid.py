@@ -4,7 +4,8 @@ cross-validation against the packet-level tester at small scale."""
 import numpy as np
 import pytest
 
-from repro import ControlPlane, TestConfig
+from repro import TestConfig
+from repro.core import Scenario, deploy_scenario
 from repro.errors import ConfigError
 from repro.fluid import (
     ColumnarFluidSolver,
@@ -167,17 +168,18 @@ class TestCrossValidation:
     def test_fluid_matches_packet_sim_at_small_scale(self):
         flows_per_port = 4
         size_packets = 2000  # ~2 MB at 1024 B
-        cp = ControlPlane()
-        tester = cp.deploy(
+        scenario = Scenario(
             TestConfig(
                 cc_algorithm="dcqcn",
                 n_test_ports=2,
                 flows_per_port=flows_per_port,
-            )
+            ),
+            duration_ps=30 * MS,
+            size_packets=size_packets,
         )
-        cp.wire_loopback_fabric()
-        cp.start_flows(size_packets=size_packets, pattern="pairs")
-        cp.run(duration_ps=30 * MS)
+        cp, _, _ = deploy_scenario(scenario)
+        cp.run(scenario.duration_ps)
+        tester = cp.require_tester()
         assert len(tester.fct) == flows_per_port
         packet_mean_us = tester.fct.stats().mean_us
 
@@ -199,3 +201,104 @@ class TestCrossValidation:
         # its mean reads 2.8x the packet level.
         assert fluid_fct_us == pytest.approx(packet_mean_us, rel=0.2)
         assert columnar_fct_us == pytest.approx(packet_mean_us, rel=0.2)
+
+
+class TestTwoFlowDctcpBands:
+    """Two DCTCP flows of 4,000 MTU packets start together into one
+    100 Gbps bottleneck (a fan-in :class:`Scenario` with 3 ports), run
+    through all three models.  Each band carries the value measured on
+    this population and why the models may differ by that much.
+
+    * throughput share: the larger flow's share of the bytes delivered
+      when the first flow completes;
+    * mean FCT of the two flows;
+    * steady queue: the bottleneck's mean backlog over the second half
+      of the time both flows are active (the closed form holds none).
+    """
+
+    SIZE_PACKETS = 4000
+    MTU = 1024
+
+    @pytest.fixture(scope="class")
+    def packet(self):
+        scenario = Scenario(
+            TestConfig(cc_algorithm="dctcp", n_test_ports=3),
+            duration_ps=2 * MS,
+            pattern="fan_in",
+            size_packets=self.SIZE_PACKETS,
+        )
+        cp, _, _ = deploy_scenario(scenario)
+        tester = cp.require_tester()
+        queue = cp.fabric.ports[2].queue
+        generated = tester.switch.data_generator.flow_tx_packets
+        first: dict = {}
+        backlog: list[tuple[int, int]] = []
+
+        def on_complete(flow) -> None:
+            if not first:
+                first.update(t_ps=cp.sim.now, sent=dict(generated))
+
+        def sample() -> None:
+            backlog.append((cp.sim.now, queue.backlog_bytes))
+            cp.sim.after(5 * MICROSECOND, sample)
+
+        tester.nic.on_complete(on_complete)
+        cp.sim.after(5 * MICROSECOND, sample)
+        cp.run(scenario.duration_ps)
+        assert len(tester.fct) == 2
+        sent = list(first["sent"].values())
+        steady = [b for t, b in backlog if first["t_ps"] / 2 <= t < first["t_ps"]]
+        return {
+            "share": max(sent) / sum(sent),
+            "mean_fct_us": tester.fct.stats().mean_us,
+            "queue_bytes": float(np.mean(steady)),
+        }
+
+    @pytest.fixture(scope="class")
+    def columnar(self):
+        size_bytes = self.SIZE_PACKETS * self.MTU
+        solver = ColumnarFluidSolver(n_bottlenecks=1, seed=0)
+        solver.add_flows([size_bytes] * 2, kernel="dctcp")
+        backlog = []
+        while solver.n_active == 2:
+            solver.step()
+            backlog.append((solver.now_ps, solver.queue_bits[0] / 8))
+        first_ps = solver.now_ps
+        sent = size_bytes * 8 - solver.remaining_bits[:2]
+        while solver.n_active:
+            solver.step()
+        return {
+            "share": float(max(sent) / sum(sent)),
+            "mean_fct_us": float(np.mean(solver.completions().fcts_us)),
+            "queue_bytes": float(np.mean([b for t, b in backlog if t >= first_ps / 2])),
+        }
+
+    def closed_form_fct_us(self):
+        model = FluidSimulator(n_ports=1, flows_per_port=2)
+        size_bytes = self.SIZE_PACKETS * self.MTU
+        return model.flow_fct_ps(size_bytes, dctcp_profile(jitter_sigma=0.0)) / MICROSECOND
+
+    def test_throughput_share(self, packet, columnar):
+        # Measured: packet 0.505, columnar 0.500; the closed form gives
+        # every flow the same profile, so 0.5 by construction.  The
+        # packet level cuts each flow's window on its own marks, one
+        # packet at a time, so its flows drift apart by a few packets.
+        assert packet["share"] == pytest.approx(0.5, abs=0.02)
+        assert columnar["share"] == pytest.approx(0.5, abs=0.02)
+
+    def test_mean_fct(self, packet, columnar):
+        # Measured: packet 690 us, columnar 687 us (-0.5%), closed form
+        # 776 us (+12%).  The closed form shares only 94% of the link
+        # (DCTCP's long-run utilization, from queue oscillation two
+        # synchronized flows above K do not show) and adds a full
+        # effective RTT; it can only read slow.
+        assert columnar["mean_fct_us"] == pytest.approx(packet["mean_fct_us"], rel=0.05)
+        ratio = self.closed_form_fct_us() / packet["mean_fct_us"]
+        assert 1.0 <= ratio <= 1.2
+
+    def test_steady_queue(self, packet, columnar):
+        # Measured: packet 79 KB, columnar 83 KB (+5%), both near the
+        # 84 KB marking threshold K.  The fluid queue is marked the step
+        # it exceeds K and cut a whole step later; the packet level
+        # marks per packet and reacts one ACK-clocked window at a time.
+        assert columnar["queue_bytes"] == pytest.approx(packet["queue_bytes"], rel=0.15)

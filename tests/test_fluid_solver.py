@@ -42,11 +42,12 @@ class TestKernelMapping:
         assert fluid_kernel("dctcp") == KERNEL_DCTCP
         assert fluid_kernel("dcqcn") == KERNEL_DCQCN
 
-    def test_registry_fallback_by_cc_mode(self):
-        # Window-mode algorithms fall back to the generic window kernel,
-        # rate-mode ones to the rate kernel.
-        assert fluid_kernel("reno") == KERNEL_SLOW_START
-        assert fluid_kernel("timely") == KERNEL_DCQCN
+    def test_reno_and_timely_raise(self):
+        # Registered CC algorithms without a kernel of their own do not
+        # borrow another algorithm's dynamics.
+        for name in ("reno", "timely"):
+            with pytest.raises(ConfigError, match="no fluid kernel"):
+                fluid_kernel(name)
 
     def test_unknown_raises(self):
         with pytest.raises(ConfigError):

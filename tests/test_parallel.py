@@ -411,18 +411,18 @@ class TestParallelSweep:
         assert serial == parallel
         assert [point.params for point in parallel] == self.GRID
 
-    def test_seed_replicates_aggregate(self):
+    def test_one_task_per_grid_point(self):
         points, campaign = sweep_campaign(
             "dcqcn",
             self.GRID[:2],
             n_senders=2,
             duration_ps=1 * MS,
             workers=2,
-            seeds=2,
+            seed=7,
         )
         assert len(points) == 2
-        assert all(point.n_seeds == 2 for point in points)
-        assert campaign.stats()["tasks"] == 4  # 2 grid points x 2 replicates
+        assert all(point.n_seeds == 1 for point in points)
+        assert campaign.stats()["tasks"] == 2
         assert campaign.stats()["events_total"] > 0
 
 

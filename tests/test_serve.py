@@ -48,11 +48,16 @@ class TestParseSpec:
         assert "backend" not in spec.config
         assert spec.n_tasks == 2
 
-    def test_seeds_multiply_task_count(self):
-        spec = parse_spec(
-            {"kind": "sweep", "algorithm": "dctcp", "grid": [{}, {}], "seeds": 3}
-        )
-        assert spec.n_tasks == 6
+    def test_seed_replicates_refused(self):
+        # A sweep point draws nothing from its seed: one task per point.
+        for seeds in (None, 1):
+            spec = parse_spec(
+                {"kind": "sweep", "algorithm": "dctcp", "grid": [{}, {}], "seeds": seeds}
+            )
+            assert spec.n_tasks == 2
+        for seeds in (0, 2, 3):
+            with pytest.raises(ConfigError, match="'seeds' must be null or 1"):
+                parse_spec({"kind": "sweep", "algorithm": "dctcp", "seeds": seeds})
 
     @pytest.mark.parametrize(
         "payload,match",
