@@ -151,8 +151,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     last = sampler.samples[-1].rates_bps if sampler.samples else {}
     flow_rates = [v for k, v in last.items() if k.startswith("flow")]
     if flow_rates:
+        # Live at the end of the run: the sample also carries a meter,
+        # at 0, for every flow that sent and has since finished.
+        live = sum(f.started and not f.finished for f in tester.nic.flows.values())
         print(f"  last-window rate: {format_rate(sum(flow_rates))} over "
-              f"{len(flow_rates)} active flows")
+              f"{live} active flows")
 
     if args.export_dir is not None:
         out = Path(args.export_dir)

@@ -18,12 +18,7 @@ from repro.core.capabilities import (
 )
 from repro.core.multi_pipeline import MultiPipelineTester, scaling_table
 from repro.core.scenario import Scenario, deploy_scenario
-from repro.core.sweep import (
-    SweepPoint,
-    cc_parameter_sweep,
-    run_sweep_point,
-    sweep_campaign,
-)
+from repro.core.sweep import SweepPoint, run_sweep_point, sweep_campaign
 
 __all__ = [
     "TestConfig",
@@ -41,7 +36,6 @@ __all__ = [
     "Scenario",
     "deploy_scenario",
     "SweepPoint",
-    "cc_parameter_sweep",
     "run_sweep_point",
     "sweep_campaign",
 ]

@@ -2,16 +2,15 @@
 
 The paper's use case (Section 1): operators "validate the effectiveness
 of the selected CC algorithms and parameters through high-throughput
-traffic".  :func:`cc_parameter_sweep` automates the standard sweep: run
+traffic".  :func:`sweep_campaign` automates the standard sweep: run
 one congestion scenario across a grid of CC parameter settings and
 report throughput/fairness/queue metrics for each (the "find the optimal
-configuration" loop).
+configuration" loop), with the campaign's wall-clock/event statistics.
 
 Sweeps are campaigns of independent simulations, so they shard across a
-:class:`~repro.parallel.CampaignRunner` process pool (``workers=``);
-:func:`sweep_campaign` additionally returns the campaign's
-wall-clock/event statistics.  A point is a fixed-size fan-in, which
-draws nothing from its seed, so there are no seed replicates.
+:class:`~repro.parallel.CampaignRunner` process pool (``workers=``).  A
+point is a fixed-size fan-in, which draws nothing from its seed, so
+there are no seed replicates.
 """
 
 from __future__ import annotations
@@ -149,46 +148,25 @@ def sweep_campaign(
     if not param_grid:
         raise ConfigError("param_grid must contain at least one setting")
     tasks = [
-        (
-            algorithm,
-            grid_params,
-            {
-                "n_senders": n_senders,
-                "size_packets": size_packets,
-                "duration_ps": duration_ps,
-                "ecn_threshold_bytes": ecn_threshold_bytes,
-                "base_params": base_params,
-                "seed": seed,
-                "sim_backend": sim_backend,
-            },
-        )
+        {
+            "algorithm": algorithm,
+            "grid_params": grid_params,
+            "n_senders": n_senders,
+            "size_packets": size_packets,
+            "duration_ps": duration_ps,
+            "ecn_threshold_bytes": ecn_threshold_bytes,
+            "base_params": base_params,
+            "seed": seed,
+            "sim_backend": sim_backend,
+        }
         for grid_params in param_grid
     ]
     own_runner = runner is None
     active = runner if runner is not None else CampaignRunner(workers=workers)
     try:
-        campaign = active.run(_sweep_task, tasks, on_heartbeat=on_heartbeat)
+        campaign = active.run(run_sweep_point, tasks, on_heartbeat=on_heartbeat)
     finally:
         if own_runner:
             active.close()
     return campaign.values(), campaign
 
-
-def _sweep_task(
-    algorithm: str, grid_params: dict[str, Any], options: dict[str, Any]
-) -> SweepPoint:
-    """Picklable shim: unpack one campaign task into :func:`run_sweep_point`."""
-    return run_sweep_point(algorithm, grid_params, **options)
-
-
-def cc_parameter_sweep(
-    algorithm: str, param_grid: list[dict[str, Any]], **options: Any
-) -> list[SweepPoint]:
-    """Run a fan-in congestion scenario for each parameter setting.
-
-    Each grid entry is merged over ``base_params`` and passed to the
-    algorithm constructor; results come back in grid order.  Takes
-    every keyword of :func:`sweep_campaign` and returns its points
-    without the campaign statistics.
-    """
-    return sweep_campaign(algorithm, param_grid, **options)[0]

@@ -43,11 +43,6 @@ class CCModuleError(ReproError):
     """A CC algorithm module violated the Table 3 programming contract."""
 
 
-class PacketPoolError(ReproError):
-    """A pooled packet was misused: released twice, or accessed after
-    release while the pool's debug mode is on."""
-
-
 class CampaignError(ReproError):
     """A sharded campaign (``repro.parallel``) was misconfigured, or one
     of its tasks failed after exhausting its retries."""

@@ -49,7 +49,7 @@ from repro.fpga.timers import FrequencyControl
 from repro.net.device import Device, Port
 from repro.net.packet import Packet
 from repro.pswitch.module_a import ReceiverLogic, ReceiverMode
-from repro.pswitch.packets import PACKET_POOL, PTYPE_RDATA, make_sche
+from repro.pswitch.packets import PTYPE_RDATA, make_sche
 from repro.sim.engine import Simulator
 from repro.units import RATE_100G, ROCE_MTU_BYTES
 
@@ -273,9 +273,6 @@ class FpgaNic(Device):
         event = self.parser.parse(packet, self.sim.now)
         if event is None:
             return
-        # The parser copied everything into the ReceptionEvent; the 64 B
-        # INFO packet's life ends here.
-        PACKET_POOL.release(packet)
         if self._rx_bypass:
             # Ablation: no frequency control on the ingress path.
             self._process_reception(event)
@@ -294,7 +291,6 @@ class FpgaNic(Device):
             # Tell the switch which test port the response leaves from.
             response.meta["egress_port"] = rx_port
             self.receiver_port.send(response)
-        PACKET_POOL.release(rdata)
 
     def _kick_drain(self, index: int) -> None:
         if self._drain_pending[index] or self.rx_fifos[index].empty:

@@ -1,14 +1,11 @@
-"""Shared precomputed tables for the per-packet datapath.
+"""Per-rate serialization tables for the packet datapath.
 
-The packet hot path (``Port.send`` → queue → the arrival event on the
-heap → ``NetworkSwitch.receive``) used to recompute the same integer
-arithmetic for every frame: the serialization delay of a 64 B
-ACK on a 100 G port never changes, and neither does the ECMP hash of a
-flow.  :class:`DatapathState` is the small struct those tables hang off:
-one instance is shared process-wide (``shared()``), so every port at the
-same rate resolves frame sizes through one dict, and tables survive
+The serialization delay of a 64 B ACK on a 100 G port never changes,
+so ports look frame sizes up in a :class:`SerTable` instead of
+recomputing it per frame.  :func:`ser_table` hands every port at the
+same rate the one process-wide table for that rate, so tables survive
 across :class:`~repro.core.control_plane.ControlPlane` rebuilds inside a
-campaign worker.
+campaign worker (safe: a table is a pure function of rate and size).
 
 Tables are lazily populated — the first packet of a given size pays the
 :func:`~repro.units.serialization_time_ps` call (the table's
@@ -20,7 +17,7 @@ from __future__ import annotations
 
 from repro.units import serialization_time_ps
 
-__all__ = ["DatapathState", "SerTable", "shared"]
+__all__ = ["SerTable", "ser_table"]
 
 
 class SerTable(dict):
@@ -38,30 +35,13 @@ class SerTable(dict):
         return ps
 
 
-class DatapathState:
-    """Precomputed integer tables shared by the packet datapath.
-
-    ``ser_table(rate_bps)`` returns the :class:`SerTable` for that port
-    rate.  It is the live table — ports cache it, and it extends itself
-    in place on first sight of a new frame size.
-    """
-
-    __slots__ = ("_ser_tables",)
-
-    def __init__(self) -> None:
-        self._ser_tables: dict[int, SerTable] = {}
-
-    def ser_table(self, rate_bps: int) -> SerTable:
-        table = self._ser_tables.get(rate_bps)
-        if table is None:
-            table = self._ser_tables[rate_bps] = SerTable(rate_bps)
-        return table
+_SER_TABLES: dict[int, SerTable] = {}
 
 
-_SHARED = DatapathState()
-
-
-def shared() -> DatapathState:
-    """The process-wide table set (deterministic: tables are pure
-    functions of rate and size, so sharing them across runs is safe)."""
-    return _SHARED
+def ser_table(rate_bps: int) -> SerTable:
+    """The live :class:`SerTable` for ``rate_bps``: ports cache it, and
+    it extends itself in place on first sight of a new frame size."""
+    table = _SER_TABLES.get(rate_bps)
+    if table is None:
+        table = _SER_TABLES[rate_bps] = SerTable(rate_bps)
+    return table

@@ -68,7 +68,7 @@ class _PyPort:
         #: :mod:`repro.net.datapath`).
         self.sim: Simulator = device.sim
         self._heap = device.sim._heap
-        self._ser_ps = datapath.shared().ser_table(rate_bps)
+        self._ser_ps = datapath.ser_table(rate_bps)
         #: The far end, its device's ``receive`` and the departure-to-
         #: ``receive`` offset; set by :class:`~repro.net.link.Link`.
         self._peer: Optional["Port"] = None
@@ -204,7 +204,7 @@ if _C is not None:
             sim = device.sim
             _C.CPort.__init__(
                 self, device, index, rate_bps, queue, sim,
-                datapath.shared().ser_table(rate_bps), sim._cref,
+                datapath.ser_table(rate_bps), sim._cref,
             )
 
         @property

@@ -10,17 +10,16 @@
 All carry their protocol fields in ``Packet.meta``; the 64-byte types are
 size-checked so the Section 3.3 amplification arithmetic stays honest.
 
-The 64 B control types (everything but DATA) come from
-:data:`repro.net.packet.PACKET_POOL` — they dominate allocation in the
-amplification path and have a single well-defined consumer each, which
-releases them back (see ``docs/PERFORMANCE.md``).  The constructors fill
-``meta`` in place so a pool hit allocates no objects at all.
+Every constructor returns a new :class:`~repro.net.packet.Packet`, and no
+consumer recycles one: a packet lives as long as something references it,
+so a packet held past its consumer (a capture, a delay stage) keeps its
+fields.
 """
 
 from __future__ import annotations
 
 from repro.net import int_telemetry
-from repro.net.packet import ECT, PACKET_POOL, Packet
+from repro.net.packet import ECT, Packet
 from repro.units import MIN_FRAME_BYTES
 
 PTYPE_TEMP = "TEMP"
@@ -35,8 +34,6 @@ PTYPE_RDATA = "RDATA"
 #: Addresses below this are reserved for tester-internal devices.
 INTERNAL_ADDR = 0
 
-#: The pool backing the 64 B control-packet constructors below; consumers
-#: call ``PACKET_POOL.release(pkt)`` when done (re-exported for them).
 __all__ = [
     "PTYPE_TEMP",
     "PTYPE_DATA",
@@ -45,7 +42,6 @@ __all__ = [
     "PTYPE_SCHE",
     "PTYPE_RDATA",
     "INTERNAL_ADDR",
-    "PACKET_POOL",
     "make_sche",
     "make_temp",
     "make_data",
@@ -68,7 +64,7 @@ def make_sche(
     created_ps: int = 0,
 ) -> Packet:
     """A 64 B scheduling packet: FPGA -> programmable switch."""
-    sche = PACKET_POOL.acquire(
+    return Packet(
         PTYPE_SCHE,
         INTERNAL_ADDR,
         INTERNAL_ADDR,
@@ -76,19 +72,19 @@ def make_sche(
         flow_id=flow_id,
         psn=psn,
         created_ps=created_ps,
+        meta={
+            "egress_port": egress_port,
+            "src_addr": src_addr,
+            "dst_addr": dst_addr,
+            "frame_bytes": frame_bytes,
+            "is_rtx": is_rtx,
+        },
     )
-    meta = sche.meta
-    meta["egress_port"] = egress_port
-    meta["src_addr"] = src_addr
-    meta["dst_addr"] = dst_addr
-    meta["frame_bytes"] = frame_bytes
-    meta["is_rtx"] = is_rtx
-    return sche
 
 
 def make_temp(frame_bytes: int, *, created_ps: int = 0) -> Packet:
     """A template packet; its length determines generated DATA length."""
-    return PACKET_POOL.acquire(
+    return Packet(
         PTYPE_TEMP, INTERNAL_ADDR, INTERNAL_ADDR, frame_bytes, created_ps=created_ps
     )
 
@@ -104,8 +100,7 @@ def make_data(
     is_rtx: bool = False,
     created_ps: int = 0,
 ) -> Packet:
-    """An MTU-sized test packet, ECN-capable (ECT).  Not pooled: DATA is
-    the one type whose lifetime crosses the tested network."""
+    """An MTU-sized test packet, ECN-capable (ECT)."""
     return Packet(
         PTYPE_DATA,
         src_addr,
@@ -131,7 +126,7 @@ def make_ack(
     Source/destination are swapped; the ACK echoes the DATA packet's CE
     mark, transmit timestamp (for RTT probing), and INT path if present.
     """
-    ack = PACKET_POOL.acquire(
+    ack = Packet(
         PTYPE_ACK,
         data.dst,
         data.src,
@@ -140,18 +135,19 @@ def make_ack(
         psn=ack_psn,
         ecn_echo=data.ce_marked,
         created_ps=created_ps,
+        meta={
+            "echo_tstamp_ps": data.meta.get("tx_tstamp_ps", -1),
+            "nack": nack,
+            "cnp": False,
+        },
     )
-    meta = ack.meta
-    meta["echo_tstamp_ps"] = data.meta.get("tx_tstamp_ps", -1)
-    meta["nack"] = nack
-    meta["cnp"] = False
     int_telemetry.echo(data, ack)
     return ack
 
 
 def make_cnp(data: Packet, *, created_ps: int = 0) -> Packet:
     """A DCQCN congestion notification packet, triggered by a CE mark."""
-    cnp = PACKET_POOL.acquire(
+    return Packet(
         PTYPE_ACK,
         data.dst,
         data.src,
@@ -160,12 +156,8 @@ def make_cnp(data: Packet, *, created_ps: int = 0) -> Packet:
         psn=-1,
         ecn_echo=True,
         created_ps=created_ps,
+        meta={"echo_tstamp_ps": -1, "nack": False, "cnp": True},
     )
-    meta = cnp.meta
-    meta["echo_tstamp_ps"] = -1
-    meta["nack"] = False
-    meta["cnp"] = True
-    return cnp
 
 
 def make_rdata(data: Packet, rx_port: int, *, created_ps: int = 0) -> Packet:
@@ -176,7 +168,7 @@ def make_rdata(data: Packet, rx_port: int, *, created_ps: int = 0) -> Packet:
     the CE mark, the transmit-timestamp echo, the INT path, and the test
     port the DATA arrived on (so the eventual ACK leaves the same port).
     """
-    rdata = PACKET_POOL.acquire(
+    rdata = Packet(
         PTYPE_RDATA,
         data.src,
         data.dst,
@@ -185,11 +177,12 @@ def make_rdata(data: Packet, rx_port: int, *, created_ps: int = 0) -> Packet:
         psn=data.psn,
         ecn=data.ecn,
         created_ps=created_ps,
+        meta={
+            "rx_port": rx_port,
+            "tx_tstamp_ps": data.meta.get("tx_tstamp_ps", -1),
+            "is_rtx": bool(data.meta.get("is_rtx", False)),
+        },
     )
-    meta = rdata.meta
-    meta["rx_port"] = rx_port
-    meta["tx_tstamp_ps"] = data.meta.get("tx_tstamp_ps", -1)
-    meta["is_rtx"] = bool(data.meta.get("is_rtx", False))
     int_telemetry.echo(data, rdata)
     return rdata
 
@@ -200,7 +193,7 @@ def make_info(ack: Packet, rx_port: int, *, created_ps: int = 0) -> Packet:
     ``rx_port`` records which switch test port the ACK arrived on; the
     FPGA uses it to pick the RX FIFO (Section 5.3, ingress direction).
     """
-    info = PACKET_POOL.acquire(
+    info = Packet(
         PTYPE_INFO,
         INTERNAL_ADDR,
         INTERNAL_ADDR,
@@ -209,11 +202,12 @@ def make_info(ack: Packet, rx_port: int, *, created_ps: int = 0) -> Packet:
         psn=ack.psn,
         ecn_echo=ack.ecn_echo,
         created_ps=created_ps,
+        meta={
+            "rx_port": rx_port,
+            "echo_tstamp_ps": ack.meta.get("echo_tstamp_ps", -1),
+            "nack": bool(ack.meta.get("nack", False)),
+            "cnp": bool(ack.meta.get("cnp", False)),
+        },
     )
-    meta = info.meta
-    meta["rx_port"] = rx_port
-    meta["echo_tstamp_ps"] = ack.meta.get("echo_tstamp_ps", -1)
-    meta["nack"] = bool(ack.meta.get("nack", False))
-    meta["cnp"] = bool(ack.meta.get("cnp", False))
     int_telemetry.echo(ack, info)
     return info

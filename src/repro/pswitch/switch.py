@@ -30,7 +30,6 @@ from repro.pswitch.module_a import ReceiverLogic, ReceiverMode
 from repro.pswitch.module_b import InfoGenerator
 from repro.pswitch.module_c import DataGenerator
 from repro.pswitch.packets import (
-    PACKET_POOL,
     PTYPE_ACK,
     PTYPE_DATA,
     PTYPE_SCHE,
@@ -147,9 +146,6 @@ class MarlinSwitch(Device):
 
     def _handle_sche(self, packet: Packet) -> None:
         self.data_generator.on_sche(packet)
-        # Module C copied the metadata into a register queue; the 64 B
-        # SCHE packet's life ends here.
-        PACKET_POOL.release(packet)
 
     def _handle_data(self, packet: Packet, port: Port) -> None:
         if self.receiver_port is not None:
@@ -169,10 +165,9 @@ class MarlinSwitch(Device):
         self.test_ports[egress].send(packet)
 
     def _handle_ack(self, packet: Packet, port: Port) -> None:
-        info = self.info_generator.on_ack(packet, port.index, self.sim.now)
-        # Module B rewrote the ACK into the INFO; the ACK's life ends here.
-        PACKET_POOL.release(packet)
-        self.fpga_port.send(info)
+        self.fpga_port.send(
+            self.info_generator.on_ack(packet, port.index, self.sim.now)
+        )
 
     # -- control-plane readable registers --------------------------------------
 

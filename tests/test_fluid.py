@@ -203,11 +203,12 @@ class TestCrossValidation:
         assert columnar_fct_us == pytest.approx(packet_mean_us, rel=0.2)
 
 
-class TestTwoFlowDctcpBands:
-    """Two DCTCP flows of 4,000 MTU packets start together into one
-    100 Gbps bottleneck (a fan-in :class:`Scenario` with 3 ports), run
-    through all three models.  Each band carries the value measured on
-    this population and why the models may differ by that much.
+class TestTwoFlowBands:
+    """Two flows of 4,000 MTU packets start together into one 100 Gbps
+    bottleneck (a fan-in :class:`Scenario` with 3 ports), run through
+    all three models, once with DCTCP and once with DCQCN.  Each band
+    carries the value measured on this population and why the models
+    may differ by that much.
 
     * throughput share: the larger flow's share of the bytes delivered
       when the first flow completes;
@@ -218,12 +219,19 @@ class TestTwoFlowDctcpBands:
 
     SIZE_PACKETS = 4000
     MTU = 1024
+    #: Packet-level horizon: both flows complete well inside it.
+    HORIZON_PS = {"dctcp": 2 * MS, "dcqcn": 3 * MS}
+    PROFILES = {"dctcp": dctcp_profile, "dcqcn": dcqcn_profile}
+
+    @pytest.fixture(scope="class", params=["dctcp", "dcqcn"])
+    def algorithm(self, request):
+        return request.param
 
     @pytest.fixture(scope="class")
-    def packet(self):
+    def packet(self, algorithm):
         scenario = Scenario(
-            TestConfig(cc_algorithm="dctcp", n_test_ports=3),
-            duration_ps=2 * MS,
+            TestConfig(cc_algorithm=algorithm, n_test_ports=3),
+            duration_ps=self.HORIZON_PS[algorithm],
             pattern="fan_in",
             size_packets=self.SIZE_PACKETS,
         )
@@ -255,10 +263,10 @@ class TestTwoFlowDctcpBands:
         }
 
     @pytest.fixture(scope="class")
-    def columnar(self):
+    def columnar(self, algorithm):
         size_bytes = self.SIZE_PACKETS * self.MTU
         solver = ColumnarFluidSolver(n_bottlenecks=1, seed=0)
-        solver.add_flows([size_bytes] * 2, kernel="dctcp")
+        solver.add_flows([size_bytes] * 2, kernel=algorithm)
         backlog = []
         while solver.n_active == 2:
             solver.step()
@@ -273,32 +281,60 @@ class TestTwoFlowDctcpBands:
             "queue_bytes": float(np.mean([b for t, b in backlog if t >= first_ps / 2])),
         }
 
-    def closed_form_fct_us(self):
+    def closed_form_fct_us(self, algorithm):
         model = FluidSimulator(n_ports=1, flows_per_port=2)
         size_bytes = self.SIZE_PACKETS * self.MTU
-        return model.flow_fct_ps(size_bytes, dctcp_profile(jitter_sigma=0.0)) / MICROSECOND
+        profile = self.PROFILES[algorithm](jitter_sigma=0.0)
+        return model.flow_fct_ps(size_bytes, profile) / MICROSECOND
 
     def test_throughput_share(self, packet, columnar):
-        # Measured: packet 0.505, columnar 0.500; the closed form gives
-        # every flow the same profile, so 0.5 by construction.  The
-        # packet level cuts each flow's window on its own marks, one
-        # packet at a time, so its flows drift apart by a few packets.
+        # Measured: DCTCP packet 0.505, columnar 0.500; DCQCN 0.500 in
+        # both.  The closed form gives every flow the same profile, so
+        # 0.5 by construction.  The packet level cuts each DCTCP flow's
+        # window on its own marks, one packet at a time, so its flows
+        # drift apart by a few packets; DCQCN's two flows see the same
+        # CNP stream and cut in step.
         assert packet["share"] == pytest.approx(0.5, abs=0.02)
         assert columnar["share"] == pytest.approx(0.5, abs=0.02)
 
-    def test_mean_fct(self, packet, columnar):
-        # Measured: packet 690 us, columnar 687 us (-0.5%), closed form
-        # 776 us (+12%).  The closed form shares only 94% of the link
-        # (DCTCP's long-run utilization, from queue oscillation two
-        # synchronized flows above K do not show) and adds a full
-        # effective RTT; it can only read slow.
-        assert columnar["mean_fct_us"] == pytest.approx(packet["mean_fct_us"], rel=0.05)
-        ratio = self.closed_form_fct_us() / packet["mean_fct_us"]
-        assert 1.0 <= ratio <= 1.2
+    def test_mean_fct(self, algorithm, packet, columnar):
+        ratio = self.closed_form_fct_us(algorithm) / packet["mean_fct_us"]
+        if algorithm == "dctcp":
+            # Measured: packet 690 us, columnar 687 us (-0.5%), closed
+            # form 776 us (+12%).  The closed form shares only 94% of the
+            # link (DCTCP's long-run utilization, from queue oscillation
+            # two synchronized flows above K do not show) and adds a full
+            # effective RTT; it can only read slow.
+            assert columnar["mean_fct_us"] == pytest.approx(
+                packet["mean_fct_us"], rel=0.05
+            )
+            assert 1.0 <= ratio <= 1.2
+        else:
+            # Measured: packet 773.5 us, columnar 909.3 us (+17.6%; 909.2
+            # us at dt 2.5 us, so the gap is not step size), closed form
+            # 612.9 us (0.79x).  The columnar kernel starts alpha at 0,
+            # the packet level at 1 (a first CNP halves the rate), so its
+            # first cuts are tiny: both flows hold ~line rate for ~300 us,
+            # the queue peaks near 2.9 MB, then the accumulated cuts drop
+            # both to ~8 Gbps while it drains.  The closed form charges
+            # neither the cuts nor a queue and reads fast.
+            assert 1.10 <= columnar["mean_fct_us"] / packet["mean_fct_us"] <= 1.25
+            assert 0.72 <= ratio <= 0.86
 
-    def test_steady_queue(self, packet, columnar):
-        # Measured: packet 79 KB, columnar 83 KB (+5%), both near the
-        # 84 KB marking threshold K.  The fluid queue is marked the step
-        # it exceeds K and cut a whole step later; the packet level
+    def test_steady_queue(self, request, algorithm, packet, columnar):
+        if algorithm == "dcqcn":
+            request.applymarker(
+                pytest.mark.xfail(
+                    strict=True,
+                    reason=(
+                        "DCQCN steady queue: packet level 479 B, columnar "
+                        "1.24 MB (~2,600x); the columnar kernel starts alpha "
+                        "at 0 and overshoots for ~300 us before it cuts"
+                    ),
+                )
+            )
+        # Measured (DCTCP): packet 79 KB, columnar 83 KB (+5%), both near
+        # the 84 KB marking threshold K.  The fluid queue is marked the
+        # step it exceeds K and cut a whole step later; the packet level
         # marks per packet and reacts one ACK-clocked window at a time.
         assert columnar["queue_bytes"] == pytest.approx(packet["queue_bytes"], rel=0.15)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.core.multi_pipeline import scaling_table
-from repro.core.sweep import cc_parameter_sweep, steady_state_flow_rates, sweep_campaign
+from repro.core.sweep import steady_state_flow_rates, sweep_campaign
 from repro.errors import CampaignError
 from repro.fluid import dcqcn_profile, dctcp_profile, fluid_fct_campaign
 from repro.measure.throughput import ThroughputSample
@@ -406,8 +406,8 @@ class TestParallelSweep:
         """The acceptance-criterion invariant: same campaign seed,
         workers=1 and workers=4 produce identical SweepPoint lists."""
         kwargs = dict(n_senders=2, duration_ps=int(1.5 * MS), seed=11)
-        serial = cc_parameter_sweep("dcqcn", self.GRID, workers=1, **kwargs)
-        parallel = cc_parameter_sweep("dcqcn", self.GRID, workers=4, **kwargs)
+        serial, _ = sweep_campaign("dcqcn", self.GRID, workers=1, **kwargs)
+        parallel, _ = sweep_campaign("dcqcn", self.GRID, workers=4, **kwargs)
         assert serial == parallel
         assert [point.params for point in parallel] == self.GRID
 

@@ -85,3 +85,16 @@ class TestRing:
             sampler.meter(f"port{index}").total_bytes > 0 for index in range(n_ports)
         )
         assert all(carries_data(port.queue) for port in cp.fabric.ports)
+
+    def test_run_counts_only_live_flows_as_active(self, capsys):
+        # 48 closed-loop slots; over 1,400 flows finish within 0.5 ms,
+        # and the last sample still carries a meter for each of them.
+        code = cli_main([
+            "run", "--ports", "12", "--flows-per-port", "4", "--pattern", "ring",
+            "--workload", "websearch", "--size-scale", "100", "--duration-ms", "0.5",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        (line,) = [line for line in out.splitlines() if "active flows" in line]
+        active = int(line.split(" over ")[1].split()[0])
+        assert 0 < active <= 48, line

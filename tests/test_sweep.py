@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.sweep import cc_parameter_sweep
+from repro.core.sweep import sweep_campaign
 from repro.errors import ConfigError
 from repro.units import GBPS, MS, RATE_100G
 
 
 class TestCcParameterSweep:
     def test_grid_order_and_metrics(self):
-        points = cc_parameter_sweep(
+        points, _ = sweep_campaign(
             "dcqcn",
             [{"rate_ai_bps": 1 * GBPS}, {"rate_ai_bps": 5 * GBPS}],
             n_senders=2,
@@ -25,7 +25,7 @@ class TestCcParameterSweep:
     def test_dctcp_g_sweep_shows_queue_tradeoff(self):
         """Larger g reacts faster -> different queue occupancy profile;
         the sweep surfaces the difference operators tune for."""
-        points = cc_parameter_sweep(
+        points, _ = sweep_campaign(
             "dctcp",
             [{"g": 1.0 / 64.0}, {"g": 1.0 / 4.0}],
             n_senders=2,
@@ -37,9 +37,9 @@ class TestCcParameterSweep:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
-            cc_parameter_sweep("dctcp", [])
+            sweep_campaign("dctcp", [])
 
     def test_bad_seed_replicates_rejected(self):
         # Replicates of a point that draws nothing are not a keyword.
         with pytest.raises(TypeError, match="seeds"):
-            cc_parameter_sweep("dctcp", [{}], seeds=2)
+            sweep_campaign("dctcp", [{}], seeds=2)
