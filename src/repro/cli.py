@@ -487,15 +487,18 @@ def cmd_submit(args: argparse.Namespace) -> int:
     # round trip, and the normalized config labels the result table.
     spec = parse_spec(payload)
     client = ServeClient(args.host, args.port)
-    job = client.submit(payload)
-    cached = " (cached)" if job.get("cached") else ""
-    print(f"{job['job_id']} {job['state']}{cached}: {job['description']}")
-    if args.wait and job["state"] not in ("done", "failed"):
-        job = client.wait(
-            job["job_id"],
-            timeout_s=args.timeout,
-            on_heartbeat=None if args.no_progress else _render_heartbeat,
-        )
+    try:
+        job = client.submit(payload)
+        cached = " (cached)" if job.get("cached") else ""
+        print(f"{job['job_id']} {job['state']}{cached}: {job['description']}")
+        if args.wait and job["state"] not in ("done", "failed"):
+            job = client.wait(
+                job["job_id"],
+                timeout_s=args.timeout,
+                on_heartbeat=None if args.no_progress else _render_heartbeat,
+            )
+    finally:
+        client.close()
     if job["state"] == "done":
         _print_campaign(spec, job["result"])
         if args.json is not None:

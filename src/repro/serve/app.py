@@ -24,9 +24,15 @@ API (all JSON unless noted):
 ===========================  ==================================================
 
 Any request: 413 when its body is over ``MAX_BODY_BYTES``, 431 when it
-has more than ``MAX_HEADER_LINES`` header lines; a client that has not
-finished its request line and headers within ``HEAD_TIMEOUT_S`` is
-dropped without a response.
+has more than ``MAX_HEADER_LINES`` header lines, 501 when it carries
+``Transfer-Encoding`` (the daemon frames bodies by ``Content-Length``
+only), 400 when its ``Content-Length`` headers disagree.
+
+Connections are persistent (HTTP/1.1 keep-alive).  The daemon closes one
+after any non-200 response, after an HTTP/1.0 request and after a request
+that says ``Connection: close``.  A client that has not finished its next
+request line and headers within ``HEAD_TIMEOUT_S`` -- idle between
+requests or stalled mid-head -- is dropped without a response.
 """
 
 from __future__ import annotations
@@ -55,8 +61,10 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Most header lines one request may carry; one more answers 431.
 MAX_HEADER_LINES = 100
 
-#: Seconds a client has to deliver its request line and headers; a
-#: client that stalls longer is dropped without a response.
+#: Seconds a client has to deliver its request line and headers,
+#: counted from the end of the previous response on a kept-alive
+#: connection: the idle timeout too.  A client that stalls longer is
+#: dropped without a response.
 HEAD_TIMEOUT_S = 10.0
 
 #: Hard cap on one long-poll wait step, so a vanished client can hold a
@@ -78,24 +86,39 @@ _REASONS = {
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
 
+_JSON = "application/json"
+
+
 def _response_bytes(
-    status: int, body: bytes, *, content_type: str = "application/json"
+    status: int,
+    body: bytes,
+    *,
+    content_type: str = _JSON,
+    close: bool = False,
 ) -> bytes:
     head = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
-        "Connection: close",
     ]
+    if close:
+        head.append("Connection: close")
     return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
 
 
+def _error_bytes(status: int, message: str) -> bytes:
+    """An error response; every one closes its connection."""
+    return _response_bytes(status, _json_bytes({"error": message}), close=True)
+
+
 def _json_bytes(payload: Any) -> bytes:
-    return (json.dumps(payload, indent=1, default=str) + "\n").encode("utf-8")
+    # Compact: ``indent`` would force the stdlib's pure-Python encoder.
+    return (json.dumps(payload, default=str) + "\n").encode("utf-8")
 
 
 def _non_negative(text: str, name: str, kind: Callable[[str], Any]) -> Any:
@@ -153,6 +176,8 @@ class ReproServer:
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._closed = False
+        #: Live connection handlers and their writers (event loop only).
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- metrics ---------------------------------------------------------------
 
@@ -165,6 +190,9 @@ class ReproServer:
         self._cache_misses = registry.counter("repro_serve_cache_misses_total")
         self._jobs_coalesced = registry.counter("repro_serve_jobs_coalesced_total")
         self._requests = registry.counter("repro_serve_http_requests_total")
+        self._connections_total = registry.counter(
+            "repro_serve_http_connections_total"
+        )
         registry.bind(
             "repro_serve_queue_depth", self.queue.queue_depth, kind="gauge"
         )
@@ -213,8 +241,11 @@ class ReproServer:
         """Run until cancelled (the ``repro serve`` foreground path)."""
         await self._start_async()
         assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            async with self._server:
+                await self._server.serve_forever()
+        finally:
+            await self._close_connections()
 
     def start_background(self) -> tuple[str, int]:
         """Run the server on a daemon thread; returns ``(host, port)``
@@ -237,9 +268,22 @@ class ReproServer:
         async with self._server:
             while not self._closed:
                 await asyncio.sleep(0.05)
+        await self._close_connections()
+
+    async def _close_connections(self) -> None:
+        """Close every kept-alive connection once the listener is shut,
+        so that each handler reads EOF and returns before the loop stops
+        (a handler still pending then would be cancelled mid-read).  A
+        handler inside a long-poll reads nothing until its wait ends, so
+        the wait for the handlers is bounded."""
+        for writer in self._connections.values():
+            writer.transport.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=1.0)
 
     def close(self) -> None:
-        """Stop accepting connections and shut the pool down."""
+        """Stop accepting connections, close the open ones and shut the
+        pool down."""
         self._closed = True
         if self._thread is not None:
             self._thread.join(timeout=10.0)
@@ -251,22 +295,29 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections_total.inc()
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
-            response = await self._handle_request(reader)
-            if response is not None:
+            keep_open = True
+            while keep_open:
+                answer = await self._handle_request(reader)
+                if answer is None:
+                    break
+                response, keep_open = answer
                 writer.write(response)
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # the daemon must survive any request
             try:
-                writer.write(
-                    _response_bytes(500, _json_bytes({"error": str(exc)}))
-                )
+                writer.write(_error_bytes(500, str(exc)))
                 await writer.drain()
             except ConnectionError:
                 pass
         finally:
+            del self._connections[task]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -275,7 +326,9 @@ class ReproServer:
 
     async def _handle_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[bytes]:
+    ) -> Optional[tuple[bytes, bool]]:
+        """Read and answer one request: ``(response, keep_open)``, or
+        ``None`` when the client closed or stalled before a full head."""
         try:
             async with asyncio.timeout(HEAD_TIMEOUT_S):
                 request_line = await reader.readline()
@@ -283,30 +336,37 @@ class ReproServer:
                     return None
                 parts = request_line.decode("latin-1").strip().split()
                 if len(parts) != 3:
-                    return _response_bytes(
-                        400, _json_bytes({"error": "malformed request"})
-                    )
-                method, target, _version = parts
+                    return _error_bytes(400, "malformed request"), False
+                method, target, version = parts
                 headers: dict[str, str] = {}
+                lengths: set[str] = set()
                 for _ in range(MAX_HEADER_LINES + 1):
                     line = await reader.readline()
                     if line in (b"\r\n", b"\n", b""):
                         break
                     name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
+                    name, value = name.strip().lower(), value.strip()
+                    headers[name] = value
+                    if name == "content-length":
+                        lengths.add(value)
                 else:
-                    return _response_bytes(
-                        431, _json_bytes({"error": "too many header lines"})
-                    )
+                    return _error_bytes(431, "too many header lines"), False
         except TimeoutError:
             return None
+        if "transfer-encoding" in headers:
+            return _error_bytes(501, "Transfer-Encoding is not supported"), False
+        if len(lengths) > 1:
+            return _error_bytes(400, "conflicting Content-Length headers"), False
+        keep_open = version == "HTTP/1.1" and "close" not in {
+            token.strip() for token in headers.get("connection", "").lower().split(",")
+        }
         body = b""
         try:
             length = _non_negative(
                 headers.get("content-length") or "0", "Content-Length", int
             )
             if length > MAX_BODY_BYTES:
-                return _response_bytes(413, _json_bytes({"error": "body too large"}))
+                return _error_bytes(413, "body too large"), False
             if length:
                 body = await reader.readexactly(length)
             self._requests.inc()
@@ -314,11 +374,13 @@ class ReproServer:
             query = {
                 key: values[-1] for key, values in parse_qs(url.query).items()
             }
-            return await self._route(method, url.path, query, body)
+            payload, content_type = await self._route(method, url.path, query, body)
         except _HttpError as exc:
-            return _response_bytes(
-                exc.status, _json_bytes({"error": str(exc)})
-            )
+            return _error_bytes(exc.status, str(exc)), False
+        response = _response_bytes(
+            200, payload, content_type=content_type, close=not keep_open
+        )
+        return response, keep_open
 
     # -- routing ---------------------------------------------------------------
 
@@ -328,23 +390,23 @@ class ReproServer:
         path: str,
         query: dict[str, str],
         body: bytes,
-    ) -> bytes:
+    ) -> tuple[bytes, str]:
+        """The 200 answer's body and content type; errors raise."""
         if path == "/healthz" and method == "GET":
-            return _response_bytes(200, _json_bytes(self._health()))
+            return _json_bytes(self._health()), _JSON
         if path == "/metrics" and method == "GET":
-            return _response_bytes(
-                200,
+            return (
                 to_prometheus(self.registry).encode("utf-8"),
-                content_type="text/plain; version=0.0.4",
+                "text/plain; version=0.0.4",
             )
         if path == "/jobs" and method == "POST":
-            return self._submit(body)
+            return self._submit(body), _JSON
         if path == "/jobs" and method == "GET":
-            return _response_bytes(200, _json_bytes({"jobs": self.queue.list_jobs()}))
+            return _json_bytes({"jobs": self.queue.list_jobs()}), _JSON
         if path.startswith("/jobs/"):
             if method != "GET":
                 raise _HttpError(405, f"{method} not supported on job resources")
-            return await self._job_status(path[len("/jobs/"):], query)
+            return await self._job_status(path[len("/jobs/"):], query), _JSON
         raise _HttpError(404, f"no route for {method} {path}")
 
     def _health(self) -> dict[str, Any]:
@@ -371,7 +433,7 @@ class ReproServer:
             job = self.queue.submit(spec)
         except ReproError as exc:
             raise _HttpError(503, str(exc))
-        return _response_bytes(200, _json_bytes(self._job_document(job)))
+        return _json_bytes(self._job_document(job))
 
     def _job_document(self, job: Job) -> dict[str, Any]:
         document = job.summary()
@@ -399,5 +461,5 @@ class ReproServer:
             # Only beats the client has not seen, capped so a long-idle
             # client cannot request an unbounded payload.
             document["heartbeats"] = job.beats[max(requested, cursor - 32):cursor]
-            return _response_bytes(200, _json_bytes(document))
-        return _response_bytes(200, _json_bytes(self._job_document(job)))
+            return _json_bytes(document)
+        return _json_bytes(self._job_document(job))

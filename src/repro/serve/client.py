@@ -9,10 +9,14 @@
                          "grid": [{"rate_ai_bps": 1e9}]})
     final = client.wait(job["job_id"], on_heartbeat=print)
     print(final["result"]["points"])
+    client.close()
 
-One :class:`http.client.HTTPConnection` per request (the server closes
-connections after each response), so the client is trivially
-thread-safe per instance-per-thread.
+Each instance keeps one persistent :class:`http.client.HTTPConnection`
+and sends its requests over it in turn, so use one instance per thread.
+It reconnects when the daemon answers ``Connection: close``, and retries
+a request once on a fresh connection when a *reused* one fails before
+any response byte (the daemon drops a connection idle for longer than
+its ``HEAD_TIMEOUT_S``).  :meth:`ServeClient.close` closes it.
 """
 
 from __future__ import annotations
@@ -42,36 +46,57 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
+        self._connection: Optional[http.client.HTTPConnection] = None
+
+    def close(self) -> None:
+        """Close the connection; the next request opens a new one."""
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
 
     # -- plumbing --------------------------------------------------------------
 
     def _request(
         self, method: str, path: str, payload: Optional[dict[str, Any]] = None
     ) -> Any:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        reused = self._connection is not None
+        if self._connection is None:
+            self._connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
+            self._connection.request(method, path, body=body, headers=headers)
+            response = self._connection.getresponse()
+        except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+            self.close()
+            if not reused:
+                raise
+            return self._request(method, path, payload)  # on a new connection
+        except BaseException:
+            self.close()
+            raise
+        try:
             raw = response.read()
-            if response.status != 200:
-                try:
-                    message = json.loads(raw).get("error", raw.decode("utf-8", "replace"))
-                except (json.JSONDecodeError, AttributeError):
-                    message = raw.decode("utf-8", "replace")
-                raise ServeError(response.status, message)
-            content_type = response.getheader("Content-Type", "")
-            if content_type.startswith("application/json"):
-                return json.loads(raw)
-            return raw.decode("utf-8")
-        finally:
-            connection.close()
+        except BaseException:
+            self.close()
+            raise
+        if response.will_close:
+            self.close()
+        if response.status != 200:
+            try:
+                message = json.loads(raw).get("error", raw.decode("utf-8", "replace"))
+            except (json.JSONDecodeError, AttributeError):
+                message = raw.decode("utf-8", "replace")
+            raise ServeError(response.status, message)
+        content_type = response.getheader("Content-Type", "")
+        if content_type.startswith("application/json"):
+            return json.loads(raw)
+        return raw.decode("utf-8")
 
     # -- API -------------------------------------------------------------------
 

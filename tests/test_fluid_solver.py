@@ -1,6 +1,7 @@
 """The columnar fluid solver: oracle equivalence, determinism, and
 population management (arrivals, departures, compaction)."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -469,9 +470,12 @@ def _state_digest(solver, run, series=None):
     return digest.hexdigest()
 
 
-def _closed_loop_cell(kernel, n_ports=12, flows_per_port=64):
+def _closed_loop_cell(kernel, n_ports=12, flows_per_port=64, *, seed=15, config=None):
     solver = ColumnarFluidSolver(
-        n_bottlenecks=n_ports, seed=15, capacity_hint=n_ports * flows_per_port
+        n_bottlenecks=n_ports,
+        seed=seed,
+        config=config,
+        capacity_hint=n_ports * flows_per_port,
     )
     dist = websearch()
     solver.add_flows(
@@ -546,6 +550,71 @@ class TestGoldenDigests:
         assert _state_digest(
             *_open_loop_mixed(capacity=[100e9, 40e9, 25e9, 10e9])
         ) == "e4c607b250d63e3c888f6da030c69133fb79caeeaa3756712175a423904c715f"
+
+
+@functools.lru_cache(maxsize=None)
+def _fig10_cell_fcts(kernel, dt_ps):
+    """Mean, p50 and p99 FCT (µs) of the ledger's Fig. 10 cell: 12
+    bottlenecks x 64 WebSearch flows, closed loop to 2,000 completions,
+    seed 1."""
+    _, run = _closed_loop_cell(kernel, seed=1, config=SolverConfig(dt_ps=dt_ps))
+    return {
+        "mean": float(run.fcts_us.mean()),
+        "p50": float(np.percentile(run.fcts_us, 50)),
+        "p99": float(np.percentile(run.fcts_us, 99)),
+    }
+
+
+class TestStepConvergence:
+    """Halving the default step (5 µs) moves each kernel's FCT statistics
+    on the Fig. 10 cell by less than a written band.  Measured at dt vs
+    dt/2 when the bands were set: ideal 879.10 vs 878.21 / 217.38 vs
+    216.69 / 7696.91 vs 7696.91 µs (mean / p50 / p99), DCTCP +1.5% /
+    +1.1% / +1.3%, DCQCN p50 66.45 vs 64.15 and p99 44020 vs 44554 µs.
+
+    - ideal, 1%: the kernel is exact at any dt except that a respawned
+      flow starts mid-step and carries at most one dt;
+    - DCTCP, 2.5%: marking is decided once a step, and 5 µs is close to
+      the 6 µs base RTT, so the queue's excursions above K are resolved
+      coarsely; halving dt moves all three statistics by ~1.5%;
+    - DCQCN p50, 5%: the median flow lives ~65 µs, about one 50 µs cut
+      period, so the step's quantisation of its line-rate start and
+      first cut is a visible share of it (+3.6%);
+    - DCQCN p99, 2.5%: the tail is the largest WebSearch flows, whose
+      FCT is their size over a long-run share of the bottleneck, which
+      the step hardly moves (-1.2%).
+
+    DCQCN's mean is not converged, and not monotone in dt (1828.70 µs at
+    1.25 µs; 1857 / 1991 / 1918 µs at 5 / 2.5 / 1.25 µs with seed 2), so
+    it is pinned as a strict xfail: a fix that converges it must say so.
+    """
+
+    @pytest.mark.parametrize(
+        "kernel, stat, band",
+        [
+            ("ideal", "mean", 0.01),
+            ("ideal", "p50", 0.01),
+            ("ideal", "p99", 0.01),
+            ("dctcp", "mean", 0.025),
+            ("dctcp", "p50", 0.025),
+            ("dctcp", "p99", 0.025),
+            ("dcqcn", "p50", 0.05),
+            ("dcqcn", "p99", 0.025),
+            pytest.param(
+                "dcqcn", "mean", 0.025,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="DCQCN mean FCT 1616.56 µs at dt 5 µs vs 1887.42 µs "
+                    "at 2.5 µs (-14.4%): not converged at the default step",
+                ),
+            ),
+        ],
+    )
+    def test_halving_dt_stays_in_band(self, kernel, stat, band):
+        dt_ps = SolverConfig().dt_ps
+        coarse = _fig10_cell_fcts(kernel, dt_ps)[stat]
+        fine = _fig10_cell_fcts(kernel, dt_ps // 2)[stat]
+        assert abs(coarse / fine - 1.0) <= band, (coarse, fine)
 
 
 def _assert_rows_equal(a, rows_a, b, rows_b, skip=()):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import socket
 import threading
 import time
@@ -571,3 +572,113 @@ class TestBoundedRequestHead:
             start = time.monotonic()
             assert sock.recv(65536) == b""
             assert time.monotonic() - start < 5.0
+
+
+def _read_response(sock) -> tuple[int, dict[str, str], bytes]:
+    """Read exactly one response off ``sock``, framed by its
+    ``Content-Length``; returns the status, the headers and the body."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-head after {data!r}"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines)
+    }
+    while len(body) < int(headers["content-length"]):
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    return int(status_line.split()[1]), headers, body
+
+
+def _connections_opened(client) -> float:
+    samples = {name: value for name, _, value in parse_prometheus_text(client.metrics())}
+    return samples["repro_serve_http_connections_total"]
+
+
+class TestKeepAlive:
+    """One connection carries many requests; the daemon closes it only
+    after an error, an HTTP/1.0 request, ``Connection: close``, a body it
+    cannot frame, or an idle spell of ``HEAD_TIMEOUT_S``."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        server = ReproServer(port=0, workers=1, cache_dir=tmp_path / "cache")
+        server.start_background()
+        yield server
+        server.close()
+
+    def test_two_requests_on_one_socket(self, server):
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            for _ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                status, headers, body = _read_response(sock)
+                assert status == 200
+                assert "connection" not in headers
+                assert json.loads(body)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", 200),
+            (b"GET /healthz HTTP/1.0\r\n\r\n", 200),
+            (b"GET /nowhere HTTP/1.1\r\n\r\n", 404),
+            (b"DELETE /jobs/job-000001 HTTP/1.1\r\n\r\n", 405),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 400),
+            (b"NONSENSE\r\n\r\n", 400),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n", 413),
+            (
+                b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+                501,
+            ),
+            (
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"Content-Length: 3\r\n\r\n{}",
+                400,
+            ),
+        ],
+    )
+    def test_close_rules(self, server, raw, status):
+        # The socket timeout is well under HEAD_TIMEOUT_S: EOF here is
+        # the daemon's decision, not its idle timeout.
+        with socket.create_connection((server.host, server.port), timeout=2) as sock:
+            sock.sendall(raw)
+            got, headers, _ = _read_response(sock)
+            assert got == status
+            assert headers["connection"] == "close"
+            assert sock.recv(65536) == b""
+
+    def test_idle_client_reconnects(self, server, monkeypatch):
+        monkeypatch.setattr(serve_app, "HEAD_TIMEOUT_S", 0.5)
+        client = ServeClient(server.host, server.port)
+        assert client.health()["ok"] is True
+        time.sleep(1.0)  # the daemon drops the idle connection
+        assert client.health()["ok"] is True
+        assert _connections_opened(client) == 2
+        client.close()
+
+    def test_one_client_is_one_connection(self, server):
+        observer = ServeClient(server.host, server.port)
+        before = _connections_opened(observer)
+        client = ServeClient(server.host, server.port)
+        for _ in range(10):
+            client.health()
+        assert _connections_opened(observer) - before == 1
+        client.close()
+        observer.close()
+
+    def test_close_with_an_idle_connection_open(self, tmp_path, caplog):
+        server = ReproServer(port=0, workers=1, cache_dir=tmp_path / "cache")
+        server.start_background()
+        client = ServeClient(server.host, server.port)
+        assert client.health()["ok"] is True
+        start = time.monotonic()
+        server.close()
+        assert time.monotonic() - start < 2.0
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        client.close()
