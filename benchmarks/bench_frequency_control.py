@@ -40,7 +40,7 @@ def _ack_burst(cp, tester, n=32):
         info = make_info(make_ack(data, i + 1), 0)
         cp.sim.at(cp.sim.now + i * spacing, tester.nic.receive, info, tester.nic.port)
     cp.run(duration_ps=200 * US)
-    return tester.nic.bram.conflicts
+    return tester.read_counters()["fpga.rmw_conflicts"]
 
 
 def ingress_ablation(disable_rx_timer):

@@ -9,8 +9,10 @@ contract of Table 3:
   checking is on, by snapshotting the slow block around the call) —
   simple dual-port BRAM ownership;
 * every invocation charges the algorithm's HLS cycle cost against the
-  flow's BRAM RMW window, so read-write conflicts surface exactly as the
-  Section 5.3 analysis predicts.
+  flow's BRAM RMW window (``FlowState.rmw_end_ps``): an invocation that
+  starts before the same flow's previous one completes would lose that
+  write (Section 5.3's read-write conflict), so it is counted, or raised
+  in strict mode.  Distinct flows never conflict (the BRAM is pipelined).
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
 )
-from repro.errors import CCModuleError
-from repro.fpga.bram import FlowBram
+from repro.errors import CCModuleError, RMWConflictError
 from repro.fpga.clock import cycles_to_ps
+from repro.fpga.flow import FlowState
 from repro.fpga.hls import algorithm_cycles
 
 #: Each dataclass field of the customized block occupies one 32-bit word
@@ -52,17 +54,18 @@ class CCModuleRuntime:
     def __init__(
         self,
         algorithm: CCAlgorithm,
-        bram: FlowBram,
         *,
         check_contracts: bool = False,
+        strict_bram: bool = False,
     ) -> None:
         algorithm.validate()
         self.algorithm = algorithm
-        self.bram = bram
         self.check_contracts = check_contracts
+        self.strict_bram = strict_bram
         self.cycles = algorithm_cycles(algorithm)
         self.rmw_duration_ps = cycles_to_ps(self.cycles)
         self.invocations = 0
+        self.conflicts = 0
         self._validate_cust_layout()
 
     def _validate_cust_layout(self) -> None:
@@ -74,16 +77,23 @@ class CCModuleRuntime:
                 f"exceeding the {CUST_VAR_BYTES} B budget (Table 3)"
             )
 
-    def invoke(
-        self, flow_id: int, intr: IntrinsicInput, cust: Any, slow: Any
-    ) -> IntrinsicOutput:
-        """Run one fast-path invocation, charging the RMW window."""
-        self.bram.begin_rmw(flow_id, intr.tstamp, self.rmw_duration_ps)
+    def invoke(self, flow: FlowState, intr: IntrinsicInput) -> IntrinsicOutput:
+        """Run one fast-path invocation, charging the flow's RMW window."""
+        now = intr.tstamp
+        if now < flow.rmw_end_ps:
+            self.conflicts += 1
+            if self.strict_bram:
+                raise RMWConflictError(
+                    f"read-write conflict on flow {flow.flow_id}: RMW at {now} ps "
+                    f"overlaps one completing at {flow.rmw_end_ps} ps"
+                )
+        flow.rmw_end_ps = now + self.rmw_duration_ps
         self.invocations += 1
+        slow = flow.slow
         if not self.check_contracts or slow is None:
-            return self.algorithm.on_event(intr, cust, slow)
+            return self.algorithm.on_event(intr, flow.cust, slow)
         before = copy.deepcopy(slow)
-        out = self.algorithm.on_event(intr, cust, slow)
+        out = self.algorithm.on_event(intr, flow.cust, slow)
         if slow != before:
             raise CCModuleError(
                 f"{self.algorithm.name}: fast path wrote slow-path variables "

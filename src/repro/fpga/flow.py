@@ -3,18 +3,23 @@
 One :class:`FlowState` aggregates the three ownership domains of
 Section 5.1: intrinsic transport state (``una``/``nxt``, owned by the
 framework/scheduler), the CC module's 64 B customized block (``cust``),
-and the slow-path block (``slow``).
+and the slow-path block (``slow``).  It is the flow's only record on the
+NIC: its RMW window, slow-path occupancy and timers are fields too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
+from repro.sim.engine import EventHandle
 from repro.units import SECOND, wire_bits
 
+#: Timer slots per flow: ``TIMER_RTO``, ``TIMER_ALG_A``, ``TIMER_ALG_B``.
+N_TIMERS = 3
 
-@dataclass
+
+@dataclass(slots=True)
 class FlowState:
     """Sender-side state for one test flow."""
 
@@ -53,6 +58,12 @@ class FlowState:
     #: so the scheduler's per-emit gap is one division,
     #: ``pace_num / rate_bps`` (see repro.net.datapath for the scheme).
     pace_num: int = 0
+    #: Completion time (ps) of the in-flight CC-module RMW (0: none yet).
+    rmw_end_ps: int = 0
+    #: Completion time (ps) of the last slow-path run (-1: none yet).
+    slow_end_ps: int = -1
+    #: Event Generator handles by timer id; ``None`` until the first arm.
+    timers: Optional[list[Optional[EventHandle]]] = None
 
     def __post_init__(self) -> None:
         self.pace_num = wire_bits(self.frame_bytes) * SECOND

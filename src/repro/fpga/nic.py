@@ -9,10 +9,10 @@ Datapath for one INFO packet (Step A of Figure 4):
    (Section 5.3, ingress direction);
 3. the framework advances ``una`` and detects flow completion;
 4. the CC algorithm module runs under the Table 3 contract, charging its
-   HLS cycle cost against the flow's BRAM RMW window;
+   HLS cycle cost against the flow's BRAM record (its ``FlowState``);
 5. outputs are applied: window/rate update (clamped), retransmissions to
-   the priority FIFO, go-back-N rewinds, timer arms, slow-path events,
-   log records;
+   the priority FIFO, go-back-N rewinds, timer arms (the Event Generator),
+   slow-path events, log records;
 6. if the flow has become sendable and lacks a scheduling event, one is
    enqueued — reactivating the flow (Section 5.2).
 
@@ -34,13 +34,11 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
 )
-from repro.errors import ConfigError
-from repro.fpga.bram import FlowBram
+from repro.errors import CCModuleError, ConfigError, SimulationError
 from repro.fpga.cc_module import CCModuleRuntime
 from repro.fpga.clock import cycles_to_ps
-from repro.fpga.event_generator import EventGenerator
 from repro.fpga.fifos import Fifo
-from repro.fpga.flow import FlowState
+from repro.fpga.flow import N_TIMERS, FlowState
 from repro.fpga.logger import QdmaLogger
 from repro.fpga.parser import InfoParser, ReceptionEvent
 from repro.fpga.scheduler import PortScheduler, RESCHEDULE_LOOP_CYCLES
@@ -124,9 +122,8 @@ class FpgaNic(Device):
             cfg.n_test_ports,
             cfg.port_rate_bps,
         )
-        self.bram = FlowBram(strict=cfg.strict_bram)
         self.cc_runtime = CCModuleRuntime(
-            algorithm, self.bram, check_contracts=cfg.check_contracts
+            algorithm, check_contracts=cfg.check_contracts, strict_bram=cfg.strict_bram
         )
         #: Section 5.3 safety analysis for this algorithm/MTU combination.
         self.frequency_warnings = self.frequency.validate(self.cc_runtime.cycles)
@@ -164,7 +161,6 @@ class FpgaNic(Device):
             for i in range(cfg.n_test_ports)
         ]
 
-        self.event_generator = EventGenerator(sim, self._on_timeout)
         self.logger = QdmaLogger()
         self.slow_path = SlowPathExecutor(
             sim, cycles=cfg.slow_path_cycles, on_rate_update=self._on_slow_rate_update
@@ -178,8 +174,8 @@ class FpgaNic(Device):
 
         self.infos_processed = 0
         self.infos_for_unknown_flows = 0
+        self.timeouts_fired = 0
         self.rmw_stalls = 0
-        self.rx_timer_bypassed = cfg.disable_rx_timer
         #: Hot-path aliases of per-packet config flags (the config is
         #: frozen after deploy; reading ``self.config.x`` per INFO costs
         #: two attribute lookups each).
@@ -229,7 +225,6 @@ class FpgaNic(Device):
             slow=self.algorithm.initial_slow(),
         )
         self.flows[flow_id] = flow
-        self.bram.write(flow_id, flow)
         when = self.sim.now if start_at_ps is None else start_at_ps
         self.sim.at(when, self._activate_flow, flow)
         return flow
@@ -251,7 +246,7 @@ class FpgaNic(Device):
         if flow is None or flow.finished:
             return
         flow.finished = True
-        self.event_generator.forget_flow(flow_id)
+        self._forget_timers(flow)
         self.schedulers[flow.port_index].recheck(flow)
 
     def on_complete(self, callback: Callable[[FlowState], None]) -> None:
@@ -313,7 +308,8 @@ class FpgaNic(Device):
             # flight, the pipeline stalls until it completes (Section 5.3's
             # "packets will have to wait ... causing a drop in throughput";
             # frequency control exists to make this never happen).
-            busy_until = self.bram.busy_until(head.flow_id)
+            head_flow = self.flows.get(head.flow_id)
+            busy_until = 0 if head_flow is None else head_flow.rmw_end_ps
             if busy_until > now:
                 self.rmw_stalls += 1
                 self._drain_pending[index] = True
@@ -356,13 +352,13 @@ class FpgaNic(Device):
             tstamp=self.sim.now,
             int_path=event.int_path,
         )
-        out = self.cc_runtime.invoke(flow.flow_id, intr, flow.cust, flow.slow)
+        out = self.cc_runtime.invoke(flow, intr)
         self._apply_output(flow, out)
         self._maybe_activate(flow)
 
-    def _on_timeout(self, flow_id: int, timer_id: int) -> None:
-        flow = self.flows.get(flow_id)
-        if flow is None or flow.finished or not flow.started:
+    def _on_timeout(self, flow: FlowState, timer_id: int) -> None:
+        self.timeouts_fired += 1
+        if flow.finished or not flow.started:
             return
         intr = IntrinsicInput(
             evt_type=EventType.TIMEOUT,
@@ -375,13 +371,12 @@ class FpgaNic(Device):
             tstamp=self.sim.now,
             timer_id=timer_id,
         )
-        out = self.cc_runtime.invoke(flow.flow_id, intr, flow.cust, flow.slow)
+        out = self.cc_runtime.invoke(flow, intr)
         self._apply_output(flow, out)
         self._maybe_activate(flow)
 
-    def _on_slow_rate_update(self, flow_id: int, value: float) -> None:
-        flow = self.flows.get(flow_id)
-        if flow is not None and not flow.finished:
+    def _on_slow_rate_update(self, flow: FlowState, value: float) -> None:
+        if not flow.finished:
             flow.cwnd_or_rate = self._clamp(value)
             self.schedulers[flow.port_index].recheck(flow)
 
@@ -399,7 +394,7 @@ class FpgaNic(Device):
             prb_rtt=-1,
             tstamp=self.sim.now,
         )
-        out = self.cc_runtime.invoke(flow.flow_id, intr, flow.cust, flow.slow)
+        out = self.cc_runtime.invoke(flow, intr)
         self._apply_output(flow, out)
 
     def _apply_output(self, flow: FlowState, out: IntrinsicOutput) -> None:
@@ -424,17 +419,50 @@ class FpgaNic(Device):
         if out.rtx_psn >= 0:
             self.schedulers[flow.port_index].enqueue_rtx(flow, out.rtx_psn)
         for timer_id, duration_ps in out.rst_timers:
-            self.event_generator.arm(flow.flow_id, timer_id, duration_ps)
+            self.arm_timer(flow, timer_id, duration_ps)
         for timer_id in out.stop_timers:
-            self.event_generator.cancel(flow.flow_id, timer_id)
+            self.cancel_timer(flow, timer_id)
         for slow_event in out.slow_path_events:
-            self.slow_path.submit(
-                self.algorithm, flow.flow_id, slow_event, flow.cust, flow.slow
-            )
+            self.slow_path.submit(self.algorithm, flow, slow_event)
             if self._trace_cc and flow.slow is not None:
                 self._trace_slow_later(flow)
         for record in out.log_content:
             self.logger.log(self.sim.now, f"flow{flow.flow_id}.user", **record)
+
+    # -- Event Generator (Figure 4): per-flow one-shot timers -------------------
+
+    def arm_timer(self, flow: FlowState, timer_id: int, duration_ps: int) -> None:
+        """(Re)arm one of the flow's timers to fire ``duration_ps`` from now;
+        restarting an armed timer moves its deadline."""
+        if duration_ps <= 0:
+            raise SimulationError(f"timer duration must be positive, got {duration_ps}")
+        if not 0 <= timer_id < N_TIMERS:
+            raise CCModuleError(f"timer id {timer_id} is not 0, 1 or 2")
+        if flow.timers is None:
+            flow.timers = [None] * N_TIMERS
+        handle = flow.timers[timer_id]
+        when = self.sim.now + duration_ps
+        if handle is None:
+            flow.timers[timer_id] = self.sim.schedule_handle(
+                when, self._on_timeout, flow, timer_id
+            )
+        else:
+            self.sim.rearm(handle, when)
+
+    def cancel_timer(self, flow: FlowState, timer_id: int) -> None:
+        """Disarm one of the flow's timers (a no-op if it is not armed)."""
+        if not 0 <= timer_id < N_TIMERS:
+            raise CCModuleError(f"timer id {timer_id} is not 0, 1 or 2")
+        if flow.timers is not None and flow.timers[timer_id] is not None:
+            flow.timers[timer_id].cancel()
+
+    def _forget_timers(self, flow: FlowState) -> None:
+        """Cancel and release all timers of a finished or stopped flow."""
+        if flow.timers is not None:
+            for handle in flow.timers:
+                if handle is not None:
+                    handle.cancel()
+            flow.timers = None
 
     def _trace_slow_later(self, flow: FlowState) -> None:
         def log_slow() -> None:
@@ -468,7 +496,7 @@ class FpgaNic(Device):
     def _finish_flow(self, flow: FlowState) -> None:
         flow.finished = True
         flow.finish_ps = self.sim.now
-        self.event_generator.forget_flow(flow.flow_id)
+        self._forget_timers(flow)
         self.schedulers[flow.port_index].recheck(flow)
         self.completed_flows.append(flow)
         for callback in self.completion_callbacks:
@@ -496,9 +524,9 @@ class FpgaNic(Device):
             "infos_processed": self.infos_processed,
             "infos_unknown_flow": self.infos_for_unknown_flows,
             "rx_fifo_drops": sum(f.stats.dropped for f in self.rx_fifos),
-            "rmw_conflicts": self.bram.conflicts,
+            "rmw_conflicts": self.cc_runtime.conflicts,
             "rmw_stalls": self.rmw_stalls,
-            "timeouts_fired": self.event_generator.timeouts_fired,
+            "timeouts_fired": self.timeouts_fired,
             "slow_path_events": self.slow_path.events_processed,
             "slow_path_overruns": self.slow_path.overruns,
             "sche_emitted": sum(s.sche_emitted for s in self.schedulers),

@@ -18,6 +18,7 @@ from typing import Any, Callable, Optional
 
 from repro.cc.base import CCAlgorithm
 from repro.fpga.clock import cycles_to_ps
+from repro.fpga.flow import FlowState
 from repro.sim.engine import Simulator
 
 #: Default slow-path execution budget: "hundreds of clock cycles" per
@@ -33,44 +34,26 @@ class SlowPathExecutor:
         sim: Simulator,
         *,
         cycles: int = DEFAULT_SLOW_PATH_CYCLES,
-        on_rate_update: Optional[Callable[[int, float], None]] = None,
+        on_rate_update: Optional[Callable[[FlowState, float], None]] = None,
     ) -> None:
         self.sim = sim
         self.latency_ps = cycles_to_ps(cycles)
-        #: Callback ``(flow_id, new_cwnd_or_rate)`` when a slow-path run
+        #: Callback ``(flow, new_cwnd_or_rate)`` when a slow-path run
         #: returns a window/rate update.
         self.on_rate_update = on_rate_update
         self.events_processed = 0
         self.overruns = 0
-        self._busy_until: dict[int, int] = {}
 
-    def submit(
-        self,
-        algorithm: CCAlgorithm,
-        flow_id: int,
-        event: Any,
-        cust: Any,
-        slow: Any,
-    ) -> None:
-        """Queue one slow-path event for ``flow_id``."""
+    def submit(self, algorithm: CCAlgorithm, flow: FlowState, event: Any) -> None:
+        """Queue one slow-path event for ``flow``."""
         now = self.sim.now
-        busy_until = self._busy_until.get(flow_id, -1)
-        if now < busy_until:
+        if now < flow.slow_end_ps:
             self.overruns += 1
-        start = max(now, busy_until)
-        finish = start + self.latency_ps
-        self._busy_until[flow_id] = finish
-        self.sim.at(finish, self._execute, algorithm, flow_id, event, cust, slow)
+        flow.slow_end_ps = max(now, flow.slow_end_ps) + self.latency_ps
+        self.sim.at(flow.slow_end_ps, self._execute, algorithm, flow, event)
 
-    def _execute(
-        self,
-        algorithm: CCAlgorithm,
-        flow_id: int,
-        event: Any,
-        cust: Any,
-        slow: Any,
-    ) -> None:
-        result = algorithm.slow_path(event, cust, slow)
+    def _execute(self, algorithm: CCAlgorithm, flow: FlowState, event: Any) -> None:
+        result = algorithm.slow_path(event, flow.cust, flow.slow)
         self.events_processed += 1
         if result is not None and self.on_rate_update is not None:
-            self.on_rate_update(flow_id, result)
+            self.on_rate_update(flow, result)

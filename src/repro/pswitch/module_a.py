@@ -17,7 +17,8 @@ ACK packets by truncation.  Two receiver behaviours are supported:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.net.packet import Packet
 from repro.pswitch.packets import make_ack, make_cnp
@@ -29,13 +30,14 @@ class ReceiverMode(enum.Enum):
     ROCE = "roce"
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiverFlowState:
     """Per-flow receiver registers."""
 
     expected_psn: int = 0
-    #: Buffered out-of-order PSNs (TCP mode only).
-    ooo: set[int] = field(default_factory=set)
+    #: Buffered out-of-order PSNs (TCP mode only); created on the first
+    #: out-of-order arrival, since most flows never reorder.
+    ooo: Optional[set[int]] = None
     #: Last CNP emission time (RoCE mode), ps.
     last_cnp_ps: int = -(1 << 62)
     #: Gap already NACKed (avoid NACK storms while the hole persists).
@@ -92,11 +94,13 @@ class ReceiverLogic:
     ) -> list[Packet]:
         if data.psn == state.expected_psn:
             state.expected_psn += 1
-            while state.expected_psn in state.ooo:
+            while state.ooo and state.expected_psn in state.ooo:
                 state.ooo.discard(state.expected_psn)
                 state.expected_psn += 1
             state.nacked_expected = -1
         elif data.psn > state.expected_psn:
+            if state.ooo is None:
+                state.ooo = set()
             if len(state.ooo) < self.ooo_capacity:
                 state.ooo.add(data.psn)
             else:

@@ -41,6 +41,8 @@ class ResultCache:
     a hit on an entry stored longer ago than the TTL deletes it and
     reports a miss, so the campaign is recomputed fresh.  Every removal
     either way increments :attr:`evictions`.
+    ``len()`` is a kept count -- listed at construction, then followed
+    through this instance's stores, removals and prunes -- not a scan.
     """
 
     def __init__(
@@ -61,18 +63,20 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._entries = sum(1 for _ in self.cache_dir.glob("*/*.json"))
 
     def _path(self, key: str) -> Path:
         return self.cache_dir / key[:2] / f"{key}.json"
 
     def _evict(self, path: Path) -> None:
         """Remove one entry file, tolerating concurrent removal."""
-        try:
-            path.unlink()
-        except OSError:
-            return
         with self._lock:
+            try:
+                path.unlink()
+            except OSError:
+                return
             self.evictions += 1
+            self._entries -= 1
 
     def get(self, key: str) -> Optional[dict[str, Any]]:
         """The cached entry for ``key``, or ``None``.  Counts hit/miss."""
@@ -113,11 +117,13 @@ class ResultCache:
         if self.max_entries is None:
             return
         entries = []
-        for path in self.cache_dir.glob("*/*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue  # concurrently removed
+        with self._lock:
+            for path in self.cache_dir.glob("*/*.json"):
+                try:
+                    entries.append((path.stat().st_mtime, path))
+                except OSError:
+                    continue  # concurrently removed
+            self._entries = len(entries)
         excess = len(entries) - self.max_entries
         if excess <= 0:
             return
@@ -155,7 +161,11 @@ class ResultCache:
             with os.fdopen(fd, "w") as handle:
                 json.dump(entry, handle, indent=1, default=str)
                 handle.write("\n")
-            os.replace(tmp, path)
+            with self._lock:
+                existed = path.exists()
+                os.replace(tmp, path)
+                if not existed:
+                    self._entries += 1
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -166,9 +176,7 @@ class ResultCache:
         return path
 
     def __len__(self) -> int:
-        if not self.cache_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*/*.json"))
+        return self._entries
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -176,5 +184,5 @@ class ResultCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "entries": len(self),
+                "entries": self._entries,
             }

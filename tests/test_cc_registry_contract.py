@@ -7,8 +7,17 @@ import pytest
 from repro import cc
 from repro.cc.base import CCAlgorithm, CCMode, IntrinsicOutput, OpCounts
 from repro.errors import CCModuleError, ConfigError
-from repro.fpga.bram import FlowBram
 from repro.fpga.cc_module import CCModuleRuntime, cust_block_bytes
+from repro.fpga.flow import FlowState
+
+
+def flow_record(alg, flow_id=1):
+    """A flow's BRAM record holding ``alg``'s initial CC state."""
+    return FlowState(
+        flow_id=flow_id, port_index=0, src_addr=1, dst_addr=2,
+        size_packets=10, frame_bytes=1024, cwnd_or_rate=1.0,
+        cust=alg.initial_cust(), slow=alg.initial_slow(),
+    )
 
 
 class TestRegistry:
@@ -81,7 +90,7 @@ class TestTable3Contract:
                 return Huge()
 
         with pytest.raises(CCModuleError):
-            CCModuleRuntime(HugeCC(), FlowBram())
+            CCModuleRuntime(HugeCC())
 
     def test_fast_path_may_not_write_slow_vars(self):
         """Simple dual-port BRAM ownership (Section 5.1)."""
@@ -93,7 +102,7 @@ class TestTable3Contract:
                 slow.alpha = 0.123  # illegal write
                 return IntrinsicOutput()
 
-        runtime = CCModuleRuntime(BadCC(), FlowBram(), check_contracts=True)
+        runtime = CCModuleRuntime(BadCC(), check_contracts=True)
         alg = runtime.algorithm
         intr = cc.IntrinsicInput(
             evt_type=cc.EventType.RX,
@@ -106,10 +115,10 @@ class TestTable3Contract:
             tstamp=0,
         )
         with pytest.raises(CCModuleError):
-            runtime.invoke(1, intr, alg.initial_cust(), alg.initial_slow())
+            runtime.invoke(flow_record(alg), intr)
 
     def test_legal_fast_path_passes_contract_check(self):
-        runtime = CCModuleRuntime(cc.Dctcp(), FlowBram(), check_contracts=True)
+        runtime = CCModuleRuntime(cc.Dctcp(), check_contracts=True)
         intr = cc.IntrinsicInput(
             evt_type=cc.EventType.RX,
             psn=1,
@@ -120,8 +129,7 @@ class TestTable3Contract:
             prb_rtt=-1,
             tstamp=0,
         )
-        alg = runtime.algorithm
-        out = runtime.invoke(1, intr, alg.initial_cust(), alg.initial_slow())
+        out = runtime.invoke(flow_record(runtime.algorithm), intr)
         assert out.cwnd_or_rate is not None
 
     def test_validate_rejects_nameless(self):
@@ -139,8 +147,7 @@ class TestTable3Contract:
             NoName().validate()
 
     def test_runtime_counts_invocations_and_charges_rmw(self):
-        bram = FlowBram()
-        runtime = CCModuleRuntime(cc.Reno(), bram)
+        runtime = CCModuleRuntime(cc.Reno())
         intr = cc.IntrinsicInput(
             evt_type=cc.EventType.RX,
             psn=1,
@@ -151,9 +158,10 @@ class TestTable3Contract:
             prb_rtt=-1,
             tstamp=0,
         )
-        runtime.invoke(1, intr, runtime.algorithm.initial_cust(), None)
+        flow = flow_record(runtime.algorithm)
+        runtime.invoke(flow, intr)
         assert runtime.invocations == 1
-        assert bram.rmw_operations == 1
+        assert flow.rmw_end_ps == runtime.rmw_duration_ps
 
     def test_ops_declared_for_builtins(self):
         for name in cc.available():

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc import Cubic, Dcqcn, Dctcp, OpCounts, Reno
+from repro.cc import Cubic, Dcqcn, Dctcp, EventType, Flags, IntrinsicInput, OpCounts, Reno
 from repro.errors import CCModuleError, RMWConflictError, ResourceExceededError
-from repro.fpga.bram import FlowBram
+from repro.fpga.cc_module import CCModuleRuntime
 from repro.fpga.clock import cycles_to_ps, ps_to_cycles
 from repro.fpga.fifos import Fifo
+from repro.fpga.flow import FlowState
 from repro.fpga.hls import algorithm_cycles, estimate_cycles
 from repro.fpga.logger import (
     MAX_VALUES_PER_RECORD,
@@ -85,36 +86,53 @@ class TestFifo:
 
 
 class TestFlowBram:
-    def test_storage(self):
-        bram = FlowBram()
-        bram.write(1, "state")
-        assert bram.read(1) == "state"
-        assert 1 in bram
-        bram.delete(1)
-        assert bram.read(1) is None
+    """Section 5.3 RMW windows, charged by the CC module runtime against
+    each flow's BRAM record (``FlowState.rmw_end_ps``)."""
+
+    @staticmethod
+    def runtime(**kwargs):
+        return CCModuleRuntime(Reno(), **kwargs)
+
+    @staticmethod
+    def flow(flow_id=1):
+        alg = Reno()
+        return FlowState(
+            flow_id=flow_id, port_index=0, src_addr=1, dst_addr=2,
+            size_packets=10, frame_bytes=1024, cwnd_or_rate=1.0,
+            cust=alg.initial_cust(), slow=alg.initial_slow(),
+        )
+
+    @staticmethod
+    def rx_at(tstamp_ps):
+        return IntrinsicInput(
+            evt_type=EventType.RX, psn=1, cwnd_or_rate=1.0, una=1, nxt=1,
+            flags=Flags(ack=True), prb_rtt=-1, tstamp=tstamp_ps,
+        )
 
     def test_non_overlapping_rmw_ok(self):
-        bram = FlowBram()
-        assert not bram.begin_rmw(1, 0, 100)
-        assert not bram.begin_rmw(1, 100, 100)
-        assert bram.conflicts == 0
+        runtime, flow = self.runtime(), self.flow()
+        runtime.invoke(flow, self.rx_at(0))
+        runtime.invoke(flow, self.rx_at(runtime.rmw_duration_ps))
+        assert runtime.conflicts == 0
+        assert flow.rmw_end_ps == 2 * runtime.rmw_duration_ps
 
     def test_overlapping_rmw_conflicts(self):
-        bram = FlowBram()
-        bram.begin_rmw(1, 0, 100)
-        assert bram.begin_rmw(1, 50, 100)
-        assert bram.conflicts == 1
+        runtime, flow = self.runtime(), self.flow()
+        runtime.invoke(flow, self.rx_at(0))
+        runtime.invoke(flow, self.rx_at(runtime.rmw_duration_ps - 1))
+        assert runtime.conflicts == 1
 
     def test_different_flows_never_conflict(self):
-        bram = FlowBram()
-        bram.begin_rmw(1, 0, 100)
-        assert not bram.begin_rmw(2, 10, 100)
+        runtime = self.runtime()
+        runtime.invoke(self.flow(1), self.rx_at(0))
+        runtime.invoke(self.flow(2), self.rx_at(1))
+        assert runtime.conflicts == 0
 
     def test_strict_mode_raises(self):
-        bram = FlowBram(strict=True)
-        bram.begin_rmw(1, 0, 100)
+        runtime, flow = self.runtime(strict_bram=True), self.flow()
+        runtime.invoke(flow, self.rx_at(0))
         with pytest.raises(RMWConflictError):
-            bram.begin_rmw(1, 50, 100)
+            runtime.invoke(flow, self.rx_at(1))
 
 
 class TestHlsModel:

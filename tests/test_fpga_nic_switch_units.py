@@ -3,14 +3,15 @@ the event generator and slow-path executor."""
 
 import gc
 import time
+from dataclasses import dataclass, field
 
 import pytest
 
 from repro.cc import Cubic, Dcqcn, Dctcp, Reno
 from repro.cc.base import EventType, IntrinsicOutput
 from repro.cc.dctcp import AlphaUpdateEvent
-from repro.errors import ConfigError
-from repro.fpga.event_generator import EventGenerator
+from repro.errors import CCModuleError, ConfigError, SimulationError
+from repro.fpga.flow import FlowState
 from repro.fpga.nic import FpgaNic, FpgaNicConfig
 from repro.fpga.slow_path import SlowPathExecutor
 from repro.net.link import Link
@@ -22,52 +23,93 @@ from repro.sim import Simulator
 from repro.units import MICROSECOND, MS, US, serialization_time_ps, wire_bits
 
 
+@dataclass
+class TimerLog:
+    #: ``(timer_id, fire_ps)`` of every TIMEOUT this flow's CC saw.
+    fired: list = field(default_factory=list)
+
+
+class TimerProbe(Reno):
+    """Arms nothing itself and logs each TIMEOUT in the flow's own
+    customized block, so the log says which flow fired."""
+
+    name = "test-timer-probe"
+
+    def initial_cust(self):
+        return TimerLog()
+
+    def on_flow_start(self, cust, slow, now_ps):
+        return IntrinsicOutput()
+
+    def on_event(self, intr, cust, slow):
+        if intr.evt_type == EventType.TIMEOUT:
+            cust.fired.append((intr.timer_id, intr.tstamp))
+        return IntrinsicOutput()
+
+
+def timer_nic(n_flows=1):
+    """A NIC running ``TimerProbe`` with ``n_flows`` flows started at 0."""
+    sim = Simulator()
+    nic = FpgaNic(sim, TimerProbe(), FpgaNicConfig(n_test_ports=2))
+    Link(nic.port, Sink(sim, "sink").add_port(), delay_ps=0)
+    flows = [
+        nic.start_flow(port_index=0, src_addr=1, dst_addr=2, size_packets=10)
+        for _ in range(n_flows)
+    ]
+    return sim, nic, flows
+
+
 class TestEventGenerator:
+    """Figure 4's Event Generator: the NIC's per-flow timers, held on the
+    flow record and fed to the CC module as TIMEOUT events."""
+
     def test_fires_and_dispatches(self):
-        sim = Simulator()
-        fired = []
-        gen = EventGenerator(sim, lambda f, t: fired.append((f, t, sim.now)))
-        gen.arm(1, 0, 500)
+        sim, nic, (flow,) = timer_nic()
+        nic.arm_timer(flow, 0, 500)
         sim.run(until_ps=1000)
-        assert fired == [(1, 0, 500)]
+        assert flow.cust.fired == [(0, 500)]
+        assert nic.read_counters()["timeouts_fired"] == 1
 
     def test_rearm_extends(self):
-        sim = Simulator()
-        fired = []
-        gen = EventGenerator(sim, lambda f, t: fired.append(sim.now))
-        gen.arm(1, 0, 500)
-        sim.at(300, gen.arm, 1, 0, 500)
+        sim, nic, (flow,) = timer_nic()
+        nic.arm_timer(flow, 0, 500)
+        sim.at(300, nic.arm_timer, flow, 0, 500)
         sim.run(until_ps=2000)
-        assert fired == [800]
+        assert flow.cust.fired == [(0, 800)]
 
     def test_cancel(self):
-        sim = Simulator()
-        fired = []
-        gen = EventGenerator(sim, lambda f, t: fired.append(1))
-        gen.arm(1, 0, 500)
-        gen.cancel(1, 0)
+        sim, nic, (flow,) = timer_nic()
+        nic.arm_timer(flow, 0, 500)
+        nic.cancel_timer(flow, 0)
         sim.run(until_ps=2000)
-        assert fired == []
+        assert flow.cust.fired == []
+        assert nic.timeouts_fired == 0
 
     def test_per_timer_independence(self):
-        sim = Simulator()
-        fired = []
-        gen = EventGenerator(sim, lambda f, t: fired.append(t))
-        gen.arm(1, 0, 100)
-        gen.arm(1, 1, 200)
+        sim, nic, (flow,) = timer_nic()
+        nic.arm_timer(flow, 0, 100)
+        nic.arm_timer(flow, 1, 200)
         sim.run(until_ps=300)
-        assert fired == [0, 1]
+        assert flow.cust.fired == [(0, 100), (1, 200)]
+
+    def test_bad_timer_rejected(self):
+        sim, nic, (flow,) = timer_nic()
+        with pytest.raises(SimulationError):
+            nic.arm_timer(flow, 0, 0)
+        with pytest.raises(CCModuleError):
+            nic.arm_timer(flow, 3, 100)
+        with pytest.raises(CCModuleError):
+            nic.cancel_timer(flow, -1)
 
     def test_forget_flow(self):
-        sim = Simulator()
-        fired = []
-        gen = EventGenerator(sim, lambda f, t: fired.append(f))
-        gen.arm(1, 0, 100)
-        gen.arm(2, 0, 100)
-        gen.forget_flow(1)
+        sim, nic, (first, second) = timer_nic(2)
+        nic.arm_timer(first, 0, 100)
+        nic.arm_timer(second, 0, 100)
+        nic.stop_flow(first.flow_id)
+        assert first.timers is None
         sim.run(until_ps=300)
-        assert fired == [2]
-        assert not gen.armed(1, 0)
+        assert first.cust.fired == []
+        assert second.cust.fired == [(0, 100)]
 
     def test_forget_flow_cost_does_not_grow_with_armed_timers(self):
         """Teardown touches only the finished flow's timers: its per-call
@@ -75,10 +117,10 @@ class TestEventGenerator:
         1,000 flows (a scan of every armed timer made it ~78x)."""
 
         def per_call_s(n_flows: int) -> float:
-            gen = EventGenerator(Simulator(), lambda f, t: None)
-            for flow in range(n_flows):
+            sim, nic, flows = timer_nic(n_flows)
+            for flow in flows:
                 for timer_id in range(3):
-                    gen.arm(flow, timer_id, 1_000_000 + timer_id)
+                    nic.arm_timer(flow, timer_id, 1_000_000 + timer_id)
             # 4 x 100 releases: 1,200 dead entries stay under the
             # compaction trigger (half the heap) even at 1,000 flows.
             # The collector is paused so the 200k-object heap of the
@@ -89,12 +131,12 @@ class TestEventGenerator:
             try:
                 for first in range(0, 400, 100):
                     start = time.perf_counter()
-                    for flow in range(first, first + 100):
-                        gen.forget_flow(flow)
+                    for flow in flows[first:first + 100]:
+                        nic.stop_flow(flow.flow_id)
                     chunks.append((time.perf_counter() - start) / 100)
             finally:
                 gc.enable()
-            assert not gen.armed(0, 0) and gen.armed(400, 2)
+            assert flows[0].timers is None and flows[400].timers[2].pending
             return min(chunks)
 
         small = per_call_s(1_000)
@@ -102,16 +144,25 @@ class TestEventGenerator:
         assert large <= 3 * small, (small, large)
 
 
+def slow_flow(alg, flow_id=1):
+    """A flow record holding ``alg``'s initial CC state."""
+    return FlowState(
+        flow_id=flow_id, port_index=0, src_addr=1, dst_addr=2,
+        size_packets=10, frame_bytes=1024, cwnd_or_rate=1.0,
+        cust=alg.initial_cust(), slow=alg.initial_slow(),
+    )
+
+
 class TestSlowPathExecutor:
     def test_executes_with_latency(self):
         sim = Simulator()
         executor = SlowPathExecutor(sim, cycles=100)
         alg = Dctcp()
-        slow = alg.initial_slow()
-        executor.submit(alg, 1, AlphaUpdateEvent(acked=10, marked=10), None, slow)
-        assert slow.alpha == 1.0  # not yet
+        flow = slow_flow(alg)
+        executor.submit(alg, flow, AlphaUpdateEvent(acked=10, marked=10))
+        assert flow.slow.alpha == 1.0  # not yet
         sim.run()
-        assert slow.alpha < 1.0 or slow.alpha == pytest.approx(1.0)
+        assert flow.slow.alpha < 1.0 or flow.slow.alpha == pytest.approx(1.0)
         assert executor.events_processed == 1
         assert sim.now == executor.latency_ps
 
@@ -119,17 +170,17 @@ class TestSlowPathExecutor:
         sim = Simulator()
         executor = SlowPathExecutor(sim, cycles=1000)
         alg = Dctcp()
-        slow = alg.initial_slow()
-        executor.submit(alg, 1, AlphaUpdateEvent(acked=1, marked=0), None, slow)
-        executor.submit(alg, 1, AlphaUpdateEvent(acked=1, marked=0), None, slow)
+        flow = slow_flow(alg)
+        executor.submit(alg, flow, AlphaUpdateEvent(acked=1, marked=0))
+        executor.submit(alg, flow, AlphaUpdateEvent(acked=1, marked=0))
         assert executor.overruns == 1
 
     def test_distinct_flows_no_overrun(self):
         sim = Simulator()
         executor = SlowPathExecutor(sim, cycles=1000)
         alg = Dctcp()
-        executor.submit(alg, 1, AlphaUpdateEvent(acked=1, marked=0), None, alg.initial_slow())
-        executor.submit(alg, 2, AlphaUpdateEvent(acked=1, marked=0), None, alg.initial_slow())
+        executor.submit(alg, slow_flow(alg, 1), AlphaUpdateEvent(acked=1, marked=0))
+        executor.submit(alg, slow_flow(alg, 2), AlphaUpdateEvent(acked=1, marked=0))
         assert executor.overruns == 0
 
     def test_rate_update_callback(self):
@@ -143,9 +194,10 @@ class TestSlowPathExecutor:
                 return 42.0
 
         executor = SlowPathExecutor(
-            sim, cycles=10, on_rate_update=lambda f, v: seen.append((f, v))
+            sim, cycles=10, on_rate_update=lambda f, v: seen.append((f.flow_id, v))
         )
-        executor.submit(SlowCC(), 3, "ev", None, None)
+        alg = SlowCC()
+        executor.submit(alg, slow_flow(alg, 3), "ev")
         sim.run()
         assert seen == [(3, 42.0)]
 
@@ -282,7 +334,7 @@ class TestFpgaNicUnit:
     def test_busy_rmw_stalls_drain(self):
         sim, nic, flow = self.started()
         now = sim.now
-        nic.bram.begin_rmw(flow.flow_id, now, 5000)
+        flow.rmw_end_ps = now + 5000  # an RMW in flight until now + 5 ns
         nic.receive(self.info_acking(flow, 1), nic.port)
         assert nic.infos_processed == 0
         assert nic.rmw_stalls == 1

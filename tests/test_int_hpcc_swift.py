@@ -254,7 +254,7 @@ class TestIntegration:
         ]
         assert jain_index(rates) > 0.95
         assert sum(rates) >= 0.85 * 100 * GBPS
-        assert tester.nic.bram.conflicts == 0
+        assert tester.read_counters()["fpga.rmw_conflicts"] == 0
 
     def test_hpcc_keeps_queue_short(self):
         """HPCC's selling point: near-zero standing queues.  With a

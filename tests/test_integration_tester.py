@@ -213,7 +213,7 @@ class TestSection53Ablations:
         cp, tester = deploy(TestConfig(cc_algorithm="dctcp", n_test_ports=2))
         cp.start_flows(size_packets=3000, pattern="pairs")
         cp.run(duration_ps=5 * MS)
-        assert tester.nic.bram.conflicts == 0
+        assert tester.read_counters()["fpga.rmw_conflicts"] == 0
 
     @staticmethod
     def _ack_burst(cp, tester, n=16):
@@ -241,13 +241,13 @@ class TestSection53Ablations:
             TestConfig(cc_algorithm="dctcp", n_test_ports=2, disable_rx_timer=True)
         )
         self._ack_burst(cp, tester)
-        assert tester.nic.bram.conflicts > 0
+        assert tester.read_counters()["fpga.rmw_conflicts"] > 0
 
     def test_rx_timer_absorbs_same_burst(self):
         """The identical burst is harmless once the RX timer paces it."""
         cp, tester = deploy(TestConfig(cc_algorithm="dctcp", n_test_ports=2))
         self._ack_burst(cp, tester)
-        assert tester.nic.bram.conflicts == 0
+        assert tester.read_counters()["fpga.rmw_conflicts"] == 0
 
     def test_tx_pacing_prevents_queue_overflow(self):
         """Challenge 1: the switch's register queues never overflow when

@@ -201,6 +201,36 @@ class TestResultCacheEviction:
         assert len(cache) == 5
         assert cache.evictions == 0
 
+    def test_entry_count_reads_no_listing(self, tmp_path, monkeypatch):
+        """``len()`` / ``stats()`` are a kept count, not a directory scan:
+        they stay right across a store, an overwrite, a TTL eviction and a
+        prune while ``Path.glob`` raises during every read."""
+        import time
+        from pathlib import Path
+
+        ResultCache(tmp_path / "cache").put(self._key(9), {}, {"points": []})
+        cache = ResultCache(tmp_path / "cache", max_entries=3, ttl_s=0.2)
+
+        def entries():
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "glob", lambda *a, **k: 1 / 0)
+                assert cache.stats()["entries"] == len(cache)
+                return len(cache)
+
+        assert entries() == 1                     # counted at construction
+        cache.put(self._key(0), {}, {"points": [0]})
+        assert entries() == 2
+        cache.put(self._key(0), {}, {"points": [0, 0]})
+        assert entries() == 2                     # overwrite: same entry
+        time.sleep(0.25)
+        assert cache.get(self._key(0)) is None    # TTL eviction
+        assert entries() == 1
+        for i in range(1, 5):
+            cache.put(self._key(i), {}, {"points": [i]})
+            time.sleep(0.02)
+        assert entries() == 3                     # pruned to max_entries
+        assert cache.evictions == 3
+
     def test_limit_validation(self, tmp_path):
         with pytest.raises(ValueError):
             ResultCache(tmp_path / "cache", max_entries=0)
