@@ -21,7 +21,6 @@ class FpgaTesterModel:
     cards_per_server: int = 4
     port_rate_bps: int = RATE_100G
     clock_hz: int = FPGA_CLOCK_HZ
-    card_cost_usd: int = 5_341
 
     @property
     def max_throughput_bps(self) -> int:
@@ -38,7 +37,3 @@ class FpgaTesterModel:
     def frequency_ok(self, frame_bytes: int) -> bool:
         """Clock supports per-port line rate for this frame size."""
         return self.max_pps_per_port >= line_rate_pps(frame_bytes, self.port_rate_bps)
-
-    @property
-    def server_cost_usd(self) -> int:
-        return self.cards_per_server * self.card_cost_usd

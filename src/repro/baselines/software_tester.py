@@ -43,10 +43,6 @@ class SoftwareTesterModel:
         nic_limited = float(self.nic_ports * self.nic_port_rate_bps)
         return min(cpu_limited, nic_limited)
 
-    def pps_required_for(self, rate_bps: float, frame_bytes: int) -> float:
-        """Packet rate needed to generate ``rate_bps`` at a frame size."""
-        return rate_bps / wire_bits(frame_bytes)
-
     def meets_rate(self, rate_bps: float, frame_bytes: int) -> bool:
         return self.max_throughput_bps(frame_bytes) >= rate_bps
 

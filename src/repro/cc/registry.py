@@ -36,14 +36,18 @@ def register(cls: Type[CCAlgorithm]) -> Type[CCAlgorithm]:
 
 
 def create(name: str, **params: Any) -> CCAlgorithm:
-    """Instantiate a registered algorithm with constructor parameters."""
+    """Instantiate a registered algorithm with constructor parameters;
+    parameters its constructor refuses raise :class:`ConfigError`."""
     try:
         cls = _REGISTRY[name]
     except KeyError:
         raise ConfigError(
             f"unknown CC algorithm {name!r}; registered: {sorted(_REGISTRY)}"
         ) from None
-    algorithm = cls(**params)
+    try:
+        algorithm = cls(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name!r} rejects parameters {params!r}: {exc}") from None
     algorithm.validate()
     return algorithm
 

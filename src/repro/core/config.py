@@ -99,3 +99,10 @@ class TestConfig:
             )
         if self.port_rate_bps <= 0:
             raise ConfigError(f"port rate must be positive, got {self.port_rate_bps}")
+        if self.queue_capacity < 1:
+            raise ConfigError(
+                f"queue_capacity must be >= 1, got {self.queue_capacity}"
+            )
+        for name in ("pipeline_latency_ps", "cnp_interval_ps", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")

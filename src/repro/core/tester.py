@@ -20,14 +20,15 @@ from repro.cc.registry import create as create_cc
 from repro.core.config import TestConfig
 from repro.errors import ConfigError
 from repro.fpga.flow import FlowState
-from repro.fpga.nic import FpgaNic, FpgaNicConfig
+from repro.fpga.nic import FpgaNic
 from repro.measure.fct import FctCollector
 from repro.measure.throughput import ThroughputSampler
 from repro.net.device import Port
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.pswitch.module_a import ReceiverMode
-from repro.pswitch.switch import MarlinSwitch, MarlinSwitchConfig
+from repro.pswitch.port_allocation import allocate_ports
+from repro.pswitch.switch import MarlinSwitch
 from repro.sim.engine import Simulator
 from repro.units import NANOSECOND
 
@@ -56,39 +57,28 @@ class MarlinTester:
             if algorithm is not None
             else create_cc(cfg.cc_algorithm, **cfg.cc_params)
         )
+        # The values both devices derive from the config, resolved once.
+        allocation = allocate_ports(
+            cfg.template_bytes,
+            port_rate_bps=cfg.port_rate_bps,
+            requested_test_ports=cfg.n_test_ports,
+            receiver_logic_on_fpga=cfg.receiver_logic_on_fpga,
+        )
         receiver_mode = self._resolve_receiver_mode()
 
         self.switch = MarlinSwitch(
             sim,
-            MarlinSwitchConfig(
-                template_bytes=cfg.template_bytes,
-                n_test_ports=cfg.n_test_ports,
-                port_rate_bps=cfg.port_rate_bps,
-                queue_capacity=cfg.queue_capacity,
-                strict_queues=cfg.strict,
-                pipeline_latency_ps=cfg.pipeline_latency_ps,
-                receiver_mode=receiver_mode,
-                cnp_interval_ps=cfg.cnp_interval_ps,
-                int_enabled=cfg.int_enabled,
-                receiver_on_fpga=cfg.receiver_logic_on_fpga,
-            ),
+            cfg,
+            allocation=allocation,
+            receiver_mode=receiver_mode,
             name=f"{name}-switch",
         )
         self.nic = FpgaNic(
             sim,
             self.algorithm,
-            FpgaNicConfig(
-                template_bytes=cfg.template_bytes,
-                n_test_ports=self.switch.n_test_ports,
-                port_rate_bps=cfg.port_rate_bps,
-                trace_cc=cfg.trace_cc,
-                strict_bram=cfg.strict,
-                disable_rx_timer=cfg.disable_rx_timer,
-                receiver_on_fpga=cfg.receiver_logic_on_fpga,
-                fpga_receiver_mode=receiver_mode,
-                cnp_interval_ps=cfg.cnp_interval_ps,
-                sample_rtt=cfg.sample_rtt,
-            ),
+            cfg,
+            n_test_ports=allocation.test_ports,
+            receiver_mode=receiver_mode,
             name=f"{name}-nic",
         )
         self.internal_link = Link(

@@ -15,7 +15,7 @@ from repro.fpga.hls import estimate_cycles
 from repro.fpga.timers import FrequencyControl
 from repro.fpga.logger import QdmaLogger
 from repro.fpga.resources import ResourceReport, estimate_resources
-from repro.fpga.nic import FlowState, FpgaNic, FpgaNicConfig
+from repro.fpga.nic import FlowState, FpgaNic
 
 __all__ = [
     "cycles_to_ps",
@@ -29,5 +29,4 @@ __all__ = [
     "estimate_resources",
     "FlowState",
     "FpgaNic",
-    "FpgaNicConfig",
 ]

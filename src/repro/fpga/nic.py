@@ -23,8 +23,7 @@ acts as the MUX and enforces the 64 B line rate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import (
     CCAlgorithm,
@@ -49,38 +48,15 @@ from repro.net.packet import Packet
 from repro.pswitch.module_a import ReceiverLogic, ReceiverMode
 from repro.pswitch.packets import PTYPE_RDATA, make_sche
 from repro.sim.engine import Simulator
-from repro.units import RATE_100G, ROCE_MTU_BYTES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an fpga<->core cycle)
+    from repro.core.config import TestConfig
 
 
-@dataclass
-class FpgaNicConfig:
-    """Static NIC configuration deployed by the control plane."""
-
-    template_bytes: int = ROCE_MTU_BYTES
-    n_test_ports: int = 12
-    port_rate_bps: int = RATE_100G
-    rx_fifo_capacity: int = 8192
-    sched_fifo_capacity: int = 1 << 16
-    #: Record every window/rate change to the QDMA logger.
-    trace_cc: bool = False
-    #: Raise on BRAM RMW conflicts instead of counting them.
-    strict_bram: bool = False
-    #: Verify the Table 3 contract on every invocation (slower; tests).
-    check_contracts: bool = False
-    #: Ablation: bypass RX timers and process INFO on arrival, exposing
-    #: the Section 5.3 read-write conflicts.
-    disable_rx_timer: bool = False
-    slow_path_cycles: int = 200
-    #: Record probed RTT samples (bounded) for latency analysis.
-    sample_rtt: bool = False
-    #: Cap on retained RTT samples (oldest dropped beyond this).
-    rtt_sample_capacity: int = 100_000
-    #: Figure 2 dashed path: run receiver logic here, fed by truncated
-    #: DATA (RDATA) over a dedicated second port.
-    receiver_on_fpga: bool = False
-    #: Receiver behaviour when hosted on the FPGA (None: TCP).
-    fpga_receiver_mode: Optional["ReceiverMode"] = None
-    cnp_interval_ps: int = 50_000_000
+#: RX FIFO depth per test port (reception events).
+RX_FIFO_CAPACITY = 8192
+#: Cap on retained RTT samples (oldest dropped beyond this).
+RTT_SAMPLE_CAPACITY = 100_000
 
 
 class FpgaNic(Device):
@@ -94,37 +70,33 @@ class FpgaNic(Device):
         self,
         sim: Simulator,
         algorithm: CCAlgorithm,
-        config: Optional[FpgaNicConfig] = None,
+        config: TestConfig,
         *,
+        n_test_ports: int,
+        receiver_mode: ReceiverMode,
         name: str = "fpga-nic",
     ) -> None:
+        """Deploy ``config``; ``n_test_ports`` and ``receiver_mode`` are
+        the values the control plane resolved from it."""
         super().__init__(sim, name)
-        self.config = config if config is not None else FpgaNicConfig()
-        cfg = self.config
+        self.config = config
+        self.n_test_ports = n_test_ports
         self.algorithm = algorithm
-        self.port: Port = self.add_port(rate_bps=cfg.port_rate_bps)
-        #: Second port + receiver logic for the Figure 2 dashed path.
+        self.port: Port = self.add_port(rate_bps=config.port_rate_bps)
+        #: Second port + receiver logic for the Figure 2 dashed path, fed
+        #: by truncated DATA (RDATA).
         self.receiver_port: Optional[Port] = None
         self.fpga_receiver: Optional[ReceiverLogic] = None
-        if cfg.receiver_on_fpga:
-            self.receiver_port = self.add_port(rate_bps=cfg.port_rate_bps)
-            mode = (
-                cfg.fpga_receiver_mode
-                if cfg.fpga_receiver_mode is not None
-                else ReceiverMode.TCP
-            )
+        if config.receiver_logic_on_fpga:
+            self.receiver_port = self.add_port(rate_bps=config.port_rate_bps)
             self.fpga_receiver = ReceiverLogic(
-                mode, cnp_interval_ps=cfg.cnp_interval_ps
+                receiver_mode, cnp_interval_ps=config.cnp_interval_ps
             )
 
         self.frequency = FrequencyControl(
-            cfg.template_bytes,
-            cfg.n_test_ports,
-            cfg.port_rate_bps,
+            config.template_bytes, n_test_ports, config.port_rate_bps
         )
-        self.cc_runtime = CCModuleRuntime(
-            algorithm, check_contracts=cfg.check_contracts, strict_bram=cfg.strict_bram
-        )
+        self.cc_runtime = CCModuleRuntime(algorithm, strict_bram=config.strict)
         #: Section 5.3 safety analysis for this algorithm/MTU combination.
         self.frequency_warnings = self.frequency.validate(self.cc_runtime.cycles)
         if cycles_to_ps(RESCHEDULE_LOOP_CYCLES) > self.frequency.tx_interval_ps:
@@ -135,10 +107,10 @@ class FpgaNic(Device):
 
         self.parser = InfoParser()
         self.rx_fifos: list[Fifo[ReceptionEvent]] = [
-            Fifo(cfg.rx_fifo_capacity, name=f"rx{i}") for i in range(cfg.n_test_ports)
+            Fifo(RX_FIFO_CAPACITY, name=f"rx{i}") for i in range(n_test_ports)
         ]
-        self._drain_pending = [False] * cfg.n_test_ports
-        self._next_drain_ps = [0] * cfg.n_test_ports
+        self._drain_pending = [False] * n_test_ports
+        self._next_drain_ps = [0] * n_test_ports
 
         tx_interval = self.frequency.tx_interval_ps
         # Section 8: CC modules whose RMW latency exceeds the per-packet
@@ -154,17 +126,14 @@ class FpgaNic(Device):
                 algorithm.mode,
                 self._emit_sche,
                 on_bytes_sent=self._on_bytes_sent,
-                fifo_capacity=cfg.sched_fifo_capacity,
-                phase_ps=i * tx_interval // max(cfg.n_test_ports, 1),
+                phase_ps=i * tx_interval // max(n_test_ports, 1),
                 min_flow_spacing_ps=min_spacing,
             )
-            for i in range(cfg.n_test_ports)
+            for i in range(n_test_ports)
         ]
 
         self.logger = QdmaLogger()
-        self.slow_path = SlowPathExecutor(
-            sim, cycles=cfg.slow_path_cycles, on_rate_update=self._on_slow_rate_update
-        )
+        self.slow_path = SlowPathExecutor(sim, on_rate_update=self._on_slow_rate_update)
         self._byte_threshold = algorithm.byte_counter_bytes()
 
         self.flows: dict[int, FlowState] = {}
@@ -179,14 +148,12 @@ class FpgaNic(Device):
         #: Hot-path aliases of per-packet config flags (the config is
         #: frozen after deploy; reading ``self.config.x`` per INFO costs
         #: two attribute lookups each).
-        self._rx_bypass = cfg.disable_rx_timer
-        self._sample_rtt = cfg.sample_rtt
-        self._trace_cc = cfg.trace_cc
+        self._rx_bypass = config.disable_rx_timer
+        self._sample_rtt = config.sample_rtt
+        self._trace_cc = config.trace_cc
         self._rx_interval_ps = self.frequency.rx_interval_ps
         #: (flow_id, rtt_ps) samples when ``sample_rtt`` is enabled.
-        self.rtt_samples: deque[tuple[int, int]] = deque(
-            maxlen=cfg.rtt_sample_capacity
-        )
+        self.rtt_samples: deque[tuple[int, int]] = deque(maxlen=RTT_SAMPLE_CAPACITY)
 
     # -- flow management --------------------------------------------------------
 
@@ -201,10 +168,9 @@ class FpgaNic(Device):
         start_at_ps: Optional[int] = None,
     ) -> FlowState:
         """Create a flow and schedule its first transmission."""
-        if not 0 <= port_index < self.config.n_test_ports:
+        if not 0 <= port_index < self.n_test_ports:
             raise ConfigError(
-                f"port_index {port_index} out of range "
-                f"[0, {self.config.n_test_ports})"
+                f"port_index {port_index} out of range [0, {self.n_test_ports})"
             )
         if size_packets <= 0:
             raise ConfigError(f"flow size must be positive, got {size_packets}")

@@ -23,7 +23,7 @@ from repro.pswitch.packets import (
 from repro.pswitch.registers import RegisterArray, RegisterQueue
 from repro.pswitch.pipeline import PipelineModel, PipelineUsage
 from repro.pswitch.port_allocation import PortAllocation, allocate_ports
-from repro.pswitch.switch import MarlinSwitch, MarlinSwitchConfig, ReceiverMode
+from repro.pswitch.switch import MarlinSwitch, ReceiverMode
 
 __all__ = [
     "make_ack",
@@ -44,6 +44,5 @@ __all__ = [
     "PortAllocation",
     "allocate_ports",
     "MarlinSwitch",
-    "MarlinSwitchConfig",
     "ReceiverMode",
 ]

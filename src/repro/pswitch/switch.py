@@ -20,8 +20,7 @@ the far port, with no event spent waiting out the pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigError
 from repro.net.device import Device, Port
@@ -35,37 +34,11 @@ from repro.pswitch.packets import (
     PTYPE_SCHE,
     make_rdata,
 )
-from repro.pswitch.port_allocation import PortAllocation, allocate_ports
+from repro.pswitch.port_allocation import PortAllocation
 from repro.sim.engine import Simulator
-from repro.units import MICROSECOND, NANOSECOND, RATE_100G, ROCE_MTU_BYTES
 
-
-@dataclass
-class MarlinSwitchConfig:
-    """Static configuration deployed by the control plane."""
-
-    #: Template (DATA) frame size; controls the amplification factor.
-    template_bytes: int = ROCE_MTU_BYTES
-    #: Test ports to instantiate; None uses the Section 4.3 optimum.
-    n_test_ports: Optional[int] = None
-    port_rate_bps: int = RATE_100G
-    #: Register-queue depth per egress port.
-    queue_capacity: int = 128
-    #: Raise on register-queue overflow instead of silently dropping.
-    strict_queues: bool = False
-    #: Tofino-class ingress-to-egress transit time.
-    pipeline_latency_ps: int = 400 * NANOSECOND
-    receiver_mode: ReceiverMode = ReceiverMode.TCP
-    #: Minimum spacing of CNPs per flow (RoCE mode).
-    cnp_interval_ps: int = 50 * MICROSECOND
-    #: Receiver reorder-buffer entries per flow (TCP mode).
-    ooo_capacity: int = 4096
-    #: Request in-band telemetry on generated DATA (HPCC-style CC).
-    int_enabled: bool = False
-    #: Figure 2 dashed path: truncate received DATA to 64 B and forward
-    #: it to the FPGA for receiver logic (costs one extra port on both
-    #: devices, Section 4.1).
-    receiver_on_fpga: bool = False
+if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a pswitch<->core cycle)
+    from repro.core.config import TestConfig
 
 
 class MarlinSwitch(Device):
@@ -74,45 +47,43 @@ class MarlinSwitch(Device):
     def __init__(
         self,
         sim: Simulator,
-        config: Optional[MarlinSwitchConfig] = None,
+        config: TestConfig,
         *,
+        allocation: PortAllocation,
+        receiver_mode: ReceiverMode,
         name: str = "marlin-switch",
     ) -> None:
+        """Deploy ``config``; ``allocation`` and ``receiver_mode`` are the
+        values the control plane resolved from it (port count, receiver
+        behaviour)."""
         super().__init__(sim, name)
-        self.config = config if config is not None else MarlinSwitchConfig()
-        cfg = self.config
-        self.rx_latency_ps = cfg.pipeline_latency_ps
-        self.allocation: PortAllocation = allocate_ports(
-            cfg.template_bytes,
-            port_rate_bps=cfg.port_rate_bps,
-            requested_test_ports=cfg.n_test_ports,
-            receiver_logic_on_fpga=cfg.receiver_on_fpga,
-        )
+        self.config = config
+        self.rx_latency_ps = config.pipeline_latency_ps
+        self.allocation = allocation
+        rate_bps = config.port_rate_bps
         self.test_ports: list[Port] = [
-            self.add_port(rate_bps=cfg.port_rate_bps)
-            for _ in range(self.allocation.test_ports)
+            self.add_port(rate_bps=rate_bps) for _ in range(allocation.test_ports)
         ]
-        self.fpga_port: Port = self.add_port(rate_bps=cfg.port_rate_bps)
+        self.fpga_port: Port = self.add_port(rate_bps=rate_bps)
         #: Extra FPGA-facing port carrying RDATA out / ACKs back when
-        #: receiver logic runs on the FPGA.
+        #: receiver logic runs on the FPGA (Figure 2 dashed path: received
+        #: DATA is truncated to 64 B and forwarded there).
         self.receiver_port: Optional[Port] = (
-            self.add_port(rate_bps=cfg.port_rate_bps)
-            if cfg.receiver_on_fpga
+            self.add_port(rate_bps=rate_bps)
+            if config.receiver_logic_on_fpga
             else None
         )
 
         self.data_generator = DataGenerator(
             sim,
             self.test_ports,
-            template_bytes=cfg.template_bytes,
-            queue_capacity=cfg.queue_capacity,
-            strict_queues=cfg.strict_queues,
-            int_enabled=cfg.int_enabled,
+            template_bytes=config.template_bytes,
+            queue_capacity=config.queue_capacity,
+            strict_queues=config.strict,
+            int_enabled=config.int_enabled,
         )
         self.receiver = ReceiverLogic(
-            cfg.receiver_mode,
-            ooo_capacity=cfg.ooo_capacity,
-            cnp_interval_ps=cfg.cnp_interval_ps,
+            receiver_mode, cnp_interval_ps=config.cnp_interval_ps
         )
         self.info_generator = InfoGenerator()
         self.unknown_packets = 0

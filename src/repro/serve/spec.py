@@ -193,11 +193,8 @@ def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
         # name or value is a 400 / exit 2, not a failed pool task.
         try:
             cc.create(algorithm, **entry)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"'grid' entry {index} ({entry!r}) is not a valid "
-                f"{algorithm!r} parameter set: {exc}"
-            ) from None
+        except ConfigError as exc:
+            raise ConfigError(f"'grid' entry {index}: {exc}") from None
     config["n_senders"] = _as_int(merged["n_senders"], "n_senders", minimum=2)
     duration_ms = _as_number(merged["duration_ms"], "duration_ms")
     _require(duration_ms > 0, "'duration_ms' must be positive")

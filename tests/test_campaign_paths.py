@@ -8,6 +8,8 @@ import multiprocessing.process
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.config import TestConfig
+from repro.errors import ConfigError
 from repro.parallel import CampaignRunner
 from repro.serve import ReproServer, parse_spec
 
@@ -219,7 +221,13 @@ class TestRejectedBeforeAnyWorker:
 
     @pytest.mark.parametrize(
         "content,names",
-        [(None, "No such file"), ("{not json", "Expecting"), ("[]", "JSON object")],
+        [
+            (None, "No such file"),
+            ("{not json", "Expecting"),
+            ("[]", "JSON object"),
+            # Parameters the algorithm's constructor refuses.
+            ('{"cc_algorithm": "dcqcn", "cc_params": {"nope": 1}}', "'nope'"),
+        ],
     )
     def test_run_config_file_errors_are_one_line(self, content, names, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -228,6 +236,27 @@ class TestRejectedBeforeAnyWorker:
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro run: ") and names in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("pipeline_latency_ps", -1),
+            ("queue_capacity", 0),
+            ("cnp_interval_ps", -1),
+            ("seed", -1),
+        ],
+    )
+    def test_out_of_range_config_field_is_rejected(self, field, value, tmp_path, capsys):
+        payload = {"n_test_ports": 2, field: value}
+        with pytest.raises(ConfigError, match=field):
+            TestConfig.from_dict(payload)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        argv = ["run", "--config", str(path), "--workload", "websearch"]
+        assert main(argv + ["--duration-ms", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: ") and field in err
         assert len(err.strip().splitlines()) == 1
 
 

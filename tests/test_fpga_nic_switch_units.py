@@ -10,15 +10,19 @@ import pytest
 from repro.cc import Cubic, Dcqcn, Dctcp, Reno
 from repro.cc.base import EventType, IntrinsicOutput
 from repro.cc.dctcp import AlphaUpdateEvent
+from repro.core.config import TestConfig
+from repro.core.tester import MarlinTester
 from repro.errors import CCModuleError, ConfigError, SimulationError
+from repro.fpga.clock import cycles_to_ps
 from repro.fpga.flow import FlowState
-from repro.fpga.nic import FpgaNic, FpgaNicConfig
+from repro.fpga.nic import FpgaNic
 from repro.fpga.slow_path import SlowPathExecutor
 from repro.net.link import Link
 from repro.net.device import Device
 from repro.pswitch.module_a import ReceiverMode
 from repro.pswitch.packets import PTYPE_SCHE, make_data, make_info, make_ack, make_sche
-from repro.pswitch.switch import MarlinSwitch, MarlinSwitchConfig
+from repro.pswitch.port_allocation import allocate_ports
+from repro.pswitch.switch import MarlinSwitch
 from repro.sim import Simulator
 from repro.units import MICROSECOND, MS, US, serialization_time_ps, wire_bits
 
@@ -47,10 +51,18 @@ class TimerProbe(Reno):
         return IntrinsicOutput()
 
 
+def two_port_nic(sim, algorithm):
+    """A 2-port NIC deployed from a default ``TestConfig``."""
+    return FpgaNic(
+        sim, algorithm, TestConfig(n_test_ports=2),
+        n_test_ports=2, receiver_mode=ReceiverMode.TCP,
+    )
+
+
 def timer_nic(n_flows=1):
     """A NIC running ``TimerProbe`` with ``n_flows`` flows started at 0."""
     sim = Simulator()
-    nic = FpgaNic(sim, TimerProbe(), FpgaNicConfig(n_test_ports=2))
+    nic = two_port_nic(sim, TimerProbe())
     Link(nic.port, Sink(sim, "sink").add_port(), delay_ps=0)
     flows = [
         nic.start_flow(port_index=0, src_addr=1, dst_addr=2, size_packets=10)
@@ -212,11 +224,9 @@ class Sink(Device):
 
 
 class TestFpgaNicUnit:
-    def build(self, algorithm=None, **cfg_kwargs):
+    def build(self, algorithm=None):
         sim = Simulator()
-        algorithm = algorithm if algorithm is not None else Reno()
-        cfg = FpgaNicConfig(n_test_ports=2, **cfg_kwargs)
-        nic = FpgaNic(sim, algorithm, cfg)
+        nic = two_port_nic(sim, algorithm if algorithm is not None else Reno())
         sink = Sink(sim, "sink")
         Link(nic.port, sink.add_port(), delay_ps=0)
         return sim, nic, sink
@@ -385,7 +395,8 @@ class TestNicWakesSleepingScheduler:
 
     def build(self, algorithm):
         sim = Simulator()
-        nic = FpgaNic(sim, algorithm, FpgaNicConfig(n_test_ports=2, slow_path_cycles=10))
+        nic = two_port_nic(sim, algorithm)
+        nic.slow_path.latency_ps = cycles_to_ps(10)
         sink = Sink(sim, "sink")
         Link(nic.port, sink.add_port(), delay_ps=0)
         return sim, nic, sink
@@ -450,11 +461,23 @@ class TestNicWakesSleepingScheduler:
         assert self.sche_times(sink, flow) == [6720, 340800, 674880, 1071600]
 
 
+def two_port_switch(sim, receiver_logic_on_fpga=False):
+    """A 2-port TCP-mode switch deployed from a ``TestConfig``."""
+    config = TestConfig(n_test_ports=2, receiver_logic_on_fpga=receiver_logic_on_fpga)
+    allocation = allocate_ports(
+        config.template_bytes,
+        requested_test_ports=2,
+        receiver_logic_on_fpga=receiver_logic_on_fpga,
+    )
+    return MarlinSwitch(
+        sim, config, allocation=allocation, receiver_mode=ReceiverMode.TCP
+    )
+
+
 class TestMarlinSwitchUnit:
-    def build(self, receiver_mode=ReceiverMode.TCP):
+    def build(self):
         sim = Simulator()
-        cfg = MarlinSwitchConfig(n_test_ports=2, receiver_mode=receiver_mode)
-        switch = MarlinSwitch(sim, cfg)
+        switch = two_port_switch(sim)
         fpga_sink = Sink(sim, "fpga")
         Link(switch.fpga_port, fpga_sink.add_port(), delay_ps=0)
         net_sinks = []
@@ -503,8 +526,7 @@ class TestMarlinSwitchUnit:
         after the packet arrives, exactly once per hop; the link carries
         the latency, so a packet sent by a peer port is the probe."""
         sim = Simulator()
-        cfg = MarlinSwitchConfig(n_test_ports=2, receiver_on_fpga=True)
-        switch = MarlinSwitch(sim, cfg)
+        switch = two_port_switch(sim, receiver_logic_on_fpga=True)
         delay = 1_000
         peers = {}
         for port in (switch.fpga_port, switch.receiver_port, *switch.test_ports):
@@ -535,7 +557,7 @@ class TestMarlinSwitchUnit:
         for port, packet, handler in probes:
             peer = peers[port.index]
             arrival = serialization_time_ps(packet.size_bytes, peer.rate_bps) + delay
-            expected.append((handler, arrival + cfg.pipeline_latency_ps))
+            expected.append((handler, arrival + switch.config.pipeline_latency_ps))
             peer.send(packet)
         sim.run(until_ps=1 * MS)
         assert sorted(calls) == sorted(expected)
@@ -557,7 +579,84 @@ class TestMarlinSwitchUnit:
         assert switch.unknown_packets == 1
 
     def test_allocation_uses_paper_optimum(self):
-        sim = Simulator()
-        switch = MarlinSwitch(sim, MarlinSwitchConfig(template_bytes=1024))
+        switch = MarlinTester(Simulator(), TestConfig(template_bytes=1024)).switch
         assert switch.n_test_ports == 12
         assert switch.allocation.data_throughput_bps == 1_200_000_000_000
+
+
+class TestDeployedConfig:
+    """The tester, switch and NIC share one ``TestConfig``: every field
+    that configures a device shows in the built switch / NIC state, and
+    the values derived from it are resolved once for both devices."""
+
+    @staticmethod
+    def deploy(**fields):
+        return MarlinTester(Simulator(), TestConfig(**fields))
+
+    def test_one_config_object(self):
+        tester = self.deploy()
+        assert tester.switch.config is tester.config
+        assert tester.nic.config is tester.config
+
+    def test_queue_capacity(self):
+        tester = self.deploy(n_test_ports=2, queue_capacity=7)
+        assert [q.capacity for q in tester.switch.data_generator.queues] == [7, 7]
+
+    def test_pipeline_latency(self):
+        tester = self.deploy(pipeline_latency_ps=123_000)
+        assert tester.switch.rx_latency_ps == 123_000
+
+    def test_cnp_interval_on_both_receivers(self):
+        tester = self.deploy(
+            cc_algorithm="dcqcn",
+            cnp_interval_ps=7 * MICROSECOND,
+            receiver_logic_on_fpga=True,
+        )
+        assert tester.switch.receiver.cnp_interval_ps == 7 * MICROSECOND
+        assert tester.nic.fpga_receiver.cnp_interval_ps == 7 * MICROSECOND
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_strict_reaches_queues_and_cc_runtime(self, strict):
+        tester = self.deploy(strict=strict)
+        assert all(q.strict is strict for q in tester.switch.data_generator.queues)
+        assert tester.nic.cc_runtime.strict_bram is strict
+
+    @pytest.mark.parametrize(
+        "algorithm,receiver_mode,expected",
+        [
+            ("dctcp", "auto", ReceiverMode.TCP),
+            ("dcqcn", "auto", ReceiverMode.ROCE),
+            ("dctcp", "roce", ReceiverMode.ROCE),
+            ("dcqcn", "tcp", ReceiverMode.TCP),
+        ],
+    )
+    def test_receiver_mode_on_both_receivers(self, algorithm, receiver_mode, expected):
+        tester = self.deploy(
+            cc_algorithm=algorithm,
+            receiver_mode=receiver_mode,
+            receiver_logic_on_fpga=True,
+        )
+        assert tester.switch.receiver.mode is expected
+        assert tester.nic.fpga_receiver.mode is expected
+
+    def test_port_count_resolved_for_both_devices(self):
+        tester = self.deploy(template_bytes=1024)  # n_test_ports=None: optimum
+        assert tester.config.n_test_ports is None
+        assert tester.switch.n_test_ports == tester.nic.n_test_ports == 12
+        assert len(tester.nic.schedulers) == len(tester.nic.rx_fifos) == 12
+        with pytest.raises(ConfigError, match=r"\[0, 12\)"):
+            tester.nic.start_flow(port_index=12, src_addr=1, dst_addr=2, size_packets=1)
+
+    def test_flags_and_template(self):
+        tester = self.deploy(
+            template_bytes=1024,
+            int_enabled=True,
+            trace_cc=True,
+            disable_rx_timer=True,
+            sample_rtt=True,
+        )
+        assert tester.switch.data_generator.template_bytes == 1024
+        assert tester.switch.data_generator.int_enabled is True
+        assert tester.nic.frequency.template_bytes == 1024
+        nic = tester.nic
+        assert (nic._trace_cc, nic._rx_bypass, nic._sample_rtt) == (True, True, True)

@@ -81,10 +81,15 @@ class TestParserRobustness:
 
     def test_fpga_drops_malformed_silently(self):
         from repro.cc import Reno
-        from repro.fpga.nic import FpgaNic, FpgaNicConfig
+        from repro.core.config import TestConfig
+        from repro.fpga.nic import FpgaNic
+        from repro.pswitch.module_a import ReceiverMode
 
         sim = Simulator()
-        nic = FpgaNic(sim, Reno(), FpgaNicConfig(n_test_ports=1))
+        nic = FpgaNic(
+            sim, Reno(), TestConfig(n_test_ports=1),
+            n_test_ports=1, receiver_mode=ReceiverMode.TCP,
+        )
         nic.receive(Packet("GARBAGE", 1, 2, 64), nic.port)
         assert nic.parser.malformed == 1
 

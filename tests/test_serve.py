@@ -75,6 +75,10 @@ class TestParseSpec:
             ({"kind": "fluid", "algorithms": ["martian"]}, "unknown fluid profile"),
             ({"kind": "fluid", "algorithms": ["dctcp"], "workload": "x"}, "workload"),
             ({"kind": "fluid", "algorithms": ["dctcp"], "backend": "gpu"}, "backend"),
+            (
+                {"kind": "sweep", "algorithm": "dcqcn", "grid": [{}, {"nope": 1}]},
+                "'grid' entry 1: 'dcqcn' rejects parameters",
+            ),
         ],
     )
     def test_bad_specs_rejected(self, payload, match):
@@ -498,6 +502,11 @@ class TestServeHttp:
         with pytest.raises(ServeError) as bad_json:
             client.submit({"kind": "sweep", "algorithm": "dcqcn", "bogus": 1})
         assert bad_json.value.status == 400
+
+        with pytest.raises(ServeError) as bad_params:
+            client.submit({"kind": "sweep", "algorithm": "dcqcn", "grid": [{"nope": 1}]})
+        assert bad_params.value.status == 400
+        assert "'grid' entry 0" in str(bad_params.value)
 
         with pytest.raises(ServeError) as missing:
             client.job("job-999999")
