@@ -63,7 +63,7 @@ def test_scheduling_loop(benchmark):
 
     ticks = scheduler.ticks
     productive = sum(emitted.values())
-    max_depth = scheduler.sched_fifo.stats.max_depth
+    max_depth = scheduler.sched_fifo.max_depth
     print_header(
         "Section 5.2: rescheduling-loop scheduling",
         f"{N_FLOWS} flows enqueued, {N_SCHEDULABLE} schedulable, "

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, as_int, require
 from repro.units import MICROSECOND, MIN_FRAME_BYTES, NANOSECOND, RATE_100G, ROCE_MTU_BYTES
 
 
@@ -85,24 +85,47 @@ class TestConfig:
         return config
 
     def validate(self) -> None:
-        if self.template_bytes <= MIN_FRAME_BYTES:
-            raise ConfigError(
-                f"template must exceed {MIN_FRAME_BYTES} B, got {self.template_bytes}"
+        """Check every field's type and range; raises :class:`ConfigError`."""
+        require(
+            isinstance(self.cc_algorithm, str),
+            f"field 'cc_algorithm' must be a string, got {self.cc_algorithm!r}",
+        )
+        require(
+            isinstance(self.cc_params, dict),
+            f"field 'cc_params' must be an object, got {self.cc_params!r}",
+        )
+        require(
+            self.receiver_mode in ("auto", "tcp", "roce"),
+            f"receiver_mode must be auto/tcp/roce, got {self.receiver_mode!r}",
+        )
+        for name in _FLAGS:
+            value = getattr(self, name)
+            require(
+                isinstance(value, bool),
+                f"field {name!r} must be true or false, got {value!r}",
             )
-        if self.flows_per_port < 1:
-            raise ConfigError(
-                f"flows_per_port must be >= 1, got {self.flows_per_port}"
-            )
-        if self.receiver_mode not in ("auto", "tcp", "roce"):
-            raise ConfigError(
-                f"receiver_mode must be auto/tcp/roce, got {self.receiver_mode!r}"
-            )
-        if self.port_rate_bps <= 0:
-            raise ConfigError(f"port rate must be positive, got {self.port_rate_bps}")
-        if self.queue_capacity < 1:
-            raise ConfigError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        for name in ("pipeline_latency_ps", "cnp_interval_ps", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_test_ports is not None:
+            as_int(self.n_test_ports, "n_test_ports")
+        as_int(self.template_bytes, "template_bytes")
+        require(
+            self.template_bytes > MIN_FRAME_BYTES,
+            f"template must exceed {MIN_FRAME_BYTES} B, got {self.template_bytes}",
+        )
+        for name, minimum in _INT_MINIMUMS:
+            as_int(getattr(self, name), name, minimum=minimum)
+
+
+#: The on/off fields.
+_FLAGS = (
+    "trace_cc", "int_enabled", "strict", "disable_rx_timer",
+    "receiver_logic_on_fpga", "sample_rtt",
+)
+#: The other integer fields, each with its least valid value.
+_INT_MINIMUMS = (
+    ("port_rate_bps", 1),
+    ("flows_per_port", 1),
+    ("queue_capacity", 1),
+    ("cnp_interval_ps", 0),
+    ("pipeline_latency_ps", 0),
+    ("seed", 0),
+)

@@ -6,6 +6,8 @@ callers can catch library failures without masking programming errors.
 
 from __future__ import annotations
 
+from typing import Any, Optional
+
 
 class ReproError(Exception):
     """Base class for all library errors."""
@@ -50,3 +52,30 @@ class CampaignError(ReproError):
 
 class PortAllocationError(ConfigError):
     """The requested port layout does not fit in a switch pipeline."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise :class:`ConfigError` with ``message`` unless ``condition``."""
+    if not condition:
+        raise ConfigError(message)
+
+
+def as_int(value: Any, field: str, *, minimum: Optional[int] = None) -> int:
+    """``value`` checked as the integer config field ``field``."""
+    # bool is an int subclass — `"seed": true` is a mistake.
+    require(
+        isinstance(value, int) and not isinstance(value, bool),
+        f"field {field!r} must be an integer, got {value!r}",
+    )
+    if minimum is not None:
+        require(value >= minimum, f"field {field!r} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def as_number(value: Any, field: str) -> float:
+    """``value`` checked as the numeric config field ``field``."""
+    require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        f"field {field!r} must be a number, got {value!r}",
+    )
+    return float(value)

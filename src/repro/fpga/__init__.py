@@ -1,6 +1,7 @@
 """FPGA NIC model (paper Section 5).
 
-Reproduces the Alveo-resident half of Marlin: the parser and RX FIFOs,
+Reproduces the Alveo-resident half of Marlin: the parser and RX FIFOs
+(each a :class:`repro.net.queue.Fifo`),
 the CC algorithm module with the Table 3 contract and read-modify-write
 conflict detection, per-port schedulers with rescheduling events
 (Section 5.2), RX/TX packet-frequency control (Section 5.3), the Slow
@@ -10,7 +11,6 @@ is one :class:`FlowState` record.
 """
 
 from repro.fpga.clock import cycles_to_ps, ps_to_cycles
-from repro.fpga.fifos import Fifo, FifoStats
 from repro.fpga.hls import estimate_cycles
 from repro.fpga.timers import FrequencyControl
 from repro.fpga.logger import QdmaLogger
@@ -20,8 +20,6 @@ from repro.fpga.nic import FlowState, FpgaNic
 __all__ = [
     "cycles_to_ps",
     "ps_to_cycles",
-    "Fifo",
-    "FifoStats",
     "estimate_cycles",
     "FrequencyControl",
     "QdmaLogger",

@@ -29,14 +29,15 @@ from repro.cc.base import (
     CCAlgorithm,
     CCMode,
     EventType,
+    Flags,
     NO_FLAGS,
+    TIMER_RTO,
     IntrinsicInput,
     IntrinsicOutput,
 )
 from repro.errors import CCModuleError, ConfigError, SimulationError
 from repro.fpga.cc_module import CCModuleRuntime
 from repro.fpga.clock import cycles_to_ps
-from repro.fpga.fifos import Fifo
 from repro.fpga.flow import N_TIMERS, FlowState
 from repro.fpga.logger import QdmaLogger
 from repro.fpga.parser import InfoParser, ReceptionEvent
@@ -45,6 +46,7 @@ from repro.fpga.slow_path import SlowPathExecutor
 from repro.fpga.timers import FrequencyControl
 from repro.net.device import Device, Port
 from repro.net.packet import Packet
+from repro.net.queue import Fifo
 from repro.pswitch.module_a import ReceiverLogic, ReceiverMode
 from repro.pswitch.packets import PTYPE_RDATA, make_sche
 from repro.sim.engine import Simulator
@@ -107,7 +109,7 @@ class FpgaNic(Device):
 
         self.parser = InfoParser()
         self.rx_fifos: list[Fifo[ReceptionEvent]] = [
-            Fifo(RX_FIFO_CAPACITY, name=f"rx{i}") for i in range(n_test_ports)
+            Fifo(RX_FIFO_CAPACITY) for _ in range(n_test_ports)
         ]
         self._drain_pending = [False] * n_test_ports
         self._next_drain_ps = [0] * n_test_ports
@@ -307,38 +309,25 @@ class FpgaNic(Device):
         if flow.complete:
             self._finish_flow(flow)
             return
-        intr = IntrinsicInput(
-            evt_type=EventType.RX,
-            psn=event.psn,
-            cwnd_or_rate=flow.cwnd_or_rate,
-            una=flow.una,
-            nxt=flow.nxt,
-            flags=event.flags,
-            prb_rtt=event.prb_rtt_ps,
-            tstamp=self.sim.now,
+        self._invoke(
+            flow, EventType.RX, event.psn, event.flags, event.prb_rtt_ps,
             int_path=event.int_path,
         )
-        out = self.cc_runtime.invoke(flow, intr)
-        self._apply_output(flow, out)
         self._maybe_activate(flow)
 
     def _on_timeout(self, flow: FlowState, timer_id: int) -> None:
+        busy_until = flow.rmw_end_ps
+        if busy_until > self.sim.now:
+            # Atomicity, as in ``_drain``: the expiry waits out the RMW in
+            # flight on this flow's BRAM record.  A re-arm by the CC in
+            # the meantime moves this same handle, superseding the wait.
+            self.rmw_stalls += 1
+            self.sim.rearm(flow.timers[timer_id], busy_until)
+            return
         self.timeouts_fired += 1
         if flow.finished or not flow.started:
             return
-        intr = IntrinsicInput(
-            evt_type=EventType.TIMEOUT,
-            psn=-1,
-            cwnd_or_rate=flow.cwnd_or_rate,
-            una=flow.una,
-            nxt=flow.nxt,
-            flags=NO_FLAGS,
-            prb_rtt=-1,
-            tstamp=self.sim.now,
-            timer_id=timer_id,
-        )
-        out = self.cc_runtime.invoke(flow, intr)
-        self._apply_output(flow, out)
+        self._invoke(flow, EventType.TIMEOUT, timer_id=timer_id)
         self._maybe_activate(flow)
 
     def _on_slow_rate_update(self, flow: FlowState, value: float) -> None:
@@ -347,21 +336,44 @@ class FpgaNic(Device):
             self.schedulers[flow.port_index].recheck(flow)
 
     def _on_bytes_sent(self, flow: FlowState) -> None:
-        if self._byte_threshold is None or flow.counter_bytes < self._byte_threshold:
+        threshold = self._byte_threshold
+        if threshold is None or flow.counter_bytes < threshold or flow.finished:
             return
-        flow.counter_bytes -= self._byte_threshold
+        busy_until = flow.rmw_end_ps
+        if busy_until > self.sim.now:
+            # Waits out the flow's RMW in flight, as a timer expiry does.
+            self.rmw_stalls += 1
+            self.sim.at(busy_until, self._on_bytes_sent, flow)
+            return
+        flow.counter_bytes -= threshold
+        self._invoke(flow, EventType.BYTE_COUNTER)
+
+    def _invoke(
+        self,
+        flow: FlowState,
+        evt_type: EventType,
+        psn: int = -1,
+        flags: Flags = NO_FLAGS,
+        prb_rtt: int = -1,
+        *,
+        timer_id: int = TIMER_RTO,
+        int_path: tuple = (),
+    ) -> None:
+        """The one entry into the CC module: run one fast-path invocation
+        on ``flow``'s current state and apply its outputs."""
         intr = IntrinsicInput(
-            evt_type=EventType.BYTE_COUNTER,
-            psn=-1,
+            evt_type=evt_type,
+            psn=psn,
             cwnd_or_rate=flow.cwnd_or_rate,
             una=flow.una,
             nxt=flow.nxt,
-            flags=NO_FLAGS,
-            prb_rtt=-1,
+            flags=flags,
+            prb_rtt=prb_rtt,
             tstamp=self.sim.now,
+            timer_id=timer_id,
+            int_path=int_path,
         )
-        out = self.cc_runtime.invoke(flow, intr)
-        self._apply_output(flow, out)
+        self._apply_output(flow, self.cc_runtime.invoke(flow, intr))
 
     def _apply_output(self, flow: FlowState, out: IntrinsicOutput) -> None:
         if out.cwnd_or_rate is not None:
@@ -489,7 +501,7 @@ class FpgaNic(Device):
         return {
             "infos_processed": self.infos_processed,
             "infos_unknown_flow": self.infos_for_unknown_flows,
-            "rx_fifo_drops": sum(f.stats.dropped for f in self.rx_fifos),
+            "rx_fifo_drops": sum(f.dropped for f in self.rx_fifos),
             "rmw_conflicts": self.cc_runtime.conflicts,
             "rmw_stalls": self.rmw_stalls,
             "timeouts_fired": self.timeouts_fired,

@@ -53,8 +53,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.cc.base import CCMode
-from repro.fpga.fifos import Fifo
 from repro.fpga.flow import FlowState
+from repro.net.queue import Fifo
 from repro.sim.engine import EventHandle, Simulator
 
 #: The rescheduling loop latency (Section 5.2: "this entire loop only
@@ -91,12 +91,8 @@ class PortScheduler:
         #: SAME flow, for CC modules whose RMW latency exceeds the
         #: per-packet budget (0 disables; rate mode paces anyway).
         self.min_flow_spacing_ps = min_flow_spacing_ps
-        self.sched_fifo: Fifo[FlowState] = Fifo(
-            fifo_capacity, name=f"sched{port_index}"
-        )
-        self.prio_fifo: Fifo[tuple[FlowState, int]] = Fifo(
-            fifo_capacity, name=f"prio{port_index}"
-        )
+        self.sched_fifo: Fifo[FlowState] = Fifo(fifo_capacity)
+        self.prio_fifo: Fifo[tuple[FlowState, int]] = Fifo(fifo_capacity)
         #: Whether a pacing gate can hold a flow back at all.
         self._paced = mode is CCMode.RATE or min_flow_spacing_ps > 0
         self._next_tick_ps = phase_ps

@@ -8,7 +8,7 @@ serialization and propagation delay, and DCTCP-style ECN marking queues.
 
 from repro.net.packet import Packet, ECT, CE, NOT_ECT
 from repro.net.link import Link
-from repro.net.queue import DropTailQueue, EcnQueue, QueueStats
+from repro.net.queue import DropTailQueue, EcnQueue, Fifo, QueueStats
 from repro.net.device import Device, Port
 from repro.net.switch import NetworkSwitch
 from repro.net.host import Host
@@ -30,6 +30,7 @@ __all__ = [
     "Link",
     "DropTailQueue",
     "EcnQueue",
+    "Fifo",
     "QueueStats",
     "Device",
     "Port",

@@ -1,4 +1,4 @@
-"""Output queues: drop-tail and DCTCP-style ECN marking.
+"""Queues: drop-tail and DCTCP-style ECN marking, and the tester's FIFO.
 
 The ECN queue implements the marking scheme DCTCP and DCQCN assume: a
 single threshold ``K`` on the instantaneous queue length; packets that
@@ -6,15 +6,67 @@ arrive when the backlog is at or above ``K`` get their ECN field rewritten
 to CE (DCQCN's RED-like min/max marking can be approximated by this with
 ``K = Kmin``, which is how the NVIDIA parameter guide configures lossless
 fabrics for testing).
+
+:class:`Fifo` is the entry-counted FIFO of the tester itself: the
+switch's per-port register queues (Section 4.2) and the FPGA's RX and
+scheduling FIFOs (Sections 5.2-5.3).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Generic, Optional, TypeVar
 
 from repro.net.packet import CE, ECT, Packet
 from repro.sim.backend import CENGINE as _C
+
+T = TypeVar("T")
+
+
+class Fifo(Generic[T]):
+    """A bounded FIFO of entries; pushing into a full one drops the entry
+    and counts it in ``dropped``.
+
+    On the switch a drop is the paper's *false packet loss* (a scheduled
+    DATA packet never goes out); in an FPGA RX FIFO it is lost CC
+    feedback.  ``max_depth`` is the deepest the FIFO has been."""
+
+    __slots__ = ("capacity", "_queue", "dropped", "max_depth")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError(f"fifo capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self._queue: deque[T] = deque()
+        self.dropped = 0
+        self.max_depth = 0
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    @property
+    def empty(self) -> bool:
+        return not self._queue
+
+    def push(self, item: T) -> bool:
+        """Append ``item``; returns False (counting a drop) when full."""
+        queue = self._queue
+        depth = len(queue)
+        if depth >= self.capacity:
+            self.dropped += 1
+            return False
+        queue.append(item)
+        if depth >= self.max_depth:
+            self.max_depth = depth + 1
+        return True
+
+    def pop(self) -> Optional[T]:
+        """Remove and return the head entry, or None when empty."""
+        return self._queue.popleft() if self._queue else None
+
+    def peek(self) -> Optional[T]:
+        """The head entry without removing it."""
+        return self._queue[0] if self._queue else None
 
 
 class QueueStats:

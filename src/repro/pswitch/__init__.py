@@ -1,10 +1,11 @@
 """Programmable-switch model (paper Section 4).
 
 Reproduces the Tofino-resident half of Marlin: Marlin packet types
-(Section 3.1), per-egress-port register queues and TEMP-multicast DATA
-generation (Module C), receiver logic / ACK truncation (Module A), the
-INFO generator (Module B), pipeline resource accounting, and the
-Section 4.3 port-allocation arithmetic.
+(Section 3.1), per-egress-port register queues (each a
+:class:`repro.net.queue.Fifo`) and TEMP-multicast DATA generation
+(Module C), receiver logic / ACK truncation (Module A), the ACK -> INFO
+rewrite of Module B (:func:`make_info`), pipeline resource accounting,
+and the Section 4.3 port-allocation arithmetic.
 """
 
 from repro.pswitch.packets import (
@@ -20,7 +21,6 @@ from repro.pswitch.packets import (
     PTYPE_SCHE,
     PTYPE_TEMP,
 )
-from repro.pswitch.registers import RegisterArray, RegisterQueue
 from repro.pswitch.pipeline import PipelineModel, PipelineUsage
 from repro.pswitch.port_allocation import PortAllocation, allocate_ports
 from repro.pswitch.switch import MarlinSwitch, ReceiverMode
@@ -37,8 +37,6 @@ __all__ = [
     "PTYPE_INFO",
     "PTYPE_SCHE",
     "PTYPE_TEMP",
-    "RegisterArray",
-    "RegisterQueue",
     "PipelineModel",
     "PipelineUsage",
     "PortAllocation",

@@ -23,17 +23,22 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.errors import RegisterQueueOverflow
 from repro.net import int_telemetry
 from repro.net.device import Port
 from repro.net.packet import Packet
+from repro.net.queue import Fifo
 from repro.pswitch.packets import make_data
-from repro.pswitch.registers import RegisterQueue
 from repro.sim.engine import Simulator
 from repro.units import serialization_time_ps
 
 
 class DataGenerator:
-    """Per-port register queues + TEMP-grid DATA emission."""
+    """Per-port register queues + TEMP-grid DATA emission.
+
+    ``strict`` sets the overflow policy: ``True`` raises
+    :class:`RegisterQueueOverflow`, ``False`` drops the SCHE and counts it
+    (the hardware behaviour)."""
 
     def __init__(
         self,
@@ -42,7 +47,7 @@ class DataGenerator:
         *,
         template_bytes: int,
         queue_capacity: int = 128,
-        strict_queues: bool = False,
+        strict: bool = False,
         int_enabled: bool = False,
     ) -> None:
         if not test_ports:
@@ -56,9 +61,8 @@ class DataGenerator:
         self.temp_interval_ps = serialization_time_ps(
             template_bytes, test_ports[0].rate_bps
         )
-        self.queues = [
-            RegisterQueue(queue_capacity, strict=strict_queues) for _ in test_ports
-        ]
+        self.strict = strict
+        self.queues: list[Fifo[tuple]] = [Fifo(queue_capacity) for _ in test_ports]
         self._emit_pending = [False] * len(test_ports)
         #: Optional observer called as ``(port_index, data_packet)`` after
         #: each DATA emission (used by the measurement layer).
@@ -84,13 +88,18 @@ class DataGenerator:
             sche.meta["frame_bytes"],
             sche.meta["is_rtx"],
         )
-        accepted = self.queues[port_index].enqueue(entry)
-        if accepted:
-            self.sche_accepted += 1
-            self._kick(port_index)
-        else:
+        queue = self.queues[port_index]
+        if not queue.push(entry):
             self.sche_dropped += 1
-        return accepted
+            if self.strict:
+                raise RegisterQueueOverflow(
+                    f"register queue overflow (capacity {queue.capacity}): "
+                    "a scheduled DATA packet was silently lost"
+                )
+            return False
+        self.sche_accepted += 1
+        self._kick(port_index)
+        return True
 
     # -- TEMP-grid emission -----------------------------------------------------
 
@@ -112,7 +121,7 @@ class DataGenerator:
     def _emit(self, port_index: int) -> None:
         self._emit_pending[port_index] = False
         queue = self.queues[port_index]
-        entry = queue.dequeue()
+        entry = queue.pop()
         if entry is None:
             return
         now = self.sim.now
@@ -134,6 +143,6 @@ class DataGenerator:
         self.flow_tx_packets[flow_id] = self.flow_tx_packets.get(flow_id, 0) + 1
         if self.on_generate is not None:
             self.on_generate(port_index, data)
-        if queue.length:
+        if not queue.empty:
             self._emit_pending[port_index] = True
             self.sim.at(now + self.temp_interval_ps, self._emit, port_index)

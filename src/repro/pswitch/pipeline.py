@@ -117,6 +117,6 @@ def marlin_dataplane_usage(
     pipeline.add(
         PipelineUsage("module_a_receiver", stages=3, sram_blocks=recv_blocks)
     )
-    pipeline.add(PipelineUsage("module_b_info", stages=2, sram_blocks=2, tcam_blocks=1))
+    pipeline.add(PipelineUsage("info_generator", stages=2, sram_blocks=2, tcam_blocks=1))
     pipeline.add(PipelineUsage("forwarding", stages=4, sram_blocks=4, tcam_blocks=2))
     return pipeline

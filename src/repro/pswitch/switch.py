@@ -26,12 +26,12 @@ from repro.errors import ConfigError
 from repro.net.device import Device, Port
 from repro.net.packet import Packet
 from repro.pswitch.module_a import ReceiverLogic, ReceiverMode
-from repro.pswitch.module_b import InfoGenerator
 from repro.pswitch.module_c import DataGenerator
 from repro.pswitch.packets import (
     PTYPE_ACK,
     PTYPE_DATA,
     PTYPE_SCHE,
+    make_info,
     make_rdata,
 )
 from repro.pswitch.port_allocation import PortAllocation
@@ -79,13 +79,13 @@ class MarlinSwitch(Device):
             self.test_ports,
             template_bytes=config.template_bytes,
             queue_capacity=config.queue_capacity,
-            strict_queues=config.strict,
+            strict=config.strict,
             int_enabled=config.int_enabled,
         )
         self.receiver = ReceiverLogic(
             receiver_mode, cnp_interval_ps=config.cnp_interval_ps
         )
-        self.info_generator = InfoGenerator()
+        self.infos_generated = 0
         self.unknown_packets = 0
 
     @property
@@ -136,9 +136,9 @@ class MarlinSwitch(Device):
         self.test_ports[egress].send(packet)
 
     def _handle_ack(self, packet: Packet, port: Port) -> None:
-        self.fpga_port.send(
-            self.info_generator.on_ack(packet, port.index, self.sim.now)
-        )
+        # Module B: rewrite the ACK into a 64 B INFO for the FPGA.
+        self.infos_generated += 1
+        self.fpga_port.send(make_info(packet, port.index, created_ps=self.sim.now))
 
     # -- control-plane readable registers --------------------------------------
 
@@ -151,6 +151,6 @@ class MarlinSwitch(Device):
             "acks_generated": self.receiver.acks_generated,
             "nacks_generated": self.receiver.nacks_generated,
             "cnps_generated": self.receiver.cnps_generated,
-            "infos_generated": self.info_generator.infos_generated,
+            "infos_generated": self.infos_generated,
             "receiver_ooo_dropped": self.receiver.ooo_dropped,
         }

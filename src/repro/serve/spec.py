@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import repro.cc as cc
-from repro.errors import ConfigError
+from repro.errors import ConfigError, as_int, as_number, require
 from repro.obs.manifest import config_hash
 from repro.units import MS
 
@@ -48,30 +48,6 @@ _FLUID_DEFAULTS: dict[str, Any] = {
     "n_ports": 12,
     "seed": 0,
 }
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-def _as_int(value: Any, field: str, *, minimum: Optional[int] = None) -> int:
-    # bool is an int subclass — a spec saying `"seed": true` is a mistake.
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"spec field {field!r} must be an integer, got {value!r}",
-    )
-    if minimum is not None:
-        _require(value >= minimum, f"spec field {field!r} must be >= {minimum}")
-    return int(value)
-
-
-def _as_number(value: Any, field: str) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"spec field {field!r} must be a number, got {value!r}",
-    )
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -164,9 +140,9 @@ class CampaignSpec:
 
 def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
     config: dict[str, Any] = {"kind": "sweep"}
-    _require("algorithm" in payload, "sweep spec requires 'algorithm'")
+    require("algorithm" in payload, "sweep spec requires 'algorithm'")
     algorithm = payload["algorithm"]
-    _require(
+    require(
         isinstance(algorithm, str) and bool(algorithm),
         f"'algorithm' must be a non-empty string, got {algorithm!r}",
     )
@@ -175,15 +151,15 @@ def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
     merged = {**_SWEEP_DEFAULTS, **{k: v for k, v in payload.items()
                                     if k not in ("kind", "algorithm")}}
     grid = merged["grid"]
-    _require(
+    require(
         isinstance(grid, list) and len(grid) >= 1,
         "'grid' must be a non-empty list of parameter dicts",
     )
     for entry in grid:
-        _require(isinstance(entry, dict), f"grid entries must be dicts, got {entry!r}")
+        require(isinstance(entry, dict), f"grid entries must be dicts, got {entry!r}")
         for key, value in entry.items():
-            _require(isinstance(key, str), f"grid parameter names must be strings")
-            _require(
+            require(isinstance(key, str), f"grid parameter names must be strings")
+            require(
                 isinstance(value, (int, float, str)) and not isinstance(value, bool),
                 f"grid parameter {key!r} must be int/float/str, got {value!r}",
             )
@@ -195,24 +171,24 @@ def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
             cc.create(algorithm, **entry)
         except ConfigError as exc:
             raise ConfigError(f"'grid' entry {index}: {exc}") from None
-    config["n_senders"] = _as_int(merged["n_senders"], "n_senders", minimum=2)
-    duration_ms = _as_number(merged["duration_ms"], "duration_ms")
-    _require(duration_ms > 0, "'duration_ms' must be positive")
+    config["n_senders"] = as_int(merged["n_senders"], "n_senders", minimum=2)
+    duration_ms = as_number(merged["duration_ms"], "duration_ms")
+    require(duration_ms > 0, "'duration_ms' must be positive")
     config["duration_ms"] = duration_ms
-    config["ecn_threshold_bytes"] = _as_int(
+    config["ecn_threshold_bytes"] = as_int(
         merged["ecn_threshold_bytes"], "ecn_threshold_bytes", minimum=1
     )
     # A point is a fixed-size fan-in that draws nothing from its seed,
     # so replicates would be identical runs.  The field stays only so
     # that config_hash does not move.
     seeds = merged["seeds"]
-    _require(
-        seeds is None or _as_int(seeds, "seeds") == 1,
+    require(
+        seeds is None or as_int(seeds, "seeds") == 1,
         f"'seeds' must be null or 1, got {seeds!r}: a sweep point draws "
         "nothing from its seed, so replicates would be identical runs",
     )
     config["seeds"] = seeds
-    config["seed"] = _as_int(merged["seed"], "seed", minimum=0)
+    config["seed"] = as_int(merged["seed"], "seed", minimum=0)
     sim_backend = merged["sim_backend"]
     if sim_backend is None:
         sim_backend = "auto"
@@ -228,11 +204,11 @@ def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
 
 def _parse_fluid(payload: dict[str, Any]) -> CampaignSpec:
     config: dict[str, Any] = {"kind": "fluid"}
-    _require("algorithms" in payload, "fluid spec requires 'algorithms'")
+    require("algorithms" in payload, "fluid spec requires 'algorithms'")
     algorithms = payload["algorithms"]
     if isinstance(algorithms, str):
         algorithms = [name.strip() for name in algorithms.split(",") if name.strip()]
-    _require(
+    require(
         isinstance(algorithms, list) and len(algorithms) >= 1,
         "'algorithms' must be a non-empty list of fluid profile names",
     )
@@ -240,29 +216,29 @@ def _parse_fluid(payload: dict[str, Any]) -> CampaignSpec:
     from repro.workload import DISTRIBUTIONS
 
     unknown = sorted(set(algorithms) - set(PROFILES))
-    _require(not unknown, f"unknown fluid profile(s) {unknown}; "
+    require(not unknown, f"unknown fluid profile(s) {unknown}; "
                           f"choose from {sorted(PROFILES)}")
     config["algorithms"] = list(algorithms)
 
     merged = {**_FLUID_DEFAULTS, **{k: v for k, v in payload.items()
                                     if k not in ("kind", "algorithms")}}
-    _require(
+    require(
         merged["workload"] in DISTRIBUTIONS,
         f"'workload' must be one of {sorted(DISTRIBUTIONS)}, "
         f"got {merged['workload']!r}",
     )
     config["workload"] = merged["workload"]
     levels = merged["flows_per_port_levels"]
-    _require(
+    require(
         isinstance(levels, list) and len(levels) >= 1,
         "'flows_per_port_levels' must be a non-empty list of ints",
     )
     config["flows_per_port_levels"] = [
-        _as_int(level, "flows_per_port_levels", minimum=1) for level in levels
+        as_int(level, "flows_per_port_levels", minimum=1) for level in levels
     ]
-    config["flows_total"] = _as_int(merged["flows_total"], "flows_total", minimum=1)
-    config["n_ports"] = _as_int(merged["n_ports"], "n_ports", minimum=1)
-    config["seed"] = _as_int(merged["seed"], "seed", minimum=0)
+    config["flows_total"] = as_int(merged["flows_total"], "flows_total", minimum=1)
+    config["n_ports"] = as_int(merged["n_ports"], "n_ports", minimum=1)
+    config["seed"] = as_int(merged["seed"], "seed", minimum=0)
     n_tasks = len(algorithms) * len(levels)
     return CampaignSpec(kind="fluid", config=config, n_tasks=n_tasks)
 
@@ -282,12 +258,12 @@ def parse_spec(payload: Any) -> CampaignSpec:
     on any shape problem — the daemon maps these onto HTTP 400s, so the
     message *is* the API's error surface.
     """
-    _require(isinstance(payload, dict), "campaign spec must be a JSON object")
+    require(isinstance(payload, dict), "campaign spec must be a JSON object")
     kind = payload.get("kind")
-    _require(
+    require(
         kind in _PARSERS,
         f"spec 'kind' must be one of {sorted(_PARSERS)}, got {kind!r}",
     )
     unknown = sorted(set(payload) - _KNOWN_FIELDS[kind])
-    _require(not unknown, f"unknown spec field(s) {unknown} for kind {kind!r}")
+    require(not unknown, f"unknown spec field(s) {unknown} for kind {kind!r}")
     return _PARSERS[kind](payload)

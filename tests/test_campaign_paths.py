@@ -245,6 +245,10 @@ class TestRejectedBeforeAnyWorker:
             ("queue_capacity", 0),
             ("cnp_interval_ps", -1),
             ("seed", -1),
+            # Wrong types: a string, a fraction of a picosecond, a bool.
+            ("queue_capacity", "64"),
+            ("pipeline_latency_ps", 1.5),
+            ("n_test_ports", True),
         ],
     )
     def test_out_of_range_config_field_is_rejected(self, field, value, tmp_path, capsys):

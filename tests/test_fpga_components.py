@@ -8,7 +8,6 @@ from repro.cc import Cubic, Dcqcn, Dctcp, EventType, Flags, IntrinsicInput, OpCo
 from repro.errors import CCModuleError, RMWConflictError, ResourceExceededError
 from repro.fpga.cc_module import CCModuleRuntime
 from repro.fpga.clock import cycles_to_ps, ps_to_cycles
-from repro.fpga.fifos import Fifo
 from repro.fpga.flow import FlowState
 from repro.fpga.hls import algorithm_cycles, estimate_cycles
 from repro.fpga.logger import (
@@ -25,6 +24,7 @@ from repro.fpga.resources import (
     flow_state_bytes,
     max_flows,
 )
+from repro.net.queue import Fifo
 from repro.units import FPGA_CYCLE_PS
 
 
@@ -54,35 +54,46 @@ class TestFifo:
         fifo.push(1)
         fifo.push(2)
         assert not fifo.push(3)
-        assert fifo.stats.dropped == 1
+        assert fifo.dropped == 1
+        # The content is unchanged: the dropped entry is simply lost.
+        assert [fifo.pop(), fifo.pop()] == [1, 2]
 
     def test_stats(self):
         fifo = Fifo(8)
         for i in range(5):
             fifo.push(i)
         fifo.pop()
-        assert fifo.stats.pushed == 5
-        assert fifo.stats.popped == 1
-        assert fifo.stats.max_depth == 5
+        assert len(fifo) == 4
+        assert fifo.peek() == 1
+        assert fifo.max_depth == 5
 
     def test_pop_empty(self):
         assert Fifo(2).pop() is None
 
-    @given(st.lists(st.one_of(st.just(None), st.integers()), max_size=100))
+    def test_rejects_bad_capacity(self):
+        with pytest.raises(ValueError):
+            Fifo(0)
+
+    @given(
+        st.lists(st.one_of(st.just(None), st.integers()), max_size=100),
+        st.integers(min_value=1, max_value=16),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_model_equivalence(self, ops):
-        fifo = Fifo(8)
+    def test_model_equivalence(self, ops, capacity):
+        """The FIFO behaves exactly like a bounded list, at any capacity."""
+        fifo = Fifo(capacity)
         model = []
         for op in ops:
             if op is None:
                 expected = model.pop(0) if model else None
                 assert fifo.pop() == expected
             else:
-                if len(model) < 8:
+                if len(model) < capacity:
                     assert fifo.push(op)
                     model.append(op)
                 else:
                     assert not fifo.push(op)
+            assert len(fifo) == len(model)
 
 
 class TestFlowBram:

@@ -99,10 +99,48 @@ class TestEventGenerator:
 
     def test_per_timer_independence(self):
         sim, nic, (flow,) = timer_nic()
+        # Spaced by one RMW so the second expiry need not wait out the first.
+        second = 100 + nic.cc_runtime.rmw_duration_ps
+        nic.arm_timer(flow, 0, 100)
+        nic.arm_timer(flow, 1, second)
+        sim.run(until_ps=second + 100)
+        assert flow.cust.fired == [(0, 100), (1, second)]
+
+    def test_expiry_waits_out_the_rmw_window(self):
+        """Section 5.3 atomicity: a timer that expires while the flow's
+        RMW is in flight reaches the CC when it completes, not inside it."""
+        sim, nic, (flow,) = timer_nic()
         nic.arm_timer(flow, 0, 100)
         nic.arm_timer(flow, 1, 200)
-        sim.run(until_ps=300)
-        assert flow.cust.fired == [(0, 100), (1, 200)]
+        sim.run(until_ps=100 + 2 * nic.cc_runtime.rmw_duration_ps)
+        rmw_end = 100 + nic.cc_runtime.rmw_duration_ps
+        assert flow.cust.fired == [(0, 100), (1, rmw_end)]
+        counters = nic.read_counters()
+        assert counters["rmw_conflicts"] == 0
+        assert counters["rmw_stalls"] == 1
+        assert counters["timeouts_fired"] == 2
+
+    def test_byte_counter_waits_out_the_rmw_window(self):
+        """A byte-counter event follows the same rule as a timer expiry."""
+
+        class ByteCounterProbe(TimerProbe):
+            def byte_counter_bytes(self):
+                return 1
+
+        sim = Simulator()
+        nic = two_port_nic(sim, ByteCounterProbe())
+        # Not started before the check, so it sends nothing by itself.
+        flow = nic.start_flow(
+            port_index=0, src_addr=1, dst_addr=2, size_packets=10, start_at_ps=MS
+        )
+        flow.counter_bytes = 1
+        flow.rmw_end_ps = 500  # an RMW in flight until 500 ps
+        nic._on_bytes_sent(flow)
+        assert flow.counter_bytes == 1 and nic.rmw_stalls == 1
+        sim.run(until_ps=1000)
+        assert flow.counter_bytes == 0
+        assert flow.rmw_end_ps == 500 + nic.cc_runtime.rmw_duration_ps
+        assert nic.cc_runtime.conflicts == 0
 
     def test_bad_timer_rejected(self):
         sim, nic, (flow,) = timer_nic()
@@ -520,6 +558,7 @@ class TestMarlinSwitchUnit:
         infos = [p for _, p in fpga_sink.received if p.ptype == "INFO"]
         assert len(infos) == 1
         assert infos[0].meta["rx_port"] == 0
+        assert switch.read_counters()["infos_generated"] == 1
 
     def test_pipeline_latency_applied(self):
         """Every ingress path reaches its handler ``pipeline_latency_ps``
@@ -617,8 +656,9 @@ class TestDeployedConfig:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_strict_reaches_queues_and_cc_runtime(self, strict):
-        tester = self.deploy(strict=strict)
-        assert all(q.strict is strict for q in tester.switch.data_generator.queues)
+        tester = self.deploy(strict=strict, n_test_ports=2, queue_capacity=7)
+        assert tester.switch.data_generator.strict is strict
+        assert [q.capacity for q in tester.switch.data_generator.queues] == [7, 7]
         assert tester.nic.cc_runtime.strict_bram is strict
 
     @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import ControlPlane, TestConfig
+from repro.core.scenario import Scenario, deploy_scenario
 from repro.measure.fairness import jain_index
 from repro.units import GBPS, MS, US
 from repro.workload import ClosedLoopGenerator, FixedSize, FlowSlot
@@ -259,6 +260,39 @@ class TestSection53Ablations:
         cp.run(duration_ps=5 * MS)
         counters = cp.read_measurements()
         assert counters["switch.sche_dropped"] == 0
+
+    def test_strict_dcqcn_fan_in_timers_wait_out_rmw(self):
+        """Figure 8's DCQCN fan-in runs strict: DCQCN timer expiries that
+        land inside an INFO's RMW window wait for it instead of
+        conflicting (strict mode would raise ``RMWConflictError``)."""
+        config = TestConfig(
+            cc_algorithm="dcqcn", n_test_ports=4, queue_capacity=64,
+            cnp_interval_ps=20 * US, strict=True,
+        )
+        # As ``repro run --config ... --pattern fan_in --duration-ms 1.5``.
+        cp, _, _ = deploy_scenario(Scenario(config, 1500 * US, pattern="fan_in"))
+        cp.run(1500 * US)
+        counters = cp.read_measurements()
+        assert counters["fpga.rmw_conflicts"] == 0
+        assert counters["fpga.timeouts_fired"] > 0
+        assert counters["switch.sche_dropped"] == 0
+
+    def test_short_rto_timers_wait_out_rmw(self):
+        """DCTCP with a 2 us RTO: hundreds of expiries, none inside an
+        RMW window."""
+        cp = ControlPlane()
+        cp.deploy(
+            TestConfig(
+                cc_algorithm="dctcp", n_test_ports=2, flows_per_port=16,
+                cc_params={"rto_ps": 2 * US},
+            )
+        )
+        cp.wire_loopback_fabric()
+        cp.start_flows(size_packets=200, pattern="pairs")
+        cp.run(duration_ps=100 * US)
+        counters = cp.read_measurements()
+        assert counters["fpga.timeouts_fired"] > 0
+        assert counters["fpga.rmw_conflicts"] == 0
 
     def test_rx_fifo_absorbs_bursts(self):
         cp, tester = deploy(TestConfig(cc_algorithm="dctcp", n_test_ports=2))

@@ -151,7 +151,7 @@ class TestSchedFifoBounds:
         ]
         for flow in flows:
             scheduler.enqueue_flow(flow)
-        assert scheduler.sched_fifo.stats.dropped == 4
+        assert scheduler.sched_fifo.dropped == 4
 
 
 class TestPipelineUsageModel:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.net.device import Device
 from repro.net.link import Link
+from repro.errors import RegisterQueueOverflow
 from repro.net.packet import CE, ECT
 from repro.pswitch.module_a import ReceiverLogic, ReceiverMode
-from repro.pswitch.module_b import InfoGenerator
 from repro.pswitch.module_c import DataGenerator
 from repro.pswitch.packets import (
     PTYPE_ACK,
@@ -14,6 +14,7 @@ from repro.pswitch.packets import (
     PTYPE_INFO,
     make_ack,
     make_data,
+    make_info,
     make_sche,
 )
 from repro.sim import Simulator
@@ -138,12 +139,14 @@ class TestReceiverRoce:
         assert responses[0].psn == 1 and not responses[0].meta["nack"]
 
 
-class TestInfoGenerator:
+class TestModuleB:
+    """Module B is the ACK -> INFO rewrite; the switch counts each one as
+    ``infos_generated`` (see ``TestMarlinSwitchUnit``)."""
+
     def test_transform_preserves_fields(self):
-        gen = InfoGenerator()
         data = data_packet(4, ce=True, t=500)
         ack = make_ack(data, 5, created_ps=600)
-        info = gen.on_ack(ack, rx_port=7, now_ps=700)
+        info = make_info(ack, 7, created_ps=700)
         assert info.ptype == PTYPE_INFO
         assert info.size_bytes == 64
         assert info.flow_id == 1
@@ -151,7 +154,7 @@ class TestInfoGenerator:
         assert info.ecn_echo
         assert info.meta["rx_port"] == 7
         assert info.meta["echo_tstamp_ps"] == 500
-        assert gen.infos_generated == 1
+        assert info.created_ps == 700
 
 
 class Collector(Device):
@@ -164,7 +167,7 @@ class Collector(Device):
 
 
 class TestDataGenerator:
-    def build(self, n_ports=2, queue_capacity=4):
+    def build(self, n_ports=2, queue_capacity=4, strict=False):
         sim = Simulator()
         source = Collector(sim, "marlin")
         sinks = []
@@ -176,7 +179,8 @@ class TestDataGenerator:
             ports.append(port)
             sinks.append(sink)
         gen = DataGenerator(
-            sim, ports, template_bytes=1024, queue_capacity=queue_capacity
+            sim, ports, template_bytes=1024, queue_capacity=queue_capacity,
+            strict=strict,
         )
         return sim, gen, sinks
 
@@ -229,6 +233,12 @@ class TestDataGenerator:
         assert gen.sche_dropped == 3
         sim.run()
         assert len(sinks[0].received) == 2
+
+    def test_strict_overflow_raises(self):
+        sim, gen, sinks = self.build(queue_capacity=1, strict=True)
+        assert gen.on_sche(self.sche(0))
+        with pytest.raises(RegisterQueueOverflow):
+            gen.on_sche(self.sche(1))
 
     def test_per_flow_counters(self):
         sim, gen, sinks = self.build()
