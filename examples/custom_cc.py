@@ -3,9 +3,10 @@
 The paper's R2 requirement is *customizable CC*: operators write the CC
 module in a high-level language against the HLS entry-function contract
 (Table 3) and flash it onto the FPGA.  The software equivalent: subclass
-:class:`repro.cc.CCAlgorithm`, declare the fast path's arithmetic (so
-the frequency-control analysis can check the cycle budget), register it,
-and select it by name in the test configuration.
+:class:`repro.cc.CCAlgorithm`, declare its settable parameters and the
+fast path's arithmetic (so the frequency-control analysis can check the
+cycle budget), register it, and select it by name in the test
+configuration.
 
 The example implements AIMD-ECN — a deliberately simple window algorithm
 that grows additively and halves on any ECN echo — then verifies it
@@ -24,6 +25,7 @@ from repro.cc import (
     IntrinsicInput,
     IntrinsicOutput,
     OpCounts,
+    Param,
     TIMER_RTO,
 )
 from repro.fpga.hls import algorithm_cycles
@@ -50,9 +52,14 @@ class AimdEcn(CCAlgorithm):
     # Fast path: a couple of compares, one add, one shift for the halving.
     ops = OpCounts(add_sub=2, compare=3, shift=1)
 
-    def __init__(self, *, increment: float = 1.0, rto_ps: int = 200 * US) -> None:
-        self.increment = increment
-        self.rto_ps = rto_ps
+    # Settable parameters, each declared once: type, default and range.
+    # The constructor checks them and stores them as attributes, so
+    # ``cc_params={"increment": 0.5}`` works and ``{"rto_ps": 1.5}`` is a
+    # ConfigError (the clock counts whole picoseconds).
+    params = {
+        "increment": Param(float, 1.0, "(0, inf)"),
+        "rto_ps": Param(int, 200 * US, "(0, inf)"),
+    }
 
     def initial_cust(self) -> AimdState:
         return AimdState()

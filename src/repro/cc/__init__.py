@@ -14,6 +14,7 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
     OpCounts,
+    Param,
     TIMER_ALG_A,
     TIMER_ALG_B,
     TIMER_RTO,
@@ -44,6 +45,7 @@ __all__ = [
     "IntrinsicInput",
     "IntrinsicOutput",
     "OpCounts",
+    "Param",
     "TIMER_ALG_A",
     "TIMER_ALG_B",
     "TIMER_RTO",

@@ -24,6 +24,7 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
     OpCounts,
+    Param,
 )
 from repro.cc.reno import DUP_ACK_THRESHOLD, Reno, RenoState
 from repro.units import SECOND
@@ -86,20 +87,11 @@ class Cubic(Reno):
     ops = OpCounts(add_sub=4, compare=4, mul32=3, cube_root_lut=1)
     lines_of_code = 210
 
-    def __init__(
-        self,
-        *,
-        c: float = 0.4,
-        beta: float = 0.3,
-        **reno_kwargs: Any,
-    ) -> None:
-        super().__init__(**reno_kwargs)
-        if c <= 0:
-            raise ValueError(f"Cubic C must be positive, got {c}")
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"Cubic beta must be in (0, 1), got {beta}")
-        self.c = c
-        self.beta = beta
+    params = {
+        **Reno.params,
+        "c": Param(float, 0.4, "(0, inf)"),
+        "beta": Param(float, 0.3, "(0, 1)"),
+    }
 
     def initial_cust(self) -> CubicState:
         return CubicState(ssthresh=self.initial_ssthresh)

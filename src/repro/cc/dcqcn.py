@@ -31,6 +31,7 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
     OpCounts,
+    Param,
     TIMER_ALG_A,
     TIMER_ALG_B,
 )
@@ -64,31 +65,19 @@ class Dcqcn(CCAlgorithm):
     ops = OpCounts(add_sub=4, compare=4, mul32=2)
     lines_of_code = 98
 
-    def __init__(
-        self,
-        *,
-        g: float = 1.0 / 256.0,
-        initial_alpha: float = 1.0,
-        alpha_timer_ps: int = 55 * MICROSECOND,
-        rate_timer_ps: int = 55 * MICROSECOND,
-        byte_counter: int = 10 * 1024 * 1024,
-        fast_recovery_threshold: int = 5,
-        rate_ai_bps: float = 1 * GBPS,
-        rate_hai_bps: float = 5 * GBPS,
-        min_rate_floor_bps: float = 100 * MBPS,
-    ) -> None:
-        if not 0.0 < g <= 1.0:
-            raise ValueError(f"DCQCN g must be in (0, 1], got {g}")
-        self.g = g
-        self.initial_alpha = initial_alpha
-        self.alpha_timer_ps = alpha_timer_ps
-        self.rate_timer_ps = rate_timer_ps
-        self.byte_counter = byte_counter
-        self.fast_recovery_threshold = fast_recovery_threshold
-        self.rate_ai_bps = rate_ai_bps
-        self.rate_hai_bps = rate_hai_bps
-        self.min_rate_floor_bps = min_rate_floor_bps
-        self._link_rate_bps: float = 100 * GBPS
+    params = {
+        "g": Param(float, 1.0 / 256.0, "(0, 1]"),
+        "initial_alpha": Param(float, 1.0, "[0, 1]"),
+        "alpha_timer_ps": Param(int, 55 * MICROSECOND, "(0, inf)"),
+        "rate_timer_ps": Param(int, 55 * MICROSECOND, "(0, inf)"),
+        "byte_counter": Param(int, 10 * 1024 * 1024, "(0, inf)"),
+        "fast_recovery_threshold": Param(int, 5, "[1, inf)"),
+        "rate_ai_bps": Param(float, 1 * GBPS, "(0, inf)"),
+        "rate_hai_bps": Param(float, 5 * GBPS, "(0, inf)"),
+        "min_rate_floor_bps": Param(float, 100 * MBPS, "(0, inf)"),
+    }
+    #: Line rate of the port, learned from the first flow's initial rate.
+    _link_rate_bps: float = 100 * GBPS
 
     # -- state --------------------------------------------------------------
 

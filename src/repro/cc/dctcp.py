@@ -28,6 +28,7 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
     OpCounts,
+    Param,
 )
 from repro.cc.reno import Reno, RenoState
 
@@ -79,20 +80,12 @@ class Dctcp(Reno):
     ops = OpCounts(add_sub=4, compare=3, shift=1, mul32=2, div16=1)
     lines_of_code = 175
 
-    def __init__(
-        self,
-        *,
-        g: float = 1.0 / 16.0,
-        initial_alpha: float = 1.0,
-        use_slow_path: bool = True,
-        **reno_kwargs: Any,
-    ) -> None:
-        super().__init__(**reno_kwargs)
-        if not 0.0 < g <= 1.0:
-            raise ValueError(f"DCTCP g must be in (0, 1], got {g}")
-        self.g = g
-        self.initial_alpha = initial_alpha
-        self.use_slow_path = use_slow_path
+    params = {
+        **Reno.params,
+        "g": Param(float, 1.0 / 16.0, "(0, 1]"),
+        "initial_alpha": Param(float, 1.0, "[0, 1]"),
+        "use_slow_path": Param(bool, True),
+    }
 
     # -- state --------------------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
     OpCounts,
+    Param,
     TIMER_RTO,
 )
 from repro.units import BITS_PER_BYTE, MICROSECOND, SECOND
@@ -65,26 +66,15 @@ class Hpcc(CCAlgorithm):
     ops = OpCounts(add_sub=6, compare=4, mul32=2, div32=2)
     lines_of_code = 230
 
-    def __init__(
-        self,
-        *,
-        eta: float = 0.95,
-        max_inc_stage: int = 5,
-        w_ai_packets: float = 0.5,
-        base_rtt_ps: int = 6 * MICROSECOND,
-        mss_bytes: int = 1024,
-        initial_window: float = 64.0,
-        rto_ps: int = 400 * MICROSECOND,
-    ) -> None:
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {eta}")
-        self.eta = eta
-        self.max_inc_stage = max_inc_stage
-        self.w_ai = w_ai_packets
-        self.base_rtt_ps = base_rtt_ps
-        self.mss_bytes = mss_bytes
-        self.initial_window = initial_window
-        self.rto_ps = rto_ps
+    params = {
+        "eta": Param(float, 0.95, "(0, 1]"),
+        "max_inc_stage": Param(int, 5, "[0, inf)"),
+        "w_ai_packets": Param(float, 0.5, "(0, inf)"),
+        "base_rtt_ps": Param(int, 6 * MICROSECOND, "(0, inf)"),
+        "mss_bytes": Param(int, 1024, "(0, inf)"),
+        "initial_window": Param(float, 64.0, "[1, inf)"),
+        "rto_ps": Param(int, 400 * MICROSECOND, "(0, inf)"),
+    }
 
     # -- state --------------------------------------------------------------
 
@@ -162,12 +152,12 @@ class Hpcc(CCAlgorithm):
 
     def _compute_window(self, cust: HpccState, update_wc: bool) -> float:
         if cust.u >= self.eta or cust.inc_stage >= self.max_inc_stage:
-            window = cust.wc / max(cust.u / self.eta, 1e-3) + self.w_ai
+            window = cust.wc / max(cust.u / self.eta, 1e-3) + self.w_ai_packets
             if update_wc:
                 cust.inc_stage = 0
                 cust.wc = window
         else:
-            window = cust.wc + self.w_ai
+            window = cust.wc + self.w_ai_packets
             if update_wc:
                 cust.inc_stage += 1
                 cust.wc = window

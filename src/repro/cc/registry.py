@@ -36,18 +36,15 @@ def register(cls: Type[CCAlgorithm]) -> Type[CCAlgorithm]:
 
 
 def create(name: str, **params: Any) -> CCAlgorithm:
-    """Instantiate a registered algorithm with constructor parameters;
-    parameters its constructor refuses raise :class:`ConfigError`."""
+    """Instantiate a registered algorithm; parameters outside its
+    declared table raise :class:`ConfigError` (:class:`CCAlgorithm`)."""
     try:
         cls = _REGISTRY[name]
     except KeyError:
         raise ConfigError(
             f"unknown CC algorithm {name!r}; registered: {sorted(_REGISTRY)}"
         ) from None
-    try:
-        algorithm = cls(**params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name!r} rejects parameters {params!r}: {exc}") from None
+    algorithm = cls(**params)
     algorithm.validate()
     return algorithm
 

@@ -28,6 +28,7 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
     OpCounts,
+    Param,
     TIMER_RTO,
 )
 from repro.units import MICROSECOND
@@ -62,18 +63,12 @@ class Reno(CCAlgorithm):
     ops = OpCounts(add_sub=3, compare=4, shift=1)
     lines_of_code = 156
 
-    def __init__(
-        self,
-        *,
-        initial_cwnd: float = 1.0,
-        initial_ssthresh: float = 64.0,
-        rto_ps: int = 200 * MICROSECOND,
-        max_cwnd: float = 1 << 20,
-    ) -> None:
-        self.initial_cwnd = initial_cwnd
-        self.initial_ssthresh = initial_ssthresh
-        self.rto_ps = rto_ps
-        self.max_cwnd = max_cwnd
+    params = {
+        "initial_cwnd": Param(float, 1.0, "[1, inf)"),
+        "initial_ssthresh": Param(float, 64.0, "(0, inf)"),
+        "rto_ps": Param(int, 200 * MICROSECOND, "(0, inf)"),
+        "max_cwnd": Param(float, 1 << 20, "[1, inf)"),
+    }
 
     # -- state --------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
     OpCounts,
+    Param,
     TIMER_RTO,
 )
 from repro.units import MICROSECOND
@@ -50,28 +51,16 @@ class Swift(CCAlgorithm):
     ops = OpCounts(add_sub=5, compare=4, mul32=2, div16=1)
     lines_of_code = 160
 
-    def __init__(
-        self,
-        *,
-        base_target_ps: int = 12 * MICROSECOND,
-        fs_alpha_ps: float = 30.0 * MICROSECOND,
-        ai: float = 1.0,
-        beta: float = 0.8,
-        max_mdf: float = 0.5,
-        initial_cwnd: float = 16.0,
-        max_cwnd: float = 1 << 20,
-        rto_ps: int = 400 * MICROSECOND,
-    ) -> None:
-        if not 0.0 < max_mdf < 1.0:
-            raise ValueError(f"max_mdf must be in (0, 1), got {max_mdf}")
-        self.base_target_ps = base_target_ps
-        self.fs_alpha_ps = fs_alpha_ps
-        self.ai = ai
-        self.beta = beta
-        self.max_mdf = max_mdf
-        self.initial_cwnd = initial_cwnd
-        self.max_cwnd = max_cwnd
-        self.rto_ps = rto_ps
+    params = {
+        "base_target_ps": Param(int, 12 * MICROSECOND, "(0, inf)"),
+        "fs_alpha_ps": Param(float, 30.0 * MICROSECOND, "[0, inf)"),
+        "ai": Param(float, 1.0, "(0, inf)"),
+        "beta": Param(float, 0.8, "(0, 1]"),
+        "max_mdf": Param(float, 0.5, "(0, 1)"),
+        "initial_cwnd": Param(float, 16.0, "[1, inf)"),
+        "max_cwnd": Param(float, 1 << 20, "[1, inf)"),
+        "rto_ps": Param(int, 400 * MICROSECOND, "(0, inf)"),
+    }
 
     def initial_cust(self) -> SwiftState:
         return SwiftState()

@@ -28,7 +28,9 @@ from repro.cc.base import (
     IntrinsicInput,
     IntrinsicOutput,
     OpCounts,
+    Param,
 )
+from repro.errors import ConfigError
 from repro.units import GBPS, MBPS, MICROSECOND
 
 
@@ -53,29 +55,26 @@ class Timely(CCAlgorithm):
     ops = OpCounts(add_sub=5, compare=4, mul32=2, div16=1)
     lines_of_code = 140
 
-    def __init__(
-        self,
-        *,
-        t_low_ps: int = 10 * MICROSECOND,
-        t_high_ps: int = 100 * MICROSECOND,
-        min_rtt_ps: int = 6 * MICROSECOND,
-        ewma_alpha: float = 0.125,
-        beta: float = 0.8,
-        delta_bps: float = 1 * GBPS,
-        hai_threshold: int = 5,
-        min_rate_floor_bps: float = 100 * MBPS,
-    ) -> None:
-        if t_low_ps >= t_high_ps:
-            raise ValueError("t_low must be below t_high")
-        self.t_low_ps = t_low_ps
-        self.t_high_ps = t_high_ps
-        self.min_rtt_ps = min_rtt_ps
-        self.ewma_alpha = ewma_alpha
-        self.beta = beta
-        self.delta_bps = delta_bps
-        self.hai_threshold = hai_threshold
-        self.min_rate_floor_bps = min_rate_floor_bps
-        self._link_rate_bps: float = 100 * GBPS
+    params = {
+        "t_low_ps": Param(int, 10 * MICROSECOND, "(0, inf)"),
+        "t_high_ps": Param(int, 100 * MICROSECOND, "(0, inf)"),
+        "min_rtt_ps": Param(int, 6 * MICROSECOND, "(0, inf)"),
+        "ewma_alpha": Param(float, 0.125, "(0, 1]"),
+        "beta": Param(float, 0.8, "(0, 1]"),
+        "delta_bps": Param(float, 1 * GBPS, "(0, inf)"),
+        "hai_threshold": Param(int, 5, "[1, inf)"),
+        "min_rate_floor_bps": Param(float, 100 * MBPS, "(0, inf)"),
+    }
+    #: Line rate of the port, learned from the first flow's initial rate.
+    _link_rate_bps: float = 100 * GBPS
+
+    def __init__(self, **params: Any) -> None:
+        super().__init__(**params)
+        if self.t_low_ps >= self.t_high_ps:
+            raise ConfigError(
+                f"'timely' rejects parameters {params!r}: "
+                f"t_low_ps={self.t_low_ps} must be below t_high_ps={self.t_high_ps}"
+            )
 
     def initial_cust(self) -> TimelyState:
         return TimelyState()

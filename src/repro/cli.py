@@ -173,10 +173,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _parse_grid_axes(specs: Sequence[str]) -> list[dict]:
     """``name=v1,v2`` axes -> cartesian-product grid (values parsed as
-    int, then float, then kept as strings)."""
+    ``true``/``false``, int, then float, then kept as strings)."""
     import itertools
 
     def parse(token: str):
+        if token in ("true", "false"):
+            return token == "true"
         for cast in (int, float):
             try:
                 return cast(token)

@@ -61,6 +61,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.cc.dcqcn import Dcqcn
+from repro.cc.dctcp import Dctcp
 from repro.cc.kernels import (
     KERNEL_DCQCN,
     KERNEL_DCTCP,
@@ -97,55 +99,55 @@ def kernel_for_profile(profile) -> int:
     return fluid_kernel(profile.name)
 
 
+# The model's CC constants.  DCTCP's gain and DCQCN's alpha-timer period
+# are the packet-level modules' declared defaults; the others are the
+# fluid model's own.
+DCTCP_GAIN = Dctcp.params["g"].default
+DCQCN_ALPHA_PERIOD_PS = Dcqcn.params["alpha_timer_ps"].default
+#: DCQCN alpha gain: 1/16, where the packet-level ``Dcqcn`` declares 1/256.
+DCQCN_ALPHA_GAIN = 0.0625
+#: Segment size: 1,000 B, where the packet level sends 1,024 B templates.
+MSS_BYTES = 1000
+#: DCQCN rate-cut period: at packet level a cut is one CNP, paced by
+#: ``TestConfig.cnp_interval_ps`` (also 50 us) and only while marked.
+DCQCN_CUT_PERIOD_PS = 50 * US
+#: DCQCN recovery toward line rate as one time constant; the packet level
+#: steps its fast-recovery/AI/HAI stages per rate timer and byte counter.
+DCQCN_RECOVERY_TAU_PS = 120 * US
+#: Propagation RTT added to the queueing delay; the packet level has no
+#: such constant, its RTT is what its links and pipeline add up to.
+BASE_RTT_PS = 6 * US
+#: Marking threshold K per bottleneck: a fabric setting at packet level
+#: (``run_sweep_point``'s default is the same 84,000 B), not a CC one.
+ECN_THRESHOLD_BYTES = 84_000
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization and CC constants of the columnar solver."""
+    """Discretization of the columnar solver (its CC constants are the
+    module constants above)."""
 
     #: Step size.  Must resolve the fastest dynamics of interest (the
     #: effective RTT); FCTs are completion-interpolated, so the *ideal*
     #: kernel is exact at any dt.
     dt_ps: int = 5 * US
-    #: Propagation RTT added to the queueing delay at the bottleneck.
-    base_rtt_ps: int = 6 * US
-    mss_bytes: int = 1000
-    #: DCTCP marking threshold K per bottleneck (bytes of standing queue).
-    ecn_threshold_bytes: int = 84_000
-    #: DCTCP alpha gain g (per RTT).
-    dctcp_gain: float = 0.0625
-    #: DCQCN alpha-timer gain and period (the 55 us alpha update).
-    dcqcn_alpha_gain: float = 0.0625
-    dcqcn_alpha_period_ps: int = 55 * US
-    #: DCQCN rate-cut reaction period (CNP interval).
-    dcqcn_cut_period_ps: int = 50 * US
-    #: Time constant of DCQCN's recovery toward line rate.
-    dcqcn_recovery_tau_ps: int = 120 * US
-    #: Rate floor so rate-mode flows can always finish.
-    min_rate_bps: float = 10e6
     #: Window cap in bottleneck BDPs (keeps slow start from overflowing
     #: float range while the queue-inflated RTT catches up).
     max_window_bdp: float = 8.0
+    #: Rate floor so rate-mode flows can always finish.
+    min_rate_bps: float = 10e6
     #: Compaction policy: compact when rows exceed ``compact_slack``
     #: times the active population (and at least ``compact_min_rows``).
     compact_min_rows: int = 4096
     compact_slack: float = 2.0
 
     def validate(self) -> None:
-        # The step divides by the periods, tau and (through the window
-        # cap) max_window_bdp; its plan precomputes those ratios.
-        for name in (
-            "dt_ps", "base_rtt_ps", "mss_bytes", "ecn_threshold_bytes",
-            "dcqcn_alpha_period_ps", "dcqcn_cut_period_ps",
-            "dcqcn_recovery_tau_ps", "min_rate_bps", "max_window_bdp",
-            "compact_min_rows",
-        ):
+        # The step divides by dt and (through the window cap)
+        # max_window_bdp; its plan precomputes those ratios.
+        for name in ("dt_ps", "max_window_bdp", "min_rate_bps", "compact_min_rows"):
             if not getattr(self, name) > 0:
                 raise ConfigError(
                     f"{name} must be positive, got {getattr(self, name)}"
-                )
-        for name in ("dctcp_gain", "dcqcn_alpha_gain"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigError(
-                    f"{name} must be in (0, 1], got {getattr(self, name)}"
                 )
         if not self.compact_slack > 1.0:
             raise ConfigError("compact_slack must exceed 1.0")
@@ -250,11 +252,11 @@ class _StepPlan:
         cfg = solver.config
         n = solver._n
         self.dt_s = cfg.dt_ps / SECOND
-        self.base_rtt_s = cfg.base_rtt_ps / SECOND
-        self.k_bits = cfg.ecn_threshold_bytes * BITS_PER_BYTE
-        self.mss_bits = cfg.mss_bytes * BITS_PER_BYTE
-        self.alpha_ratio = cfg.dt_ps / cfg.dcqcn_alpha_period_ps
-        self.cut_ratio = cfg.dt_ps / cfg.dcqcn_cut_period_ps
+        self.base_rtt_s = BASE_RTT_PS / SECOND
+        self.k_bits = ECN_THRESHOLD_BYTES * BITS_PER_BYTE
+        self.mss_bits = MSS_BYTES * BITS_PER_BYTE
+        self.alpha_ratio = cfg.dt_ps / DCQCN_ALPHA_PERIOD_PS
+        self.cut_ratio = cfg.dt_ps / DCQCN_CUT_PERIOD_PS
         self.bdp_b = cfg.max_window_bdp * solver.capacity_bps
         bot = solver.bottleneck[:n]
         self.columns = (
@@ -434,7 +436,7 @@ class ColumnarFluidSolver:
         if self._n + k > self._cap:
             self._grow(self._n + k)
         rows = slice(self._n, self._n + k)
-        mss_bits = self.config.mss_bytes * BITS_PER_BYTE
+        mss_bits = MSS_BYTES * BITS_PER_BYTE
         self.size_bits[rows] = sizes * BITS_PER_BYTE
         self.remaining_bits[rows] = self.size_bits[rows]
         self.start_ps[rows] = self.now_ps if start_ps is None else float(start_ps)
@@ -593,7 +595,7 @@ class ColumnarFluidSolver:
             w = window[idx]
             if code == KERNEL_DCTCP:
                 np.subtract(m, a, out=t)
-                t *= cfg.dctcp_gain
+                t *= DCTCP_GAIN
                 t *= r
                 a += t
                 np.multiply(a, 0.5, out=t)
@@ -626,7 +628,7 @@ class ColumnarFluidSolver:
             a = alpha[idx]
             rr = rate[idx]
             np.subtract(m, a, out=t)
-            t *= cfg.dcqcn_alpha_gain
+            t *= DCQCN_ALPHA_GAIN
             t *= plan.alpha_ratio
             a += t
             np.multiply(a, 0.5, out=t)
@@ -634,7 +636,7 @@ class ColumnarFluidSolver:
             t *= plan.cut_ratio
             np.subtract(1.0, t, out=t)
             t *= rr  # the decayed rate
-            recover_b = (1.0 - mark_b) * cfg.dt_ps / cfg.dcqcn_recovery_tau_ps
+            recover_b = (1.0 - mark_b) * cfg.dt_ps / DCQCN_RECOVERY_TAU_PS
             recover_b.take(b, out=m, mode="clip")
             np.subtract(line_rate, rr, out=rr)
             rr *= m

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cc import Cubic, EventType, Flags, IntrinsicInput, Timely, lut_cbrt
 from repro.cc.base import CCMode
+from repro.errors import ConfigError
 from repro.units import GBPS, MICROSECOND, MS, RATE_100G, SECOND
 
 
@@ -132,9 +133,9 @@ class TestCubic:
         assert out.cwnd_or_rate == 1.0
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Cubic(c=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Cubic(beta=1.5)
 
 
@@ -230,5 +231,5 @@ class TestTimely:
         assert out.rewind_to_una
 
     def test_t_low_below_t_high(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Timely(t_low_ps=100, t_high_ps=100)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cc import Dcqcn, EventType, Flags, IntrinsicInput
 from repro.cc.base import CCMode, TIMER_ALG_A, TIMER_ALG_B
+from repro.errors import ConfigError
 from repro.units import GBPS, RATE_100G
 
 
@@ -78,7 +79,7 @@ class TestBasics:
         assert dcqcn.byte_counter_bytes() == 10 * 1024 * 1024
 
     def test_g_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Dcqcn(g=0)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cc import AlphaUpdateEvent, Dctcp, EventType, Flags, IntrinsicInput
+from repro.errors import ConfigError
 
 
 def rx(psn, *, cwnd, nxt, ecn=False, t=0):
@@ -120,9 +121,9 @@ class TestAlphaSlowPath:
         assert out.slow_path_events == []
 
     def test_g_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Dctcp(g=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Dctcp(g=1.5)
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro import ControlPlane, TestConfig
 from repro.cc import EventType, Flags, Hpcc, IntrinsicInput, Swift
 from repro.cc.base import CCMode
+from repro.errors import ConfigError
 from repro.fpga.hls import algorithm_cycles
 from repro.measure.fairness import jain_index
 from repro.net import int_telemetry
@@ -185,7 +186,7 @@ class TestHpccUnit:
         assert control.pps_reduction_factor(cycles) >= 2
 
     def test_eta_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Hpcc(eta=0.0)
 
 
@@ -231,7 +232,7 @@ class TestSwiftUnit:
         assert out.rewind_to_una
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Swift(max_mdf=1.5)
 
 
