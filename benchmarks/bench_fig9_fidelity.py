@@ -1,10 +1,11 @@
 """Figure 9: flow fidelity — Marlin's DCQCN vs ConnectX-style hosts.
 
 n-cast-1 scenario: n sender NICs, each with 5 queue pairs running
-closed-loop WebSearch flows toward a single receiver behind a shared
-bottleneck.  The test runs once with ConnectX-style host agents (the
-independent DCQCN implementation) and once with the Marlin tester in
-place of the hosts, then compares the FCT CDFs.
+closed-loop WebSearch flows toward a single receiver, all on the
+one-leaf fabric, so the receiver's port is the shared bottleneck.  The
+test runs once with ConnectX-style host agents (the independent DCQCN
+implementation) and once with the Marlin tester's ports in place of
+the hosts on the same network, then compares the FCT CDFs.
 
 Scale note: WebSearch sizes are divided by 10 on BOTH sides (identical
 workloads), bounding tail-flow runtimes so the bench finishes in
@@ -17,7 +18,8 @@ from conftest import cdf_summary, print_header, print_table, run_once
 
 from repro import ControlPlane, TestConfig
 from repro.measure.fct import cdf_points
-from repro.net.topology import n_cast_1
+from repro.net.fabric import build_fabric
+from repro.net.host import Host
 from repro.reference.connectx import ConnectXAgent, ConnectXFctHarness
 from repro.sim import Simulator
 from repro.units import MS
@@ -37,7 +39,12 @@ def scaled_websearch():
 
 def run_connectx(n_senders):
     sim = Simulator()
-    topo, senders, receiver, _, _ = n_cast_1(sim, n_senders)
+    # The hosts sit where the tester's ports sit in run_marlin: one leaf,
+    # senders first, the receiver last.
+    fabric = build_fabric(sim)
+    *senders, receiver = hosts = [Host(sim) for _ in range(n_senders + 1)]
+    for host in hosts:
+        host.address = fabric.attach(0, host.port)
     agents = [ConnectXAgent(host) for host in senders]
     recv_agent = ConnectXAgent(receiver)
     harness = ConnectXFctHarness(

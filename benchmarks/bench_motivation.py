@@ -18,36 +18,29 @@ from conftest import print_header, print_table, run_once
 
 from repro import ControlPlane, TestConfig
 from repro.baselines.pswitch_tester import PswitchTester
-from repro.net.switch import NetworkSwitch
-from repro.net.topology import Topology
+from repro.net.fabric import DEFAULT_QUEUE_CAPACITY_BYTES, build_fabric
 from repro.sim import Simulator
 from repro.units import GBPS, MS, format_rate
 
 N_SENDERS = 3
 DURATION = 4 * MS
-QUEUE_CAPACITY = 2**22  # 4 MB, as the Marlin runs use
 
 
 def run_ccless():
     sim = Simulator()
-    topo = Topology(sim)
-    fabric = NetworkSwitch(sim, "fabric")
-    topo.add_device(fabric)
+    fabric = build_fabric(sim)
     tester = PswitchTester(sim, N_SENDERS + 1)
-    for index, port in enumerate(tester.ports):
-        fabric_port = fabric.add_ecn_port(capacity_bytes=QUEUE_CAPACITY)
-        topo.connect(port, fabric_port)
-        fabric.set_route(index + 1, fabric_port)
+    addresses = [fabric.attach(0, port) for port in tester.ports]
     for src in range(N_SENDERS):
         tester.add_stream(
             src,
-            src_addr=src + 1,
-            dst_addr=N_SENDERS + 1,
+            src_addr=addresses[src],
+            dst_addr=addresses[N_SENDERS],
             rate_bps=100 * GBPS,  # "configure the rate": full line rate
         )
     tester.start_all()
     sim.run(until_ps=DURATION)
-    bottleneck = fabric.ports[N_SENDERS]
+    bottleneck = fabric.leaves[0].ports[N_SENDERS]
     sent = tester.total_sent
     delivered = tester.data_received
     return {
@@ -69,7 +62,7 @@ def run_marlin():
             cc_params={"initial_ssthresh": 1024.0},
         )
     )
-    cp.wire_loopback_fabric(queue_capacity_bytes=QUEUE_CAPACITY)
+    cp.wire_loopback_fabric()
     cp.start_flows(size_packets=10**9, pattern="fan_in")
     cp.run(duration_ps=DURATION)
     counters = cp.read_measurements()
@@ -102,4 +95,4 @@ def test_motivation_ccless_vs_cc(benchmark):
     # sustained loss; the CC tester converges to ~100 G with zero loss.
     assert ccless["lost pkts"] > 10_000
     assert marlin["lost pkts"] == 0
-    assert ccless["peak queue (kB)"] >= QUEUE_CAPACITY // 1000 - 10
+    assert ccless["peak queue (kB)"] >= DEFAULT_QUEUE_CAPACITY_BYTES // 1000 - 10

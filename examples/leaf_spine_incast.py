@@ -12,7 +12,7 @@ Run:  python examples/leaf_spine_incast.py
 from repro import TestConfig
 from repro.core.tester import MarlinTester
 from repro.measure.fairness import jain_index
-from repro.net.leaf_spine import wire_tester_leaf_spine
+from repro.net.fabric import wire_tester
 from repro.sim import Simulator
 from repro.units import MS, US, format_rate
 
@@ -22,7 +22,7 @@ def main() -> None:
     tester = MarlinTester(
         sim, TestConfig(cc_algorithm="dcqcn", n_test_ports=8)
     )
-    fabric = wire_tester_leaf_spine(sim, tester, n_leaves=2, n_spines=2)
+    fabric = wire_tester(sim, tester, n_leaves=2, n_spines=2)
     print(f"fabric: {fabric.n_leaves} leaves x {fabric.n_spines} spines; "
           f"{tester.n_test_ports} tester ports round-robin across leaves")
 

@@ -43,6 +43,7 @@ from repro.fpga.hls import algorithm_cycles
 from repro.fpga.resources import estimate_resources
 from repro.fpga.timers import FrequencyControl
 from repro.measure.export import fct_to_csv, throughput_to_csv, trace_to_json
+from repro.net.fabric import DEFAULT_ECN_THRESHOLD_BYTES
 from repro.obs import (
     build_manifest,
     counters_registry,
@@ -586,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0, help="campaign seed")
     p_sweep.add_argument("--senders", type=int, default=3)
     p_sweep.add_argument("--duration-ms", type=float, default=6.0)
-    p_sweep.add_argument("--ecn-threshold", type=int, default=84_000)
+    p_sweep.add_argument("--ecn-threshold", type=int, default=DEFAULT_ECN_THRESHOLD_BYTES)
     p_sweep.add_argument("--json", default=None, help="write results as JSON")
     p_sweep.add_argument(
         "--metrics-out",
@@ -658,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sender ports of the fan-in scenario")
     p_report.add_argument("--size-packets", type=int, default=10**9)
     p_report.add_argument("--duration-ms", type=float, default=2.0)
-    p_report.add_argument("--ecn-threshold", type=int, default=84_000)
+    p_report.add_argument("--ecn-threshold", type=int, default=DEFAULT_ECN_THRESHOLD_BYTES)
     p_report.add_argument("--top", type=int, default=12,
                           help="profile rows to print")
     p_report.add_argument(

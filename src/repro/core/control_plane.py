@@ -17,38 +17,9 @@ from typing import Callable, Optional
 from repro.core.config import TestConfig
 from repro.core.tester import MarlinTester
 from repro.errors import ConfigError
+from repro.net.fabric import wire_tester
 from repro.net.switch import NetworkSwitch
-from repro.net.topology import DEFAULT_LINK_DELAY_PS, Topology
 from repro.sim.engine import Simulator
-
-
-def wire_tester_fabric(
-    sim: Simulator,
-    tester: MarlinTester,
-    *,
-    name: str = "fabric",
-    delay_ps: int = DEFAULT_LINK_DELAY_PS,
-    ecn_threshold_bytes: int = 84_000,
-    queue_capacity_bytes: int = 2**22,
-) -> tuple[Topology, NetworkSwitch]:
-    """Wire one tester's test ports through an intermediate switch and
-    give each port an address routed straight back to it (the paper's
-    testbed shape).  Used by the control plane and by multi-pipeline
-    setups that need one fabric per pipeline."""
-    topo = Topology(sim)
-    fabric = NetworkSwitch(sim, name)
-    topo.add_device(fabric)
-    for index, port in enumerate(tester.test_ports):
-        fabric_port = fabric.add_ecn_port(
-            rate_bps=port.rate_bps,
-            capacity_bytes=queue_capacity_bytes,
-            ecn_threshold_bytes=ecn_threshold_bytes,
-        )
-        topo.connect(port, fabric_port, delay_ps=delay_ps)
-        address = topo.allocate_address()
-        fabric.set_route(address, fabric_port)
-        tester.assign_port_address(index, address)
-    return topo, fabric
 
 
 #: Traffic patterns over ``n`` test ports: name -> (src, dst) port pairs.
@@ -95,7 +66,6 @@ class ControlPlane:
             )
         self.sim = sim if sim is not None else Simulator(backend=sim_backend)
         self.tester: Optional[MarlinTester] = None
-        self.topology: Optional[Topology] = None
         self.fabric: Optional[NetworkSwitch] = None
 
     # -- deployment ---------------------------------------------------------------
@@ -116,8 +86,9 @@ class ControlPlane:
 
     def wire_loopback_fabric(self, **options: int) -> NetworkSwitch:
         """Connect every test port to an intermediate switch and give each
-        port an address routed straight back to it (``options``: those of
-        :func:`wire_tester_fabric`).
+        port an address routed straight back to it: the one-leaf,
+        no-spine :mod:`repro.net.fabric` (``options``:
+        ``ecn_threshold_bytes``, ``queue_capacity_bytes``).
 
         This is the paper's testbed shape ("sender and receiver are
         connected with a programmable switch via twelve 100 Gbps links
@@ -125,9 +96,10 @@ class ControlPlane:
         address, and the experiment picks a :data:`PATTERNS` row purely
         by its choice of destination addresses.
         """
-        self.topology, self.fabric = wire_tester_fabric(
-            self.sim, self.require_tester(), **options
+        fabric = wire_tester(
+            self.sim, self.require_tester(), n_leaves=1, n_spines=0, **options
         )
+        self.fabric = fabric.leaves[0]
         return self.fabric
 
     # -- test execution ------------------------------------------------------------------

@@ -23,6 +23,8 @@ from repro.core.tester import MarlinTester
 from repro.errors import ConfigError
 from repro.fpga.flow import FlowState
 from repro.measure.fct import FctCollector
+from repro.net.fabric import wire_tester
+from repro.net.switch import NetworkSwitch
 from repro.sim.engine import Simulator
 from repro.units import RATE_100G
 
@@ -165,18 +167,14 @@ class MultiPipelineTester:
             start_at_ps=start_at_ps,
         )
 
-    def wire_fabrics(self, **fabric_kwargs) -> list:
+    def wire_fabrics(self, **options: int) -> list[NetworkSwitch]:
         """Give every pipeline its own loopback fabric (pipelines are
-        independent amplification domains)."""
-        from repro.core.control_plane import wire_tester_fabric
-
-        fabrics = []
-        for index, tester in enumerate(self.pipelines):
-            _, fabric = wire_tester_fabric(
-                self.sim, tester, name=f"fabric-p{index}", **fabric_kwargs
-            )
-            fabrics.append(fabric)
-        return fabrics
+        independent amplification domains; ``options``: those of
+        :meth:`~repro.core.control_plane.ControlPlane.wire_loopback_fabric`)."""
+        return [
+            wire_tester(self.sim, tester, n_leaves=1, n_spines=0, **options).leaves[0]
+            for tester in self.pipelines
+        ]
 
     def read_counters(self) -> dict[str, int]:
         """Summed hardware counters across pipelines."""

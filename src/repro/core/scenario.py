@@ -17,6 +17,7 @@ from repro.core.config import TestConfig
 from repro.core.control_plane import PATTERNS, ControlPlane, pattern_pairs
 from repro.errors import ConfigError
 from repro.measure.throughput import ThroughputSampler
+from repro.net.fabric import DEFAULT_ECN_THRESHOLD_BYTES
 from repro.units import US
 from repro.workload import DISTRIBUTIONS, ClosedLoopGenerator, FlowSlot
 from repro.workload.distributions import EmpiricalCdf, SizeDistribution
@@ -37,7 +38,7 @@ class Scenario:
     workload: str = "fixed"
     size_packets: int = 5000
     size_scale: int = 1
-    ecn_threshold_bytes: int = 84_000
+    ecn_threshold_bytes: int = DEFAULT_ECN_THRESHOLD_BYTES
 
     def __post_init__(self) -> None:
         for kind, value, known in (

@@ -23,6 +23,7 @@ from repro.core.scenario import Scenario, deploy_scenario
 from repro.errors import ConfigError
 from repro.measure.fairness import jain_index
 from repro.measure.throughput import ThroughputSampler
+from repro.net.fabric import DEFAULT_ECN_THRESHOLD_BYTES
 from repro.obs import flight
 from repro.obs.heartbeat import Heartbeat, run_with_heartbeats
 from repro.parallel import CampaignResult, CampaignRunner, report_events
@@ -73,7 +74,7 @@ def run_sweep_point(
     n_senders: int = 3,
     size_packets: int = 10**9,
     duration_ps: int = 6 * MS,
-    ecn_threshold_bytes: int = 84_000,
+    ecn_threshold_bytes: int = DEFAULT_ECN_THRESHOLD_BYTES,
     base_params: Optional[dict[str, Any]] = None,
     seed: int = 0,
     sim_backend: Optional[str] = None,
@@ -128,7 +129,7 @@ def sweep_campaign(
     n_senders: int = 3,
     size_packets: int = 10**9,
     duration_ps: int = 6 * MS,
-    ecn_threshold_bytes: int = 84_000,
+    ecn_threshold_bytes: int = DEFAULT_ECN_THRESHOLD_BYTES,
     base_params: Optional[dict[str, Any]] = None,
     workers: int = 1,
     seed: int = 0,

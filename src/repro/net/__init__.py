@@ -1,4 +1,4 @@
-"""Network substrate: packets, links, queues, switches, hosts, topologies.
+"""Network substrate: packets, links, queues, switches, hosts, fabrics.
 
 This package models the *tested network* that Marlin drives traffic
 through, plus the plumbing that connects Marlin's own devices.  It is a
@@ -12,13 +12,8 @@ from repro.net.queue import DropTailQueue, EcnQueue, Fifo, QueueStats
 from repro.net.device import Device, Port
 from repro.net.switch import NetworkSwitch
 from repro.net.host import Host
-from repro.net.topology import Topology, n_cast_1
-from repro.net.leaf_spine import (
-    LeafSpineFabric,
-    attach_endpoint,
-    build_leaf_spine,
-    wire_tester_leaf_spine,
-)
+from repro.net.topology import Topology
+from repro.net.fabric import Fabric, build_fabric, wire_tester
 from repro.net.pfc import PfcController, enable_pfc
 from repro.net import int_telemetry
 
@@ -37,11 +32,9 @@ __all__ = [
     "NetworkSwitch",
     "Host",
     "Topology",
-    "n_cast_1",
-    "LeafSpineFabric",
-    "attach_endpoint",
-    "build_leaf_spine",
-    "wire_tester_leaf_spine",
+    "Fabric",
+    "build_fabric",
+    "wire_tester",
     "PfcController",
     "enable_pfc",
     "int_telemetry",

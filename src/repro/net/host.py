@@ -30,12 +30,13 @@ class Host(Device):
     def __init__(
         self,
         sim: Simulator,
-        address: int,
+        address: Optional[int] = None,
         *,
         name: Optional[str] = None,
         rate_bps: int = RATE_100G,
     ) -> None:
-        super().__init__(sim, name if name is not None else f"host{address}")
+        super().__init__(sim, name)
+        #: Set by the wiring: ``host.address = fabric.attach(leaf, host.port)``.
         self.address = address
         self.port: Port = self.add_port(rate_bps=rate_bps)
         self.agent: Optional[HostAgent] = None

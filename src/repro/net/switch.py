@@ -47,14 +47,11 @@ class NetworkSwitch(Device):
         self,
         *,
         rate_bps: int = RATE_100G,
-        capacity_bytes: int = 2**20,
-        ecn_threshold_bytes: int = 84_000,
+        capacity_bytes: int,
+        ecn_threshold_bytes: int,
     ) -> Port:
-        """Add a port whose output queue CE-marks above a threshold.
-
-        The default threshold of 84 kB corresponds to K = 65 packets of
-        1,250 B, in the range DCTCP recommends for 100 Gbps links.
-        """
+        """Add a port whose output queue CE-marks above a threshold (the
+        tested network's values are :mod:`repro.net.fabric`'s)."""
         queue = EcnQueue(capacity_bytes, ecn_threshold_bytes)
         return self.add_port(rate_bps=rate_bps, queue=queue)
 

@@ -22,6 +22,7 @@ from typing import Any, Callable, Optional
 
 import repro.cc as cc
 from repro.errors import ConfigError, as_int, as_number, require
+from repro.net.fabric import DEFAULT_ECN_THRESHOLD_BYTES
 from repro.obs.manifest import config_hash
 from repro.units import MS
 
@@ -29,7 +30,7 @@ _SWEEP_DEFAULTS: dict[str, Any] = {
     "grid": [{}],
     "n_senders": 3,
     "duration_ms": 6.0,
-    "ecn_threshold_bytes": 84_000,
+    "ecn_threshold_bytes": DEFAULT_ECN_THRESHOLD_BYTES,
     "seeds": None,
     "seed": 0,
     # A check on the engine the tasks run on (see repro.sim.backend):

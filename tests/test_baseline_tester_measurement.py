@@ -9,24 +9,18 @@ from repro import ControlPlane, TestConfig
 from repro.baselines.pswitch_tester import PswitchTester
 from repro.cli import main as cli_main
 from repro.errors import ConfigError
-from repro.net.switch import NetworkSwitch
-from repro.net.topology import Topology
+from repro.net.fabric import build_fabric
 from repro.sim import Simulator
 from repro.units import GBPS, MS, US
 
 
 def build_ccless(rate_bps):
     sim = Simulator()
-    topo = Topology(sim)
-    fabric = NetworkSwitch(sim, "fabric")
-    topo.add_device(fabric)
+    fabric = build_fabric(sim)
     tester = PswitchTester(sim, 2)
-    for index, port in enumerate(tester.ports):
-        fabric_port = fabric.add_ecn_port()
-        topo.connect(port, fabric_port)
-        fabric.set_route(index + 1, fabric_port)
-    stream = tester.add_stream(0, src_addr=1, dst_addr=2, rate_bps=rate_bps)
-    return sim, tester, fabric, stream
+    src, dst = (fabric.attach(0, port) for port in tester.ports)
+    stream = tester.add_stream(0, src_addr=src, dst_addr=dst, rate_bps=rate_bps)
+    return sim, tester, fabric.leaves[0], stream
 
 
 class TestPswitchTester:

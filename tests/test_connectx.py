@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.net.link import Link
+from repro.net.fabric import build_fabric
 from repro.net.host import Host
-from repro.net.topology import n_cast_1
+from repro.net.link import Link
 from repro.reference.connectx import (
     ALPHA_SCALE,
     ConnectXAgent,
@@ -15,6 +15,15 @@ from repro.reference.connectx import (
 from repro.sim import Simulator
 from repro.units import GBPS, MS, US
 from repro.workload import FixedSize, websearch
+
+
+def one_leaf_hosts(sim, n_senders):
+    """n sender hosts and one receiver on the one-leaf fabric."""
+    fabric = build_fabric(sim)
+    hosts = [Host(sim) for _ in range(n_senders + 1)]
+    for host in hosts:
+        host.address = fabric.attach(0, host.port)
+    return hosts[:-1], hosts[-1]
 
 
 def wire_hosts():
@@ -125,7 +134,7 @@ class TestNotificationPoint:
 class TestFctHarness:
     def test_closed_loop_maintains_concurrency(self):
         sim = Simulator()
-        topo, senders, receiver, _, _ = n_cast_1(sim, 2)
+        senders, receiver = one_leaf_hosts(sim, 2)
         agents = [ConnectXAgent(h) for h in senders]
         recv = ConnectXAgent(receiver)
         harness = ConnectXFctHarness(
@@ -144,7 +153,7 @@ class TestFctHarness:
 
     def test_websearch_2cast1(self):
         sim = Simulator()
-        topo, senders, receiver, _, _ = n_cast_1(sim, 2)
+        senders, receiver = one_leaf_hosts(sim, 2)
         agents = [ConnectXAgent(h) for h in senders]
         recv = ConnectXAgent(receiver)
         harness = ConnectXFctHarness(

@@ -1,4 +1,4 @@
-"""Links, ports, devices, the network switch, and the n-cast-1 topology."""
+"""Links, ports, devices, the network switch, and the topology container."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +11,7 @@ from repro.net import (
     NetworkSwitch,
     Packet,
     Topology,
-    n_cast_1,
+    build_fabric,
 )
 from repro.net.device import Device, Port
 from repro.net.packet import ECT
@@ -232,8 +232,8 @@ class TestNetworkSwitch:
         right = Sink(sim, "right")
         lp = left.add_port()
         rp = right.add_port()
-        sp0 = switch.add_ecn_port()
-        sp1 = switch.add_ecn_port()
+        sp0 = switch.add_ecn_port(capacity_bytes=2**20, ecn_threshold_bytes=84_000)
+        sp1 = switch.add_ecn_port(capacity_bytes=2**20, ecn_threshold_bytes=84_000)
         Link(lp, sp0, delay_ps=0)
         Link(rp, sp1, delay_ps=0)
         switch.set_route(2, sp1)
@@ -272,7 +272,7 @@ class TestNetworkSwitch:
     def test_route_for(self):
         sim = Simulator()
         switch = NetworkSwitch(sim)
-        p = switch.add_ecn_port()
+        p = switch.add_ecn_port(capacity_bytes=2**20, ecn_threshold_bytes=84_000)
         switch.set_route(5, p)
         assert switch.route_for(5) is p
         assert switch.route_for(6) is None
@@ -291,17 +291,14 @@ class TestTopologyBuilders:
         assert topo.allocate_address() == 1
         assert topo.allocate_address() == 2
 
-    def test_n_cast_1_shape(self):
+    def test_one_leaf_end_to_end_delivery(self):
+        """Two senders and a receiver on the one-leaf fabric (Figure 9's
+        2-cast-1 shape)."""
         sim = Simulator()
-        topo, senders, receiver, sw_a, sw_b = n_cast_1(sim, 3)
-        assert len(senders) == 3
-        assert receiver.address not in [h.address for h in senders]
-        # The A-side trunk must route the receiver's address.
-        assert sw_a.route_for(receiver.address) is not None
-
-    def test_n_cast_1_end_to_end_delivery(self):
-        sim = Simulator()
-        topo, senders, receiver, _, _ = n_cast_1(sim, 2, delay_ps=100)
+        fabric = build_fabric(sim)
+        *senders, receiver = hosts = [Host(sim) for _ in range(3)]
+        for host in hosts:
+            host.address = fabric.attach(0, host.port)
         got = []
 
         class Agent:

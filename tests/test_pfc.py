@@ -67,8 +67,14 @@ class TestControllerWatermarks:
         up = Sink(sim, "up")
         down = Sink(sim, "down")
         up_port = up.add_port()
-        Link(up_port, switch.add_ecn_port(ecn_threshold_bytes=83_000), delay_ps=100)
-        egress = switch.add_ecn_port(rate_bps=1 * GBPS, ecn_threshold_bytes=83_000)
+        Link(
+            up_port,
+            switch.add_ecn_port(capacity_bytes=2**20, ecn_threshold_bytes=83_000),
+            delay_ps=100,
+        )
+        egress = switch.add_ecn_port(
+            rate_bps=1 * GBPS, capacity_bytes=2**20, ecn_threshold_bytes=83_000
+        )
         Link(egress, down.add_port(rate_bps=1 * GBPS), delay_ps=100)
         switch.set_route(2, egress)
         controller = PfcController(switch, xoff_bytes=10_000, xon_bytes=5_000)

@@ -1,25 +1,30 @@
-"""Check that every command the docs show still parses.
+"""Check that every command and import the docs show still works.
 
 Reads the fenced code blocks of ``README.md`` and ``docs/*.md``.  Every
 ``repro ...``, ``python -m repro ...`` or ``PYTHONPATH=src python -m
 repro ...`` line (``\\`` continuations joined, a ``# ...`` comment and a
 trailing ``&`` stripped) goes through ``repro.cli.build_parser()
 .parse_args`` -- parsed, never run -- and every ``make <target>`` must
-name a target of the Makefile.  A renamed flag, a deleted option or a
-removed make target in a documented command is reported as
+name a target of the Makefile.  Every ``from repro... import ...`` line
+of a ``python`` fence is run alone in a subprocess (the rest of the
+snippet is not).  A renamed flag, a deleted option, a removed make
+target or a deleted public name in a documented snippet is reported as
 ``file:line: message``.
 
     python tools/doc_commands.py
 
-Exit status: 0 when every command parses, 1 when one does not.
+Exit status: 0 when every command parses and every import imports, 1
+when one does not.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -34,16 +39,20 @@ _COMMAND = re.compile(
     r"\s*(?:[A-Za-z_][A-Za-z0-9_]*=\S*\s+)*(?:repro|python3? -m repro|make)(?:\s|$)"
 )
 _MAKE_TARGET = re.compile(r"^([A-Za-z0-9_][A-Za-z0-9_.-]*)\s*:(?!=)", re.MULTILINE)
+_IMPORT = re.compile(r"\s*from repro(\.\w+)* import ")
 
 
-def fenced_commands(path: Path) -> Iterator[tuple[int, str]]:
-    """``(line number, command)`` for each logical line inside a fence."""
+def fenced_commands(path: Path) -> Iterator[tuple[int, str, str]]:
+    """``(line number, command, fence language)`` for each logical line
+    inside a fence."""
     in_fence = False
     pending: list[str] = []
     start = 0
+    language = ""
     for number, line in enumerate(path.read_text().splitlines(), start=1):
         if line.strip().startswith("```"):
             in_fence = not in_fence
+            language = line.strip()[3:].strip()
             pending = []
             continue
         if not in_fence:
@@ -55,7 +64,7 @@ def fenced_commands(path: Path) -> Iterator[tuple[int, str]]:
             pending.append(stripped[:-1])
             continue
         pending.append(stripped)
-        yield start, " ".join(pending)
+        yield start, " ".join(pending), language
         pending = []
 
 
@@ -93,23 +102,42 @@ def problem(kind: str, argv: list[str], targets: set[str]) -> str | None:
     return None
 
 
+def import_problem(statement: str) -> str | None:
+    """Why a documented import fails, or None when it imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", statement.strip()],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    if result.returncode == 0:
+        return None
+    lines = result.stderr.strip().splitlines()
+    return lines[-1] if lines else f"exit status {result.returncode}"
+
+
 def main() -> int:
     targets = set(_MAKE_TARGET.findall((ROOT / "Makefile").read_text()))
     failures = checked = 0
     for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
-        for number, line in fenced_commands(path):
-            try:
-                command = command_argv(line)
-                reason = None if command is None else problem(*command, targets)
-            except ValueError as exc:  # unbalanced quotes
-                command, reason = line, f"cannot split {line.strip()!r}: {exc}"
+        for number, line, language in fenced_commands(path):
+            if language == "python" and _IMPORT.match(line):
+                command, reason = line, import_problem(line)
+            else:
+                try:
+                    command = command_argv(line)
+                    reason = None if command is None else problem(*command, targets)
+                except ValueError as exc:  # unbalanced quotes
+                    command, reason = line, f"cannot split {line.strip()!r}: {exc}"
             if command is None:
                 continue
             checked += 1
             if reason is not None:
                 failures += 1
                 print(f"{path.relative_to(ROOT)}:{number}: {reason}")
-    print(f"{checked} documented commands checked, {failures} failing")
+    print(f"{checked} documented commands and imports checked, {failures} failing")
     return 1 if failures else 0
 
 
